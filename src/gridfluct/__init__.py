@@ -7,12 +7,17 @@ Library layout:
 * :mod:`gridfluct.swing` -- nonlinear swing model, synchronous state,
   security check, linearization, single-machine closed form;
 * :mod:`gridfluct.variance` -- reduced-system Lyapunov route, explicit
-  uniform damping-inertia ratio solution, zero-inertia model, trace law;
+  uniform damping-inertia ratio solution, zero-inertia model, trace law,
+  the report invariant checks and the one uniformity checker;
 * :mod:`gridfluct.closedforms` / :mod:`gridfluct.trends` -- analytic
   complete/star formulas, single-source corollaries, trend derivatives;
 * :mod:`gridfluct.montecarlo` -- Euler-Maruyama covariance oracle;
 * :mod:`gridfluct.netfile` / :mod:`gridfluct.pipeline` / :mod:`gridfluct.cli`
-  -- file formats, route dispatch, sweeps and the command line.
+  -- file formats, the route table (``pipeline.ROUTES``) with its dispatch,
+  sweeps and the command line.
+
+Every report is a :class:`CovarianceReport`, the first-order route's
+included (angle block only).
 """
 
 from .closedforms import (
@@ -34,6 +39,7 @@ from .errors import (
     GridfluctError,
     InsecureStateError,
     InstabilityError,
+    InternalInvariantError,
     InvalidGraphError,
     NoEquilibriumError,
     NoSynchronousStateError,
@@ -69,7 +75,6 @@ from .swing import (
 from .trends import TrendReport, trend_report
 from .variance import (
     CovarianceReport,
-    FirstOrderReport,
     ReducedSystem,
     UniformRatioBlocks,
     asymptotic_variance_numeric,

@@ -19,11 +19,11 @@ from .errors import (
     InvalidGraphError,
     ValidationError,
 )
-from .montecarlo import default_sim_config
 from .netfile import format_number, load_network, load_sweep, validate_mc_overrides
 from .pipeline import (
+    EXACT_ROUTES,
+    ROUTES,
     compare_variance,
-    linearized,
     run_sweep,
     run_variance,
     write_comparison,
@@ -48,9 +48,7 @@ def _parser() -> argparse.ArgumentParser:
 
     variance = sub.add_parser("variance", help="stationary covariance by one method")
     variance.add_argument("network")
-    variance.add_argument(
-        "--method", required=True, choices=("numeric", "uniform", "closed", "first-order", "mc")
-    )
+    variance.add_argument("--method", required=True, choices=tuple(ROUTES))
     variance.add_argument("--format", choices=("csv", "json"), default="csv")
     variance.add_argument("--out", help="output file (default stdout)")
     variance.add_argument("--seed", type=int, default=0, help="Monte Carlo master seed")
@@ -58,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="all applicable exact methods plus discrepancy")
     compare.add_argument("network")
-    compare.add_argument("--methods", help="comma-separated subset of numeric,uniform,closed")
+    compare.add_argument("--methods", help=f"comma-separated subset of {','.join(EXACT_ROUTES)}")
     compare.add_argument("--format", choices=("csv", "json"), default="csv")
     compare.add_argument("--out")
 
@@ -73,6 +71,7 @@ def _parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--format", choices=("csv", "json"), default="csv")
     simulate.add_argument("--out")
+    simulate.set_defaults(method="mc")
 
     return parser
 
@@ -86,7 +85,7 @@ def _output(path: str | None):
             yield fh
 
 
-def _mc_config(args, net):
+def _mc_overrides(args) -> dict:
     overrides = {}
     if getattr(args, "mc_config", None):
         try:
@@ -96,7 +95,7 @@ def _mc_config(args, net):
             raise ValidationError(f"{args.mc_config}: {exc}") from exc
         overrides = validate_mc_overrides(overrides, str(args.mc_config))
     overrides.setdefault("master_seed", args.seed)
-    return default_sim_config(linearized(net), **overrides)
+    return overrides
 
 
 def _cmd_solve(args) -> int:
@@ -131,8 +130,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_variance(args) -> int:
     net = load_network(args.network)
-    mc_config = _mc_config(args, net) if args.method == "mc" else None
-    report = run_variance(net, args.method, mc_config=mc_config)
+    mc_overrides = _mc_overrides(args) if args.method == "mc" else None
+    report = run_variance(net, args.method, mc_overrides)
     with _output(args.out) as fh:
         write_report(report, fh, args.format)
     return 0
@@ -155,14 +154,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    net = load_network(args.network)
-    report = run_variance(net, "mc", mc_config=_mc_config(args, net))
-    with _output(args.out) as fh:
-        write_report(report, fh, args.format)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     handlers = {
@@ -170,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         "variance": _cmd_variance,
         "compare": _cmd_compare,
         "sweep": _cmd_sweep,
-        "simulate": _cmd_simulate,
+        "simulate": _cmd_variance,
     }
     try:
         return handlers[args.command](args)

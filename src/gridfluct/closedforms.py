@@ -279,7 +279,8 @@ def _star_clusters(p: HomogeneousParams) -> list[tuple[float, np.ndarray]]:
 def complete_report(p: HomogeneousParams) -> CovarianceReport:
     """Covariance blocks for the homogeneous complete graph.
 
-    The angle block is (1 / (2 d gamma n)) C^T B^2 C and the frequency
+    The angle block is (1 / (2 d gamma n)) C^T B^2 C, the same as the
+    zero-inertia block of :func:`complete_first_order`, and the frequency
     diagonal follows the per-node display; remaining entries come from the
     exact cluster evaluation.
     """
@@ -287,7 +288,7 @@ def complete_report(p: HomogeneousParams) -> CovarianceReport:
     inc = incidence(graph)
     alpha = p.damping / p.eta
 
-    q_delta = inc.T @ (p.noise_sq[:, None] * inc) / (2 * p.damping * p.gamma * p.n)
+    q_delta = complete_first_order(p)
     _, q_omega, q_cross = _cluster_covariance(_complete_clusters(p), p.noise_sq, inc, p.eta, alpha)
     for i in range(p.n):
         q_omega[i, i] = _complete_frequency_diag(
@@ -355,13 +356,7 @@ def complete_single_source(p: HomogeneousParams, source: int) -> SingleSourceSum
 
 def star_single_source_root(p: HomogeneousParams) -> SingleSourceSummary:
     """Root-disturbed star graph: identical formulas to the complete graph."""
-    b = _require_single_source(p, 1)
-    return SingleSourceSummary(
-        source_frequency_variance=complete_source_frequency(p.n, p.gamma, p.eta, p.damping, b),
-        other_frequency_variance=complete_other_frequency(p.n, p.gamma, p.eta, p.damping, b),
-        incident_line_variance=b**2 / (2 * p.damping * p.gamma * p.n),
-        other_line_variance=0.0,
-    )
+    return complete_single_source(p, 1)
 
 
 def star_single_source_leaf(p: HomogeneousParams) -> StarLeafSummary:

@@ -34,6 +34,10 @@ class ValidationError(GridfluctError):
     """An input file fails schema or invariant validation."""
 
 
+class InternalInvariantError(GridfluctError):
+    """A computed result breaks an invariant the theory guarantees."""
+
+
 class AssumptionViolatedError(GridfluctError):
     """Inputs violate an assumption required by the selected method."""
 

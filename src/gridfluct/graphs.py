@@ -17,9 +17,6 @@ from .errors import DisconnectedGraphError, InvalidGraphError, ShapeError
 # Relative gap below which adjacent eigenvalues are treated as degenerate.
 DEGENERACY_GAP = 1e-9
 
-# |second eigenvalue| below this (times the spectral scale) means disconnected.
-CONNECTIVITY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -120,7 +117,11 @@ def canonical_star(n: int, weight: float = 1.0) -> WeightedGraph:
     return WeightedGraph(n, edges)
 
 
-def _traversal_connected(graph: WeightedGraph) -> bool:
+def is_connected(graph: WeightedGraph) -> bool:
+    """True iff every node is reachable from node 1, whatever the weights.
+
+    Numerical disconnection is left to the covariance routes' spectra.
+    """
     neighbours: list[list[int]] = [[] for _ in range(graph.node_count)]
     for i, j, _ in graph.edges:
         neighbours[i - 1].append(j - 1)
@@ -134,25 +135,6 @@ def _traversal_connected(graph: WeightedGraph) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == graph.node_count
-
-
-def is_connected(graph: WeightedGraph) -> bool:
-    """True iff the second-smallest Laplacian eigenvalue is positive.
-
-    The spectral test is cross-checked against a plain graph traversal;
-    a disagreement would indicate a numerical problem and raises.
-    """
-    if graph.node_count == 1:
-        return True
-    eigs = np.linalg.eigvalsh(laplacian(graph))
-    tol = CONNECTIVITY_TOL * max(1.0, float(eigs[-1]))
-    spectral = bool(eigs[1] > tol)
-    traversal = _traversal_connected(graph)
-    if spectral != traversal:
-        raise RuntimeError(
-            f"connectivity checks disagree: spectral mu_2={eigs[1]!r}, traversal={traversal}"
-        )
-    return spectral
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
@@ -190,7 +172,7 @@ def whitened_spectrum(lap: np.ndarray, scaling) -> SpectralDecomposition:
 
     Args:
         lap: symmetric matrix with zero row sums (a weighted Laplacian).
-        scaling: diagonal entries of S as a 1-D array, or S itself.
+        scaling: diagonal entries of S as a 1-D array.
 
     Raises:
         ShapeError: if ``lap`` is not square/symmetric with zero row sums,
@@ -206,8 +188,6 @@ def whitened_spectrum(lap: np.ndarray, scaling) -> SpectralDecomposition:
         raise ShapeError("matrix does not have zero row sums; not a Laplacian")
 
     diag = np.asarray(scaling, dtype=float)
-    if diag.ndim == 2:
-        diag = np.diagonal(diag).copy()
     if diag.shape != (lap.shape[0],):
         raise ShapeError(f"scaling size {diag.shape} does not match matrix size {lap.shape[0]}")
     if not np.all(diag > 0):

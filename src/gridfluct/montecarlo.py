@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .graphs import whitened_spectrum
 from .swing import LinearizedSystem
 from .variance import METHOD_MC, CovarianceReport, make_report, reduce_system
 
@@ -221,7 +220,7 @@ def default_sim_config(
     reduced = reduce_system(lin)
     decay = -reduced.spectral_abscissa
     if dt is None:
-        lam_max = float(whitened_spectrum(lin.laplacian, lin.inertia).eigenvalues[-1])
+        lam_max = float(reduced.spectral.eigenvalues[-1])
         alpha_max = float((lin.damping / lin.inertia).max())
         dt = 0.2 / np.sqrt(lam_max * alpha_max + alpha_max**2)
         modes = np.linalg.eigvals(reduced.a2)

@@ -1,5 +1,8 @@
 """Variance-route dispatch, route comparison, sweeps and report serialization.
 
+``ROUTES`` maps each variance route's name to its function and exactness;
+method validation everywhere and the CLI's choices derive from it.
+
 ``run_variance`` takes a validated network through synchronous-state
 solve, security check and linearization, then runs the requested route.
 The closed-form route additionally requires a homogeneous complete or
@@ -14,30 +17,23 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, TextIO
+from typing import Any, Callable, Collection, Iterable, TextIO
 
 import numpy as np
 
 from .closedforms import HomogeneousParams, complete_report, star_report
 from .errors import AssumptionViolatedError, ValidationError
 from .graphs import canonical_complete, canonical_star
-from .montecarlo import SimConfig, default_sim_config, simulate_covariance
+from .montecarlo import default_sim_config, simulate_covariance
 from .netfile import HomogeneousBase, SweepSpec, format_number
 from .swing import LinearizedSystem, PowerNetwork, linearize, solve_synchronous_state
 from .variance import (
-    METHOD_CLOSED,
     CovarianceReport,
     asymptotic_variance_numeric,
     asymptotic_variance_uniform_ratio,
-    first_order_report,
-    make_report,
-    uniform_damping_inertia_ratio,
+    first_order_variance,
+    uniform_value,
 )
-
-VARIANCE_METHODS = ("numeric", "uniform", "closed", "first-order", "mc")
-COMPARE_METHODS = ("numeric", "uniform", "closed")
-
-UNIFORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,13 +47,6 @@ class CanonicalForm:
     line_signs: np.ndarray  # +1 if the user orientation matches canonical
 
 
-def _uniform_value(values: np.ndarray, what: str) -> float:
-    center = float(values.mean())
-    if np.abs(values - center).max() > UNIFORM_TOL * max(abs(center), 1e-300):
-        raise AssumptionViolatedError(f"closed forms require uniform {what} across the network")
-    return center
-
-
 def canonicalize_homogeneous(lin: LinearizedSystem) -> CanonicalForm:
     """Classify a homogeneous linearized network as complete or star.
 
@@ -65,14 +54,11 @@ def canonicalize_homogeneous(lin: LinearizedSystem) -> CanonicalForm:
     uniform or the topology is neither complete nor a star.
     """
     n, m = lin.node_count, lin.line_count
-    gamma = _uniform_value(lin.graph.weights, "line weights")
-    eta = _uniform_value(lin.inertia, "inertia")
-    damping = _uniform_value(lin.damping, "damping")
+    gamma = uniform_value(lin.graph.weights, "line weights", "lines")
+    eta = uniform_value(lin.inertia, "inertia values")
+    damping = uniform_value(lin.damping, "damping values")
 
-    degree = np.zeros(n, dtype=int)
-    for i, j, _ in lin.graph.edges:
-        degree[i - 1] += 1
-        degree[j - 1] += 1
+    degree = np.count_nonzero(lin.incidence, axis=1)
 
     if m == n * (n - 1) // 2:
         kind = "complete"
@@ -94,13 +80,10 @@ def canonicalize_homogeneous(lin: LinearizedSystem) -> CanonicalForm:
     line_map = np.empty(m, dtype=int)
     signs = np.empty(m)
     for k, (i, j, _) in enumerate(lin.graph.edges):
+        # Canonical lines all run from the lower to the higher index.
         ci, cj = node_map[i - 1] + 1, node_map[j - 1] + 1
-        if (ci, cj) in canonical_index:
-            line_map[k] = canonical_index[(ci, cj)]
-            signs[k] = 1.0
-        else:
-            line_map[k] = canonical_index[(cj, ci)]
-            signs[k] = -1.0
+        line_map[k] = canonical_index[(min(ci, cj), max(ci, cj))]
+        signs[k] = 1.0 if ci < cj else -1.0
 
     noise = np.empty(n)
     noise[node_map] = lin.noise
@@ -110,19 +93,25 @@ def canonicalize_homogeneous(lin: LinearizedSystem) -> CanonicalForm:
 
 def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
     """Closed-form covariance of a homogeneous complete/star network,
-    remapped back to the network's own node and line ordering."""
+    remapped back to the network's own node and line ordering.
+
+    The remap is a signed permutation, so the canonical report's checked,
+    exactly symmetric blocks stay exactly symmetric with the same
+    eigenvalues; they are not checked again.
+    """
     form = canonicalize_homogeneous(lin)
     report = complete_report(form.params) if form.kind == "complete" else star_report(form.params)
 
     nodes = form.node_to_canonical
     lines = form.line_to_canonical
     signs = form.line_signs
-    q_delta = signs[:, None] * report.q_delta[np.ix_(lines, lines)] * signs[None, :]
-    q_omega = report.q_omega[np.ix_(nodes, nodes)]
-    q_cross = report.q_delta_omega[np.ix_(nodes, lines)] * signs[None, :]
-    diagnostics = dict(report.diagnostics)
-    diagnostics["canonical_kind"] = form.kind
-    return make_report(q_delta, q_omega, q_cross, METHOD_CLOSED, diagnostics)
+    return replace(
+        report,
+        q_delta=signs[:, None] * report.q_delta[np.ix_(lines, lines)] * signs[None, :],
+        q_omega=report.q_omega[np.ix_(nodes, nodes)],
+        q_delta_omega=report.q_delta_omega[np.ix_(nodes, lines)] * signs[None, :],
+        diagnostics={**report.diagnostics, "canonical_kind": form.kind},
+    )
 
 
 def linearized(net: PowerNetwork) -> LinearizedSystem:
@@ -130,47 +119,53 @@ def linearized(net: PowerNetwork) -> LinearizedSystem:
     return linearize(net, solve_synchronous_state(net))
 
 
+@dataclass(frozen=True)
+class Route:
+    """``run(lin, mc_overrides)``; exact routes agree to rounding and are
+    the ones ``compare`` runs."""
+
+    run: Callable[[LinearizedSystem, dict | None], CovarianceReport]
+    exact: bool
+
+
+# Entries reach each route function through its module-global name at call
+# time, so a rebinding of that name (as by a tracer) is seen.
+ROUTES = {
+    "numeric": Route(lambda lin, mc: asymptotic_variance_numeric(lin), True),
+    "uniform": Route(lambda lin, mc: asymptotic_variance_uniform_ratio(lin), True),
+    "closed": Route(lambda lin, mc: closed_form_report(lin), True),
+    "first-order": Route(lambda lin, mc: first_order_variance(lin), False),
+    "mc": Route(
+        lambda lin, mc: simulate_covariance(lin, default_sim_config(lin, **(mc or {}))), False
+    ),
+}
+EXACT_ROUTES = tuple(name for name, route in ROUTES.items() if route.exact)
+
+
+def _require_methods(methods: Iterable[str], allowed: Collection[str], command: str) -> None:
+    """Raise ValidationError naming the allowed routes for an unknown method."""
+    for method in methods:
+        if method not in allowed:
+            raise ValidationError(
+                f"unknown method {method!r}; {command} supports {', '.join(allowed)}"
+            )
+
+
 def run_variance(
     net: PowerNetwork,
     method: str,
-    mc_config: SimConfig | None = None,
+    mc_overrides: dict | None = None,
 ) -> CovarianceReport:
     """Run one variance route on a network.
 
-    ``method`` is one of numeric | uniform | closed | first-order | mc.
+    ``method`` is a key of ``ROUTES``: numeric | uniform | closed |
+    first-order | mc.  ``mc_overrides`` holds Monte Carlo config overrides
+    (``default_sim_config`` keywords), built on this call's linearization.
     Method preconditions (uniform ratio, homogeneous complete/star) raise
     AssumptionViolatedError naming the violated assumption.
     """
-    if method not in VARIANCE_METHODS:
-        raise ValidationError(
-            f"unknown method {method!r}; choose from {', '.join(VARIANCE_METHODS)}"
-        )
-    lin = linearized(net)
-    if method == "numeric":
-        return asymptotic_variance_numeric(lin)
-    if method == "uniform":
-        return asymptotic_variance_uniform_ratio(lin)
-    if method == "closed":
-        return closed_form_report(lin)
-    if method == "first-order":
-        return first_order_report(lin)
-    return simulate_covariance(lin, mc_config)
-
-
-def applicable_compare_methods(lin: LinearizedSystem) -> list[str]:
-    """Exact stationary routes whose preconditions this network satisfies."""
-    methods = ["numeric"]
-    try:
-        uniform_damping_inertia_ratio(lin)
-        methods.append("uniform")
-    except AssumptionViolatedError:
-        pass
-    try:
-        canonicalize_homogeneous(lin)
-        methods.append("closed")
-    except AssumptionViolatedError:
-        pass
-    return methods
+    _require_methods([method], ROUTES, "variance")
+    return ROUTES[method].run(linearized(net), mc_overrides)
 
 
 @dataclass(frozen=True)
@@ -187,25 +182,28 @@ def relative_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def compare_variance(net: PowerNetwork, methods: Iterable[str] | None = None) -> Comparison:
-    """Run all applicable exact routes and report their worst disagreement."""
+    """Run exact routes and report their worst disagreement with ``numeric``.
+
+    By default every exact route runs and any whose precondition fails
+    (AssumptionViolatedError) is skipped; routes named in ``methods`` must
+    all succeed.  ``numeric`` always runs as the reference.
+    """
     lin = linearized(net)
-    selected = list(methods) if methods is not None else applicable_compare_methods(lin)
-    for method in selected:
-        if method not in COMPARE_METHODS:
-            raise ValidationError(
-                f"compare supports {', '.join(COMPARE_METHODS)}; got {method!r}"
-            )
-    if "numeric" not in selected:
-        selected.insert(0, "numeric")
+    if methods is None:
+        selected = list(EXACT_ROUTES)
+    else:
+        selected = list(methods)
+        _require_methods(selected, EXACT_ROUTES, "compare")
+        if "numeric" not in selected:
+            selected.insert(0, "numeric")
 
     reports: dict[str, CovarianceReport] = {}
     for method in selected:
-        if method == "numeric":
-            reports[method] = asymptotic_variance_numeric(lin)
-        elif method == "uniform":
-            reports[method] = asymptotic_variance_uniform_ratio(lin)
-        else:
-            reports[method] = closed_form_report(lin)
+        try:
+            reports[method] = ROUTES[method].run(lin, None)
+        except AssumptionViolatedError:
+            if methods is not None:
+                raise
 
     reference = reports["numeric"]
     worst = 0.0
@@ -226,11 +224,18 @@ def compare_variance(net: PowerNetwork, methods: Iterable[str] | None = None) ->
 # ---------------------------------------------------------------------------
 
 
+def _blocks(report: CovarianceReport) -> dict[str, tuple[np.ndarray | None, np.ndarray | None]]:
+    """Quantity name -> (block, its Monte Carlo stderr or None)."""
+    get = report.diagnostics.get
+    return {
+        "delta": (report.q_delta, get("stderr_delta")),
+        "omega": (report.q_omega, get("stderr_omega")),
+        "cross": (report.q_delta_omega, get("stderr_cross")),
+    }
+
+
 def report_rows(report: CovarianceReport, extra: dict[str, Any] | None = None) -> list[dict]:
     """Long-format rows: quantity, index_i, index_j, value, method, stderr."""
-    stderr_delta = report.diagnostics.get("stderr_delta")
-    stderr_omega = report.diagnostics.get("stderr_omega")
-    stderr_cross = report.diagnostics.get("stderr_cross")
     rows = []
 
     def emit(quantity: str, block, stderr_block) -> None:
@@ -251,9 +256,8 @@ def report_rows(report: CovarianceReport, extra: dict[str, Any] | None = None) -
                     row.update(extra)
                 rows.append(row)
 
-    emit("delta", report.q_delta, stderr_delta)
-    emit("omega", report.q_omega, stderr_omega)
-    emit("cross", report.q_delta_omega, stderr_cross)
+    for quantity, (block, stderr_block) in _blocks(report).items():
+        emit(quantity, block, stderr_block)
     return rows
 
 
@@ -376,12 +380,7 @@ def _apply_point(spec: SweepSpec, point: dict[str, float]) -> PowerNetwork:
 
 
 def _quantity_value(report: CovarianceReport, block: str, i: int, j: int) -> tuple[float | None, float | None]:
-    blocks = {
-        "delta": (report.q_delta, report.diagnostics.get("stderr_delta")),
-        "omega": (report.q_omega, report.diagnostics.get("stderr_omega")),
-        "cross": (report.q_delta_omega, report.diagnostics.get("stderr_cross")),
-    }
-    values, stderr = blocks[block]
+    values, stderr = _blocks(report)[block]
     if values is None:
         return None, None
     if not (1 <= i <= values.shape[0] and 1 <= j <= values.shape[1]):
@@ -390,14 +389,11 @@ def _quantity_value(report: CovarianceReport, block: str, i: int, j: int) -> tup
 
 
 def _sweep_cell(spec: SweepSpec, point: dict[str, float], method: str, seed: int | None) -> dict:
-    net = _apply_point(spec, point)
-    mc_config = None
-    if method == "mc":
-        overrides = dict(spec.mc_overrides)
-        if seed is not None:
-            overrides["master_seed"] = seed
-        mc_config = default_sim_config(linearized(net), **overrides)
-    report = run_variance(net, method, mc_config=mc_config)
+    overrides = dict(spec.mc_overrides)
+    if seed is not None:
+        overrides["master_seed"] = seed
+    # run_sweep has checked every method against ROUTES already.
+    report = ROUTES[method].run(linearized(_apply_point(spec, point)), overrides)
     row: dict[str, Any] = dict(point)
     row["method"] = method
     for block, i, j in spec.quantities:
@@ -422,8 +418,10 @@ def run_sweep(spec: SweepSpec, seed: int | None = None) -> list[dict]:
 
     Grid points enumerate the axes in file order (last axis fastest);
     independent cells may evaluate on up to GRIDFLUCT_THREADS workers, but
-    the output assembly order is fixed regardless.
+    the output assembly order is fixed regardless.  Every method is checked
+    against ``ROUTES`` before any cell runs.
     """
+    _require_methods(spec.methods, ROUTES, "sweep")
     points = _grid_points(spec)
     cells = [(point, method) for point in points for method in spec.methods]
     workers = thread_count()

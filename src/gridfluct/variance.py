@@ -17,6 +17,9 @@ Routes provided here:
   block only;
 * :func:`trace_frequency_variance` -- trace identity
   tr(Q_omega) = tr(B^2) / (2 d eta) for uniform inertia and damping.
+
+Every report passes :func:`make_report`'s symmetry/PSD checks once;
+:func:`uniform_value` is the one uniformity test.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import AssumptionViolatedError, DisconnectedGraphError
+from .errors import AssumptionViolatedError, DisconnectedGraphError, InternalInvariantError
 from .graphs import SpectralDecomposition, whitened_spectrum
 from .lyapunov import assert_hurwitz, lyapunov_residual, lyapunov_solve
 from .swing import LinearizedSystem
@@ -39,7 +42,7 @@ METHOD_MC = "monte-carlo"
 
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = -1e-10
-RATIO_TOL = 1e-9
+UNIFORMITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class CovarianceReport:
 
     ``q_delta`` is line-by-line (m x m), ``q_omega`` node-by-node (n x n)
     and ``q_delta_omega`` node-by-line (n x m).  The first-order route has
-    no frequency output, so the omega blocks may be ``None`` there.
+    no frequency output, so the omega blocks are ``None`` there.
     ``diagnostics`` carries route-specific data (Lyapunov residual,
     Monte Carlo standard errors, ...).
     """
@@ -71,10 +74,10 @@ class CovarianceReport:
 def _checked_symmetric(block: np.ndarray, name: str) -> np.ndarray:
     scale = max(1.0, float(np.abs(block).max(initial=0.0)))
     if np.abs(block - block.T).max(initial=0.0) > SYMMETRY_TOL * scale:
-        raise RuntimeError(f"{name} block lost symmetry beyond tolerance")
+        raise InternalInvariantError(f"{name} block lost symmetry beyond tolerance")
     block = 0.5 * (block + block.T)
     if block.size and np.linalg.eigvalsh(block).min() < PSD_FLOOR * scale:
-        raise RuntimeError(f"{name} block is not positive semi-definite")
+        raise InternalInvariantError(f"{name} block is not positive semi-definite")
     return block
 
 
@@ -85,7 +88,10 @@ def make_report(
     method: str,
     diagnostics: Mapping[str, Any] | None = None,
 ) -> CovarianceReport:
-    """Assemble a report, enforcing symmetry/PSD invariants on the blocks."""
+    """Assemble a report, enforcing symmetry/PSD invariants on the blocks.
+
+    Raises InternalInvariantError when a block breaks either invariant.
+    """
     q_delta = _checked_symmetric(np.asarray(q_delta, dtype=float), "angle-difference")
     if q_omega is not None:
         q_omega = _checked_symmetric(np.asarray(q_omega, dtype=float), "frequency")
@@ -162,10 +168,6 @@ def reduce_system(
     return ReducedSystem(a2, b2, c2, spectral, abscissa)
 
 
-def _split_output_blocks(q_y: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return q_y[:m, :m], q_y[m:, m:], q_y[m:, :m]
-
-
 def asymptotic_variance_numeric(
     lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
 ) -> CovarianceReport:
@@ -174,26 +176,29 @@ def asymptotic_variance_numeric(
     w = reduced.b2 @ reduced.b2.T
     q_x = lyapunov_solve(reduced.a2, w, check_hurwitz=False)
     q_y = reduced.c2 @ q_x @ reduced.c2.T
-    q_delta, q_omega, q_cross = _split_output_blocks(q_y, lin.line_count)
+    m = lin.line_count
     diagnostics = {
         "lyapunov_residual": lyapunov_residual(reduced.a2, q_x, w),
         "spectral_abscissa": reduced.spectral_abscissa,
     }
-    return make_report(q_delta, q_omega, q_cross, METHOD_NUMERIC, diagnostics)
+    return make_report(q_y[:m, :m], q_y[m:, m:], q_y[m:, :m], METHOD_NUMERIC, diagnostics)
 
 
-def uniform_damping_inertia_ratio(lin: LinearizedSystem, tol: float = RATIO_TOL) -> float:
-    """Common value of d_i/m_i, raising when the ratios are not uniform."""
-    ratios = lin.damping / lin.inertia
-    alpha = float(ratios.mean())
-    offenders = np.flatnonzero(np.abs(ratios - alpha) > tol * alpha)
+def uniform_value(values: np.ndarray, what: str, entries: str = "nodes") -> float:
+    """Common value of positive ``values``, raising when they are not uniform.
+
+    Uniform means |x - mean| <= 1e-9 |mean| for every entry; otherwise an
+    AssumptionViolatedError names ``what`` and the offending (1-based)
+    ``entries``.
+    """
+    center = float(values.mean())
+    offenders = np.flatnonzero(np.abs(values - center) > UNIFORMITY_TOL * abs(center))
     if offenders.size:
-        nodes = ", ".join(str(i + 1) for i in offenders)
         raise AssumptionViolatedError(
-            f"damping-inertia ratios are not uniform (tolerance {tol:g}); "
-            f"offending nodes: {nodes}"
+            f"{what} are not uniform (tolerance {UNIFORMITY_TOL:g}); "
+            f"offending {entries}: {', '.join(str(i + 1) for i in offenders)}"
         )
-    return alpha
+    return center
 
 
 @dataclass(frozen=True)
@@ -226,11 +231,16 @@ def uniform_ratio_blocks(
     lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
 ) -> UniformRatioBlocks:
     """Explicit spectral-coordinate covariance blocks for a uniform ratio."""
-    alpha = uniform_damping_inertia_ratio(lin)
+    alpha = uniform_value(lin.damping / lin.inertia, "damping-inertia ratios")
     if spectral is None:
         spectral = whitened_spectrum(lin.laplacian, lin.inertia)
-    _require_connected_spectrum(spectral)
+    return _uniform_ratio_blocks(lin, spectral, alpha)
 
+
+def _uniform_ratio_blocks(
+    lin: LinearizedSystem, spectral: SpectralDecomposition, alpha: float
+) -> UniformRatioBlocks:
+    _require_connected_spectrum(spectral)
     lam = spectral.eigenvalues
     u = spectral.vectors
     xi = lin.noise**2 / lin.inertia
@@ -255,11 +265,13 @@ def asymptotic_variance_uniform_ratio(
     """Stationary output covariance from the explicit uniform-ratio solution.
 
     Requires max_i |d_i/m_i - alpha| <= 1e-9 alpha; raises
-    AssumptionViolatedError naming the offending nodes otherwise.
+    AssumptionViolatedError naming the offending nodes otherwise, before
+    any spectrum is computed.
     """
+    alpha = uniform_value(lin.damping / lin.inertia, "damping-inertia ratios")
     if spectral is None:
         spectral = whitened_spectrum(lin.laplacian, lin.inertia)
-    blocks = uniform_ratio_blocks(lin, spectral)
+    blocks = _uniform_ratio_blocks(lin, spectral, alpha)
 
     u = spectral.vectors
     u_hat = u[:, 1:]
@@ -274,18 +286,9 @@ def asymptotic_variance_uniform_ratio(
     return make_report(q_delta, q_omega, q_cross, METHOD_UNIFORM, diagnostics)
 
 
-@dataclass(frozen=True)
-class FirstOrderReport:
-    """Angle-difference covariance of the zero-inertia (first-order) model."""
-
-    q_delta: np.ndarray
-    q_x: np.ndarray
-    spectral: SpectralDecomposition
-
-
 def first_order_variance(
     lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
-) -> FirstOrderReport:
+) -> CovarianceReport:
     """Stationary angle-difference covariance with inertia set to zero.
 
     Uses the damping-whitened Laplacian spectrum: with eigenpairs
@@ -294,7 +297,8 @@ def first_order_variance(
         q_{ij} = u_bar_{i+1}^T D^{-1/2} B^2 D^{-1/2} u_bar_{j+1}
                  / (lambda_bar_{i+1} + lambda_bar_{j+1})
 
-    and the angle block is its image under the incidence map.
+    and the angle block is its image under the incidence map.  The report
+    has no frequency blocks.
     """
     if spectral is None:
         spectral = whitened_spectrum(lin.laplacian, lin.damping)
@@ -309,38 +313,11 @@ def first_order_variance(
     inv_sqrt_d = 1.0 / np.sqrt(lin.damping)
     lines_from_modes = lin.incidence.T @ (inv_sqrt_d[:, None] * u2)
     q_delta = lines_from_modes @ q_x @ lines_from_modes.T
-    q_delta = _checked_symmetric(q_delta, "angle-difference")
-    return FirstOrderReport(q_delta, 0.5 * (q_x + q_x.T), spectral)
+    return make_report(q_delta, None, None, METHOD_FIRST_ORDER)
 
 
-def first_order_report(
-    lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
-) -> CovarianceReport:
-    """First-order route packaged as a CovarianceReport (angle block only)."""
-    result = first_order_variance(lin, spectral)
-    return CovarianceReport(result.q_delta, None, None, METHOD_FIRST_ORDER, {})
-
-
-def _uniform_scalar(values: np.ndarray, name: str, tol: float = RATIO_TOL) -> float:
-    center = float(values.mean())
-    if np.abs(values - center).max() > tol * max(abs(center), 1e-300):
-        raise AssumptionViolatedError(f"{name} values are not uniform across nodes")
-    return center
-
-
-def trace_frequency_variance(lin: LinearizedSystem, verify_numeric: bool = False) -> float:
-    """tr(Q_omega) = tr(B^2) / (2 d eta) for uniform inertia and damping.
-
-    With ``verify_numeric`` the identity is re-derived from the numeric
-    route and must agree to 1e-9 relative.
-    """
-    eta = _uniform_scalar(lin.inertia, "inertia")
-    d = _uniform_scalar(lin.damping, "damping")
-    value = float((lin.noise**2).sum() / (2.0 * d * eta))
-    if verify_numeric:
-        numeric = float(np.trace(asymptotic_variance_numeric(lin).q_omega))
-        if abs(numeric - value) > 1e-9 * max(1.0, abs(value)):
-            raise RuntimeError(
-                f"trace identity violated: closed {value!r} vs numeric {numeric!r}"
-            )
-    return value
+def trace_frequency_variance(lin: LinearizedSystem) -> float:
+    """tr(Q_omega) = tr(B^2) / (2 d eta) for uniform inertia and damping."""
+    eta = uniform_value(lin.inertia, "inertia values")
+    d = uniform_value(lin.damping, "damping values")
+    return float((lin.noise**2).sum() / (2.0 * d * eta))

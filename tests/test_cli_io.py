@@ -17,6 +17,7 @@ from gridfluct.netfile import (
 )
 from gridfluct.pipeline import (
     compare_variance,
+    relative_discrepancy,
     run_sweep,
     run_variance,
     write_report,
@@ -160,6 +161,38 @@ class TestRunVariance:
         comparison = compare_variance(net)
         assert set(comparison.reports) == {"numeric", "uniform", "closed"}
         assert comparison.max_relative_discrepancy <= 1e-8
+
+    def test_compare_skips_routes_whose_assumptions_fail(self):
+        from gridfluct import AssumptionViolatedError
+
+        ring = network_from_dict(network_doc(4, [(1, 2), (2, 3), (3, 4), (1, 4)], noise={1: 0.2}))
+        assert set(compare_variance(ring).reports) == {"numeric", "uniform"}
+        doc = network_doc(4, complete_lines(4), noise={1: 0.2})
+        doc["nodes"][0]["inertia"] = 1.0
+        uneven = network_from_dict(doc)
+        assert set(compare_variance(uneven).reports) == {"numeric"}
+        with pytest.raises(AssumptionViolatedError, match="nodes: 1"):
+            compare_variance(uneven, ["uniform"])
+
+    @pytest.mark.parametrize(
+        "kind, lines",
+        [
+            # root at node 3; lines 1 and 3 run root -> leaf, lines 2 and 4 leaf -> root
+            ("star", [(3, 1), (2, 3), (3, 5), (4, 3)]),
+            # every pair once, in shuffled order, five of ten against index order
+            ("complete", [(3, 1), (2, 5), (1, 4), (4, 3), (5, 1),
+                          (2, 3), (4, 2), (1, 2), (5, 3), (4, 5)]),
+        ],
+    )
+    def test_closed_route_remaps_to_network_order(self, kind, lines):
+        net = network_from_dict(network_doc(5, lines, noise={1: 0.3, 3: 0.2, 4: 0.5, 5: 0.1}))
+        closed = run_variance(net, "closed")
+        numeric = run_variance(net, "numeric")
+        assert closed.diagnostics["canonical_kind"] == kind
+        for block in ("q_delta", "q_omega", "q_delta_omega"):
+            assert relative_discrepancy(getattr(closed, block), getattr(numeric, block)) <= 1e-8
+        np.testing.assert_array_equal(closed.q_delta, closed.q_delta.T)
+        np.testing.assert_array_equal(closed.q_omega, closed.q_omega.T)
 
 
 class TestReportSerialization:
@@ -306,6 +339,39 @@ class TestCommandLine:
         path = write_doc(tmp_path, network_doc(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
         assert main(["variance", str(path), "--method", "closed"]) == 2
         assert "complete/star" in capsys.readouterr().err
+
+    def test_internal_invariant_failure_exits_one(self, tmp_path, capsys):
+        # The PSD floor is absolute, so this slow but valid star fails the
+        # angle block's PSD check: an internal error, not a traceback.
+        doc = network_doc(4, [(1, 2), (1, 3), (1, 4)], inertia=1e9, damping=0.2, noise={2: 0.1})
+        path = write_doc(tmp_path, doc)
+        assert main(["variance", str(path), "--method", "numeric"]) == 1
+        assert "internal error: angle-difference block" in capsys.readouterr().err
+
+    def test_numerically_disconnected_network(self, tmp_path, capsys):
+        doc = network_doc(3, [(1, 2), (2, 3)], inertia=1.0, damping=1.0, noise={1: 0.1})
+        doc["lines"][0]["capacity"] = 1.0
+        doc["lines"][1]["capacity"] = 1e-10
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["variance", str(path), "--method", "numeric"]) == 2
+        assert "disconnected" in capsys.readouterr().err
+
+    def test_sweep_with_unknown_method_exits_two(self, tmp_path, capsys):
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(sweep_doc(methods=["numeric", "spectral"])))
+        assert main(["sweep", "--spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'spectral'" in captured.err
+        assert "numeric, uniform, closed, first-order, mc" in captured.err
+
+    def test_compare_rejects_inexact_route(self, tmp_path, capsys):
+        path = write_doc(tmp_path, network_doc(4, complete_lines(4), noise={2: 0.3}))
+        assert main(["compare", str(path), "--methods", "first-order"]) == 2
+        err = capsys.readouterr().err
+        assert "'first-order'" in err and "numeric, uniform, closed" in err
 
     def test_invalid_file_exits_two(self, tmp_path, capsys):
         doc = network_doc(2, [(1, 2)])

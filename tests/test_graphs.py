@@ -127,6 +127,10 @@ class TestIsConnected:
     def test_path(self):
         assert is_connected(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1.0))))
 
+    def test_very_unequal_weights_still_connected(self):
+        # Connectivity is topological: a tiny weight is still an edge.
+        assert is_connected(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1e-10))))
+
 
 class TestWhitenedSpectrum:
     def test_complete_eigenvalues(self):

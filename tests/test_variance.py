@@ -7,6 +7,7 @@ import scipy.linalg
 from gridfluct import (
     AssumptionViolatedError,
     DisconnectedGraphError,
+    InternalInvariantError,
     LinearizedSystem,
     WeightedGraph,
     asymptotic_variance_numeric,
@@ -23,6 +24,7 @@ from gridfluct import (
     whitened_spectrum,
 )
 from gridfluct.graphs import SpectralDecomposition
+from gridfluct.variance import make_report
 
 from conftest import (
     full_output_matrix,
@@ -53,6 +55,14 @@ def random_heterogeneous_system(rng, n):
         rng.uniform(0.2, 3.0, n),
         rng.uniform(0.0, 2.0, n),
     )
+
+
+class TestMakeReport:
+    def test_invariant_failures_are_internal_errors(self):
+        with pytest.raises(InternalInvariantError, match="symmetry"):
+            make_report(np.array([[1.0, 1.0], [0.0, 1.0]]), None, None, "test")
+        with pytest.raises(InternalInvariantError, match="positive semi-definite"):
+            make_report(np.diag([1.0, -1.0]), None, None, "test")
 
 
 class TestReduceSystem:
@@ -331,10 +341,12 @@ class TestTraceLaw:
         noise = rng.uniform(0, 1, 9)
         complete = homogeneous_system("complete", 9, 3.0, 0.7, 0.4, noise)
         star = homogeneous_system("star", 9, 5.0, 0.7, 0.4, noise)
-        assert trace_frequency_variance(complete) == trace_frequency_variance(star)
-        assert trace_frequency_variance(complete, verify_numeric=True) == pytest.approx(
-            np.trace(asymptotic_variance_numeric(star).q_omega), rel=1e-9
-        )
+        value = trace_frequency_variance(complete)
+        assert value == trace_frequency_variance(star)
+        for lin in (complete, star):
+            assert np.trace(asymptotic_variance_numeric(lin).q_omega) == pytest.approx(
+                value, rel=1e-9, abs=1e-9
+            )
 
     def test_nonuniform_rejected(self):
         lin = LinearizedSystem(
