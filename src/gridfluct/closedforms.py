@@ -282,7 +282,8 @@ def complete_report(p: HomogeneousParams) -> CovarianceReport:
     The angle block is (1 / (2 d gamma n)) C^T B^2 C, the same as the
     zero-inertia block of :func:`complete_first_order`, and the frequency
     diagonal follows the per-node display; remaining entries come from the
-    exact cluster evaluation.
+    exact cluster evaluation.  The angle block's PSD check runs on its
+    n x n factored core diag(b^2) / (2 d gamma n).
     """
     graph = canonical_complete(p.n, p.gamma)
     inc = incidence(graph)
@@ -294,7 +295,11 @@ def complete_report(p: HomogeneousParams) -> CovarianceReport:
         q_omega[i, i] = _complete_frequency_diag(
             p.n, p.gamma, p.eta, p.damping, p.noise_sq[i], p.trace_noise_sq
         )
-    return make_report(q_delta, q_omega, q_cross, METHOD_CLOSED, {"graph": "complete"})
+    core = np.diag(p.noise_sq) / (2 * p.damping * p.gamma * p.n)
+    return make_report(
+        q_delta, q_omega, q_cross, METHOD_CLOSED, {"graph": "complete"},
+        delta_factor=(inc.T, core),
+    )
 
 
 def star_report(p: HomogeneousParams) -> CovarianceReport:

@@ -19,6 +19,7 @@ axes, the variance methods to run and the report scalars to record.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -61,9 +62,17 @@ def _require(mapping: dict, key: str, context: str) -> Any:
 
 
 def _number(value: Any, context: str) -> float:
+    """``value`` as a finite float; JSON's Infinity, -Infinity and NaN, and
+    integers beyond float range, are rejected with the field named."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{context}: expected a finite number, got {value!r}")
+    return number
 
 
 def _load_json(path: str | Path) -> Any:
@@ -74,6 +83,8 @@ def _load_json(path: str | Path) -> Any:
         raise ValidationError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise ValidationError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -19,7 +19,14 @@ Routes provided here:
   tr(Q_omega) = tr(B^2) / (2 d eta) for uniform inertia and damping.
 
 Every report passes :func:`make_report`'s symmetry/PSD checks once;
-:func:`uniform_value` is the one uniformity test.
+:func:`uniform_value` is the one uniformity test.  The numeric,
+uniform-ratio and first-order routes build the angle block as L X L^T
+from an m x (n-1) line map L and a small state covariance X, and hand
+``delta_factor=(L, X)`` to :func:`make_report`, which then decides
+positive semi-definiteness on the (n-1) x (n-1) core instead of the
+m x m block.  The dense eigenvalue check still runs on the frequency
+block, on Monte Carlo and star closed-form angle blocks, and whenever
+L has at least as many columns as rows.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ METHOD_MC = "monte-carlo"
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = -1e-10
 UNIFORMITY_TOL = 1e-9
+SYMMETRIZE_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -71,12 +79,44 @@ class CovarianceReport:
         return 0 if self.q_omega is None else self.q_omega.shape[0]
 
 
-def _checked_symmetric(block: np.ndarray, name: str) -> np.ndarray:
-    scale = max(1.0, float(np.abs(block).max(initial=0.0)))
-    if np.abs(block - block.T).max(initial=0.0) > SYMMETRY_TOL * scale:
+def _symmetrized(block: np.ndarray) -> tuple[float, np.ndarray]:
+    """max|B - B^T| and 0.5 (B + B^T), in one tiled pass over B.
+
+    Each pair of mirror tiles is read once and written twice: addition
+    commutes, so the lower tile is the upper one transposed, bit for bit.
+    """
+    m = block.shape[0]
+    out = np.empty((m, m))
+    asymmetry = 0.0
+    for i in range(0, m, SYMMETRIZE_TILE):
+        rows = slice(i, i + SYMMETRIZE_TILE)
+        for j in range(i, m, SYMMETRIZE_TILE):
+            cols = slice(j, j + SYMMETRIZE_TILE)
+            upper, lower_t = block[rows, cols], block[cols, rows].T
+            asymmetry = max(asymmetry, float(np.abs(upper - lower_t).max()))
+            tile = upper + lower_t
+            tile *= 0.5
+            out[rows, cols] = tile
+            out[cols, rows] = tile.T
+    return asymmetry, out
+
+
+def _checked_symmetric(
+    block: np.ndarray, name: str, factor: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    scale = max(1.0, float(block.max(initial=0.0)), -float(block.min(initial=0.0)))
+    asymmetry, block = _symmetrized(block)
+    if asymmetry > SYMMETRY_TOL * scale:
         raise InternalInvariantError(f"{name} block lost symmetry beyond tolerance")
-    block = 0.5 * (block + block.T)
-    if block.size and np.linalg.eigvalsh(block).min() < PSD_FLOOR * scale:
+    if factor is not None and factor[0].shape[1] < factor[0].shape[0]:
+        # block = L X L^T = Q (R X R^T) Q^T: the k x k core has the block's
+        # nonzero eigenvalues, and the other m - k are zero.
+        lines, core = factor
+        r = np.linalg.qr(lines, mode="r")
+        spectrum_of = r @ (0.5 * (core + core.T)) @ r.T
+    else:
+        spectrum_of = block
+    if block.size and np.linalg.eigvalsh(spectrum_of).min() < PSD_FLOOR * scale:
         raise InternalInvariantError(f"{name} block is not positive semi-definite")
     return block
 
@@ -87,12 +127,25 @@ def make_report(
     q_delta_omega: np.ndarray | None,
     method: str,
     diagnostics: Mapping[str, Any] | None = None,
+    *,
+    delta_factor: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CovarianceReport:
     """Assemble a report, enforcing symmetry/PSD invariants on the blocks.
 
+    ``delta_factor = (L, X)`` states that ``q_delta`` was built as
+    L X L^T with L of shape m x k.  When k < m, positive semi-definiteness
+    of the angle block is decided on the k x k matrix R sym(X) R^T, with R
+    from the QR factorization of L: its eigenvalues are the block's nonzero
+    ones, so the verdict is the dense one at O(m k^2) instead of O(m^3)
+    cost.  Without a factor, or when k >= m, ``eigvalsh`` runs on the dense
+    block.  Symmetry, the symmetrization and the floor's scale always use
+    the dense block.
+
     Raises InternalInvariantError when a block breaks either invariant.
     """
-    q_delta = _checked_symmetric(np.asarray(q_delta, dtype=float), "angle-difference")
+    q_delta = _checked_symmetric(
+        np.asarray(q_delta, dtype=float), "angle-difference", delta_factor
+    )
     if q_omega is not None:
         q_omega = _checked_symmetric(np.asarray(q_omega, dtype=float), "frequency")
     if q_delta_omega is not None:
@@ -176,12 +229,16 @@ def asymptotic_variance_numeric(
     w = reduced.b2 @ reduced.b2.T
     q_x = lyapunov_solve(reduced.a2, w, check_hurwitz=False)
     q_y = reduced.c2 @ q_x @ reduced.c2.T
-    m = lin.line_count
+    m, n = lin.line_count, lin.node_count
     diagnostics = {
         "lyapunov_residual": lyapunov_residual(reduced.a2, q_x, w),
         "spectral_abscissa": reduced.spectral_abscissa,
     }
-    return make_report(q_y[:m, :m], q_y[m:, m:], q_y[m:, :m], METHOD_NUMERIC, diagnostics)
+    # The line rows of c2 vanish beyond the n - 1 angle-mode columns.
+    return make_report(
+        q_y[:m, :m], q_y[m:, m:], q_y[m:, :m], METHOD_NUMERIC, diagnostics,
+        delta_factor=(reduced.c2[:m, : n - 1], q_x[: n - 1, : n - 1]),
+    )
 
 
 def uniform_value(values: np.ndarray, what: str, entries: str = "nodes") -> float:
@@ -283,7 +340,10 @@ def asymptotic_variance_uniform_ratio(
     q_omega = nodes_from_modes @ blocks.r @ nodes_from_modes.T
     q_cross = nodes_from_modes @ blocks.s.T @ lines_from_modes.T
     diagnostics = {"alpha": blocks.alpha}
-    return make_report(q_delta, q_omega, q_cross, METHOD_UNIFORM, diagnostics)
+    return make_report(
+        q_delta, q_omega, q_cross, METHOD_UNIFORM, diagnostics,
+        delta_factor=(lines_from_modes, blocks.g),
+    )
 
 
 def first_order_variance(
@@ -313,7 +373,9 @@ def first_order_variance(
     inv_sqrt_d = 1.0 / np.sqrt(lin.damping)
     lines_from_modes = lin.incidence.T @ (inv_sqrt_d[:, None] * u2)
     q_delta = lines_from_modes @ q_x @ lines_from_modes.T
-    return make_report(q_delta, None, None, METHOD_FIRST_ORDER)
+    return make_report(
+        q_delta, None, None, METHOD_FIRST_ORDER, delta_factor=(lines_from_modes, q_x)
+    )
 
 
 def trace_frequency_variance(lin: LinearizedSystem) -> float:

@@ -341,12 +341,41 @@ class TestCommandLine:
         assert "complete/star" in capsys.readouterr().err
 
     def test_internal_invariant_failure_exits_one(self, tmp_path, capsys):
-        # The PSD floor is absolute, so this slow but valid star fails the
-        # angle block's PSD check: an internal error, not a traceback.
+        # On this slow but valid star the Lyapunov solution itself is wrong
+        # (scipy warns that it perturbed a near-zero eigenvalue pair): the
+        # angle block's smallest eigenvalue is -3.0e-5 against a largest
+        # entry of 2.5e-5, so no rescaled PSD floor would accept it.  The
+        # check reports an internal error, not a traceback.
         doc = network_doc(4, [(1, 2), (1, 3), (1, 4)], inertia=1e9, damping=0.2, noise={2: 0.1})
         path = write_doc(tmp_path, doc)
         assert main(["variance", str(path), "--method", "numeric"]) == 1
         assert "internal error: angle-difference block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "where, field",
+        [("nodes[0]", "inertia"), ("nodes[1]", "power"), ("lines[0]", "capacity")],
+    )
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, literal, where, field):
+        doc = network_doc(3, complete_lines(3), noise={1: 0.1})
+        kind, pos = where.rstrip("]").split("[")
+        doc[kind][int(pos)][field] = float(literal)
+        path = write_doc(tmp_path, doc)
+        assert literal in path.read_text()
+        assert main(["variance", str(path), "--method", "numeric"]) == 2
+        err = capsys.readouterr().err
+        assert f"{where}.{field}: expected a finite number, got {float(literal)!r}" in err
+
+    def test_number_beyond_float_range_exits_two(self, tmp_path, capsys):
+        path = write_doc(tmp_path, network_doc(2, [(1, 2)], noise={1: 0.1}))
+        text = path.read_text()
+        path.write_text(text.replace('"capacity": 10.0', '"capacity": 1' + "0" * 400))
+        assert main(["solve", str(path)]) == 2
+        assert "lines[0].capacity: expected a finite number" in capsys.readouterr().err
+        # Beyond Python's integer digit limit the JSON parser itself refuses.
+        path.write_text(text.replace('"capacity": 10.0', '"capacity": 1' + "0" * 5000))
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"gridfluct: {path}: ")
 
     def test_numerically_disconnected_network(self, tmp_path, capsys):
         doc = network_doc(3, [(1, 2), (2, 3)], inertia=1.0, damping=1.0, noise={1: 0.1})

@@ -23,8 +23,9 @@ from gridfluct import (
     uniform_ratio_blocks,
     whitened_spectrum,
 )
+from gridfluct import closedforms, pipeline, variance
 from gridfluct.graphs import SpectralDecomposition
-from gridfluct.variance import make_report
+from gridfluct.variance import PSD_FLOOR, make_report
 
 from conftest import (
     full_output_matrix,
@@ -57,12 +58,126 @@ def random_heterogeneous_system(rng, n):
     )
 
 
+def shuffled_complete_system(rng, n):
+    """Homogeneous complete graph, lines in random order, about half flipped."""
+    edges = list(canonical_complete(n, 10.0).edges)
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    edges = [(j, i, w) if rng.random() < 0.5 else (i, j, w) for i, j, w in edges]
+    noise = np.zeros(n)
+    noise[[1, 4, 7]] = [0.04, 0.1, 0.02]
+    ones = np.ones(n)
+    return LinearizedSystem(WeightedGraph(n, tuple(edges)), 0.5 * ones, 0.3 * ones, noise)
+
+
+def sparse_uniform_ratio_system(rng, n):
+    graph = random_connected_graph(rng, n, extra_edge_prob=0.1)
+    inertia = rng.uniform(0.2, 3.0, n)
+    return LinearizedSystem(graph, inertia, 0.6 * inertia, rng.uniform(0.0, 2.0, n))
+
+
 class TestMakeReport:
     def test_invariant_failures_are_internal_errors(self):
         with pytest.raises(InternalInvariantError, match="symmetry"):
             make_report(np.array([[1.0, 1.0], [0.0, 1.0]]), None, None, "test")
         with pytest.raises(InternalInvariantError, match="positive semi-definite"):
             make_report(np.diag([1.0, -1.0]), None, None, "test")
+
+    def test_factored_psd_verdict_matches_dense(self):
+        """The k x k core check raises exactly when the dense block's
+        smallest eigenvalue is below the floor, with the block's nonzero
+        eigenvalues placed at and around the floor."""
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for _ in range(200):
+            m = int(rng.integers(3, 40))
+            k = int(rng.integers(1, m))
+            lines = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
+            basis, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            core = (basis * 10.0 ** rng.uniform(-3, 3, k)) @ basis.T
+            scale = max(1.0, np.abs(lines @ core @ lines.T).max())
+            # Set the smallest eigenvalue of R X R^T, that is the dense
+            # block's smallest nonzero one, to a multiple of the floor.
+            r = np.linalg.qr(lines, mode="r")
+            eigs, vecs = np.linalg.eigh(r @ core @ r.T)
+            eigs[0] = PSD_FLOOR * scale * rng.choice([0.0, 0.5, 0.9, 1.1, 2.0, -1.0])
+            target = (vecs * eigs) @ vecs.T
+            core = np.linalg.solve(r, np.linalg.solve(r, target).T)
+            block = lines @ core @ lines.T
+
+            sym = 0.5 * (block + block.T)
+            floor = PSD_FLOOR * max(1.0, np.abs(block).max())
+            dense_rejects = bool(np.linalg.eigvalsh(sym).min() < floor)
+            try:
+                make_report(block, None, None, "test", delta_factor=(lines, core))
+                factored_rejects = False
+            except InternalInvariantError as exc:
+                assert "positive semi-definite" in str(exc)
+                factored_rejects = True
+            assert factored_rejects == dense_rejects
+            verdicts.append(dense_rejects)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_non_psd_core_is_rejected(self):
+        rng = np.random.default_rng(5)
+        lines = rng.standard_normal((30, 4))
+        core = np.diag([1.0, 2.0, 0.5, -1.0])
+        with pytest.raises(InternalInvariantError, match="angle-difference block is not positive"):
+            make_report(lines @ core @ lines.T, None, None, "test", delta_factor=(lines, core))
+        # A square factor falls back to the dense check, with the same verdict.
+        square = rng.standard_normal((4, 4))
+        with pytest.raises(InternalInvariantError, match="angle-difference block is not positive"):
+            make_report(square @ core @ square.T, None, None, "test", delta_factor=(square, core))
+
+    @pytest.mark.parametrize(
+        "network, routes",
+        [
+            (lambda rng: shuffled_complete_system(rng, 12), ("numeric", "uniform", "first-order", "closed")),
+            (lambda rng: sparse_uniform_ratio_system(rng, 20), ("numeric", "uniform", "first-order")),
+        ],
+        ids=["complete-shuffled", "sparse"],
+    )
+    def test_routes_pass_a_consistent_factor(self, monkeypatch, network, routes):
+        lin = network(np.random.default_rng(12))
+        n, m = lin.node_count, lin.line_count
+        assert m > n
+        eig_sizes = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            eig_sizes.append(a.shape[0])
+            return real_eigvalsh(a, *args, **kwargs)
+
+        captured = []
+        real_make_report = variance.make_report
+
+        def spy(*args, **kwargs):
+            start = len(eig_sizes)
+            report = real_make_report(*args, **kwargs)
+            captured.append((kwargs.get("delta_factor"), report, eig_sizes[start:]))
+            return report
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(variance, "make_report", spy)
+        monkeypatch.setattr(closedforms, "make_report", spy)
+        run = {
+            "numeric": variance.asymptotic_variance_numeric,
+            "uniform": variance.asymptotic_variance_uniform_ratio,
+            "first-order": variance.first_order_variance,
+            "closed": pipeline.closed_form_report,
+        }
+        for route in routes:
+            captured.clear()
+            run[route](lin)
+            assert len(captured) == 1, route
+            (lines, core), report, sizes = captured[0]
+            k = lines.shape[1]
+            assert lines.shape[0] == m and core.shape == (k, k)
+            q_delta = report.q_delta
+            assert np.abs(lines @ core @ lines.T - q_delta).max() <= 1e-12 * np.abs(q_delta).max()
+            # The angle block is checked first, on its k x k core: n - 1
+            # modes, or the n nodes of the closed form's incidence factor.
+            assert sizes[0] == k <= (n if route == "closed" else n - 1), route
+            assert max(sizes) <= n, route
 
 
 class TestReduceSystem:
