@@ -5,8 +5,10 @@ Runs ``gridfluct`` in process on three networks: ``scripts/specs/star6.json``,
 a complete n=20 graph with shuffled lines and flipped orientations, and a
 random sparse n=40 graph with a common damping ratio.  On each it runs
 ``variance`` by the numeric, uniform, closed and first-order routes in csv
-and json, ``compare`` in csv, and ``simulate --seed 3`` with 20
-trajectories; then ``sweep --spec scripts/specs/complete_inertia_sweep.json``.
+and json, ``compare`` in csv and json, and ``simulate --seed 3`` with 20
+trajectories; then ``sweep --spec scripts/specs/complete_inertia_sweep.json``
+and ``sweep --seed 3`` of an ``mc`` and ``first-order`` sweep on a complete
+n=2 graph, whose CSV has empty cells and ``_stderr`` columns.
 Each output's digest covers the exit code, the output file and the CLI's
 error message, so a route that exits 2 is covered too.
 
@@ -91,6 +93,19 @@ def sparse_doc(n: int = 40) -> dict:
     return {"schema_version": 1, "nodes": nodes, "lines": lines}
 
 
+def mc_sweep_doc() -> dict:
+    """Monte Carlo and first-order cells over two inertia values."""
+    return {
+        "schema_version": 1,
+        "base": {"kind": "complete", "n": 2, "gamma": 1.0, "eta": 1.0, "damping": 5.0,
+                 "noise": {"1": 1.0}},
+        "axes": [{"parameter": "eta", "grid": [1.0, 2.0]}],
+        "methods": ["mc", "first-order"],
+        "quantities": [{"block": "delta", "i": 1, "j": 1}, {"block": "omega", "i": 1, "j": 1}],
+        "mc": {"trajectories": 4},
+    }
+
+
 def run(argv: list[str], out: Path) -> str:
     """sha256 over the exit code, the ``--out`` file and the CLI's own
     stderr messages (not warnings, which name source lines) of one run."""
@@ -121,10 +136,16 @@ def outputs(work: Path) -> list[tuple[str, str]]:
                 argv = ["variance", str(path), "--method", method, "--format", fmt]
                 results.append((f"{name} variance {method} {fmt}", run(argv, out)))
         results.append((f"{name} compare csv", run(["compare", str(path)], out)))
+        argv = ["compare", str(path), "--format", "json"]
+        results.append((f"{name} compare json", run(argv, out)))
         argv = ["simulate", str(path), "--seed", "3", "--mc-config", str(mc_config)]
         results.append((f"{name} simulate", run(argv, out)))
     sweep = SPECS / "complete_inertia_sweep.json"
     results.append(("sweep complete_inertia_sweep", run(["sweep", "--spec", str(sweep)], out)))
+    mc_sweep = work / "mc_sweep.json"
+    mc_sweep.write_text(json.dumps(mc_sweep_doc()))
+    argv = ["sweep", "--spec", str(mc_sweep), "--seed", "3"]
+    results.append(("sweep mc first-order", run(argv, out)))
     return results
 
 

@@ -60,7 +60,7 @@ from .graphs import (
 from .lyapunov import lyapunov_residual, lyapunov_solve, lyapunov_solve_kron
 from .montecarlo import SimConfig, default_sim_config, simulate_covariance, trajectory_seed
 from .netfile import emit_network, load_network, load_sweep
-from .pipeline import compare_variance, emit_report, run_sweep, run_variance, write_report
+from .pipeline import compare_variance, run_sweep, run_variance, write_report
 from .swing import (
     LinearizedSystem,
     PowerNetwork,

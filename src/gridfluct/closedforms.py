@@ -216,8 +216,8 @@ def _cluster_covariance(
     inc: np.ndarray,
     eta: float,
     alpha: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform-ratio covariance blocks from exact eigenvalue clusters.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform-ratio frequency and cross blocks from exact eigenvalue clusters.
 
     ``clusters`` lists (eigenvalue of the inertia-whitened Laplacian,
     spectral projector), ascending, the first being the simple zero mode.
@@ -231,7 +231,6 @@ def _cluster_covariance(
     b_sq = np.diag(noise_sq)
     n = b_sq.shape[0]
     q_omega = np.zeros((n, n))
-    q_delta_core = np.zeros((n, n))
     q_cross_core = np.zeros((n, n))
     for lam_a, proj_a in clusters:
         for lam_b, proj_b in clusters:
@@ -240,15 +239,12 @@ def _cluster_covariance(
                 q_omega += sandwich / (2 * alpha)
                 continue
             q_omega += alpha * (lam_a + lam_b) / chi(lam_a, lam_b) * sandwich
-            if lam_a > 0.0 and lam_b > 0.0:
-                q_delta_core += 2 * alpha / chi(lam_a, lam_b) * sandwich
             if lam_b > 0.0:
                 q_cross_core += (lam_b - lam_a) / chi(lam_a, lam_b) * sandwich
 
-    q_delta = inc.T @ q_delta_core @ inc / eta**2
     q_omega /= eta**2
     q_cross = q_cross_core @ inc / eta**2
-    return q_delta, q_omega, q_cross
+    return q_omega, q_cross
 
 
 def _complete_clusters(p: HomogeneousParams) -> list[tuple[float, np.ndarray]]:
@@ -290,7 +286,7 @@ def complete_report(p: HomogeneousParams) -> CovarianceReport:
     alpha = p.damping / p.eta
 
     q_delta = complete_first_order(p)
-    _, q_omega, q_cross = _cluster_covariance(_complete_clusters(p), p.noise_sq, inc, p.eta, alpha)
+    q_omega, q_cross = _cluster_covariance(_complete_clusters(p), p.noise_sq, inc, p.eta, alpha)
     for i in range(p.n):
         q_omega[i, i] = _complete_frequency_diag(
             p.n, p.gamma, p.eta, p.damping, p.noise_sq[i], p.trace_noise_sq
@@ -327,7 +323,7 @@ def star_report(p: HomogeneousParams) -> CovarianceReport:
             )
             q_delta[k, q] = q_delta[q, k] = value
 
-    _, q_omega, q_cross = _cluster_covariance(_star_clusters(p), b_sq, inc, p.eta, alpha)
+    q_omega, q_cross = _cluster_covariance(_star_clusters(p), b_sq, inc, p.eta, alpha)
     q_omega[0, 0] = _complete_frequency_diag(
         p.n, p.gamma, p.eta, p.damping, b_sq[0], trace_sq
     )

@@ -12,12 +12,11 @@ indexing and the resulting blocks mapped back.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Collection, Iterable, TextIO
+from typing import Any, Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -234,108 +233,78 @@ def _blocks(report: CovarianceReport) -> dict[str, tuple[np.ndarray | None, np.n
     }
 
 
-def report_rows(report: CovarianceReport, extra: dict[str, Any] | None = None) -> list[dict]:
-    """Long-format rows: quantity, index_i, index_j, value, method, stderr."""
-    rows = []
+_REPORT_HEADER = "quantity,index_i,index_j,value,method,stderr"
 
-    def emit(quantity: str, block, stderr_block) -> None:
+
+def _field(value: Any) -> str:
+    """One CSV cell: ``None`` is empty, a float has 17 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format_number(value)
+    return str(value)
+
+
+def _report_lines(report: CovarianceReport, suffix: str = "") -> Iterator[str]:
+    """CSV lines ``quantity,i,j,value,method,stderr`` plus ``suffix``, one per
+    block entry, block by block and row by row."""
+    for quantity, (block, stderr) in _blocks(report).items():
         if block is None:
-            return
-        rows_n, cols_n = block.shape
-        for i in range(rows_n):
-            for j in range(cols_n):
-                row = {
-                    "quantity": quantity,
-                    "index_i": i + 1,
-                    "index_j": j + 1,
-                    "value": block[i, j],
-                    "method": report.method,
-                    "stderr": stderr_block[i, j] if stderr_block is not None else None,
-                }
-                if extra:
-                    row.update(extra)
-                rows.append(row)
-
-    for quantity, (block, stderr_block) in _blocks(report).items():
-        emit(quantity, block, stderr_block)
-    return rows
+            continue
+        for i, values in enumerate(block.tolist(), start=1):
+            errors = [None] * len(values) if stderr is None else stderr[i - 1].tolist()
+            for j, (value, error) in enumerate(zip(values, errors), start=1):
+                yield (f"{quantity},{i},{j},{format_number(value)},{report.method},"
+                       f"{_field(error)}{suffix}\n")
 
 
-def write_rows_csv(rows: list[dict], fh: TextIO, fieldnames: list[str]) -> None:
-    writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        formatted = {}
-        for key in fieldnames:
-            value = row.get(key)
-            if isinstance(value, bool):
-                formatted[key] = str(value).lower()
-            elif isinstance(value, float):
-                formatted[key] = format_number(value)
-            elif value is None:
-                formatted[key] = ""
-            else:
-                formatted[key] = value
-        writer.writerow(formatted)
+def _block_payload(report: CovarianceReport) -> dict[str, Any]:
+    return _jsonable({
+        "q_delta": report.q_delta,
+        "q_omega": report.q_omega,
+        "q_delta_omega": report.q_delta_omega,
+    })
+
+
+def _dump_json(payload: dict, fh: TextIO) -> None:
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def _unknown_format(fmt: str) -> ValidationError:
+    return ValidationError(f"unknown output format {fmt!r}; use 'csv' or 'json'")
 
 
 def write_report(report: CovarianceReport, fh: TextIO, fmt: str = "csv") -> None:
     """Serialize one report as CSV (long format) or JSON."""
     if fmt == "csv":
-        write_rows_csv(
-            report_rows(report), fh,
-            ["quantity", "index_i", "index_j", "value", "method", "stderr"],
-        )
+        fh.write(_REPORT_HEADER + "\n")
+        fh.writelines(_report_lines(report))
     elif fmt == "json":
-        payload = {
+        _dump_json({
             "method": report.method,
-            "q_delta": report.q_delta.tolist(),
-            "q_omega": None if report.q_omega is None else report.q_omega.tolist(),
-            "q_delta_omega": None
-            if report.q_delta_omega is None
-            else report.q_delta_omega.tolist(),
+            **_block_payload(report),
             "diagnostics": _jsonable(report.diagnostics),
-        }
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        }, fh)
     else:
-        raise ValidationError(f"unknown output format {fmt!r}; use 'csv' or 'json'")
-
-
-def emit_report(report: CovarianceReport, path, fmt: str = "csv") -> None:
-    """Serialize one report to a file path (csv long format or json)."""
-    with open(path, "w") as fh:
-        write_report(report, fh, fmt)
+        raise _unknown_format(fmt)
 
 
 def write_comparison(comparison: Comparison, fh: TextIO, fmt: str = "csv") -> None:
     """Serialize a route comparison, one row per entry per method."""
-    extra = {"max_relative_discrepancy": comparison.max_relative_discrepancy}
+    reports = sorted(comparison.reports.items())
     if fmt == "csv":
-        rows = []
-        for method in sorted(comparison.reports):
-            rows.extend(report_rows(comparison.reports[method], extra=extra))
-        write_rows_csv(
-            rows, fh,
-            ["quantity", "index_i", "index_j", "value", "method", "stderr",
-             "max_relative_discrepancy"],
-        )
+        fh.write(_REPORT_HEADER + ",max_relative_discrepancy\n")
+        suffix = "," + format_number(comparison.max_relative_discrepancy)
+        for _, report in reports:
+            fh.writelines(_report_lines(report, suffix))
     elif fmt == "json":
-        payload = {
+        _dump_json({
             "max_relative_discrepancy": comparison.max_relative_discrepancy,
-            "methods": {
-                method: {
-                    "q_delta": r.q_delta.tolist(),
-                    "q_omega": r.q_omega.tolist(),
-                    "q_delta_omega": r.q_delta_omega.tolist(),
-                }
-                for method, r in sorted(comparison.reports.items())
-            },
-        }
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            "methods": {method: _block_payload(report) for method, report in reports},
+        }, fh)
     else:
-        raise ValidationError(f"unknown output format {fmt!r}; use 'csv' or 'json'")
+        raise _unknown_format(fmt)
 
 
 def _jsonable(value: Any) -> Any:
@@ -443,4 +412,7 @@ def sweep_fieldnames(spec: SweepSpec) -> list[str]:
 
 
 def write_sweep(rows: list[dict], spec: SweepSpec, fh: TextIO) -> None:
-    write_rows_csv(rows, fh, sweep_fieldnames(spec))
+    """CSV with one line per ``run_sweep`` row; cells a row lacks are empty."""
+    names = sweep_fieldnames(spec)
+    fh.write(",".join(names) + "\n")
+    fh.writelines(",".join(_field(row.get(name)) for name in names) + "\n" for row in rows)

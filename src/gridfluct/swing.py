@@ -140,9 +140,11 @@ def synchronized_frequency(net: PowerNetwork) -> float:
     return float(net.power.sum() / net.damping.sum())
 
 
-def _flow_residual(net: PowerNetwork, angles: np.ndarray, sync_freq: float) -> np.ndarray:
-    """Power balance residual P_i - d_i w + sum_j K_ij sin(delta_j - delta_i)."""
-    inc = incidence(net.topology)
+def _flow_residual(
+    net: PowerNetwork, inc: np.ndarray, angles: np.ndarray, sync_freq: float
+) -> np.ndarray:
+    """Power balance residual P_i - d_i w + sum_j K_ij sin(delta_j - delta_i);
+    ``inc`` is the incidence matrix of ``net``'s topology."""
     diffs = inc.T @ angles
     flows = net.capacities * np.sin(diffs)
     return net.power - net.damping * sync_freq - inc @ flows
@@ -169,7 +171,7 @@ def solve_synchronous_state(
     caps = net.capacities
 
     angles = np.zeros(n)
-    residual = _flow_residual(net, angles, sync_freq)
+    residual = _flow_residual(net, inc, angles, sync_freq)
     res_norm = float(np.abs(residual).max())
 
     for _ in range(max_iter):
@@ -188,7 +190,7 @@ def solve_synchronous_state(
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             trial = angles.copy()
             trial[1:] += scale * step
-            trial_residual = _flow_residual(net, trial, sync_freq)
+            trial_residual = _flow_residual(net, inc, trial, sync_freq)
             trial_norm = float(np.abs(trial_residual).max())
             if trial_norm < res_norm:
                 break

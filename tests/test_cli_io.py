@@ -20,6 +20,7 @@ from gridfluct.pipeline import (
     relative_discrepancy,
     run_sweep,
     run_variance,
+    write_comparison,
     write_report,
     write_sweep,
 )
@@ -195,6 +196,70 @@ class TestRunVariance:
         np.testing.assert_array_equal(closed.q_omega, closed.q_omega.T)
 
 
+# Exact CSV bytes on a complete n=2 graph (gamma=1, eta=1, d=5, noise 1 at
+# node 1), pinned so that a change to the writers cannot change the output.
+GOLDEN_NUMERIC_CSV = """\
+quantity,index_i,index_j,value,method,stderr
+delta,1,1,0.049999999999999933,numeric,
+omega,1,1,0.098076923076923089,numeric,
+omega,1,2,-9.2422493512395484e-18,numeric,
+omega,2,1,-9.2422493512395484e-18,numeric,
+omega,2,2,0.0019230769230769097,numeric,
+cross,1,1,0.0096153846153846437,numeric,
+cross,2,1,0.0096153846153846124,numeric,
+"""
+
+GOLDEN_SIMULATE_CSV = """\
+quantity,index_i,index_j,value,method,stderr
+delta,1,1,0.048398175803405719,monte-carlo,0.014193053218255433
+omega,1,1,0.080487467890902845,monte-carlo,0.0088327343543921789
+omega,1,2,-0.0006972337978556893,monte-carlo,0.00081249930127598327
+omega,2,1,-0.0006972337978556893,monte-carlo,0.00081249930127598327
+omega,2,2,0.0019231827899485801,monte-carlo,0.00058053775399720192
+cross,1,1,0.0039918125058647494,monte-carlo,0.004150680439348753
+cross,2,1,0.0094850962869846341,monte-carlo,0.0028671221559177151
+"""
+
+GOLDEN_COMPARE_CSV = """\
+quantity,index_i,index_j,value,method,stderr,max_relative_discrepancy
+delta,1,1,0.050000000000000003,closed-form,,6.608470384673552e-17
+omega,1,1,0.098076923076923089,closed-form,,6.608470384673552e-17
+omega,1,2,1.7347234759768071e-18,closed-form,,6.608470384673552e-17
+omega,2,1,1.7347234759768071e-18,closed-form,,6.608470384673552e-17
+omega,2,2,0.0019230769230769232,closed-form,,6.608470384673552e-17
+cross,1,1,0.0096153846153846159,closed-form,,6.608470384673552e-17
+cross,2,1,0.0096153846153846159,closed-form,,6.608470384673552e-17
+delta,1,1,0.049999999999999933,numeric,,6.608470384673552e-17
+omega,1,1,0.098076923076923089,numeric,,6.608470384673552e-17
+omega,1,2,-9.2422493512395484e-18,numeric,,6.608470384673552e-17
+omega,2,1,-9.2422493512395484e-18,numeric,,6.608470384673552e-17
+omega,2,2,0.0019230769230769097,numeric,,6.608470384673552e-17
+cross,1,1,0.0096153846153846437,numeric,,6.608470384673552e-17
+cross,2,1,0.0096153846153846124,numeric,,6.608470384673552e-17
+delta,1,1,0.049999999999999975,uniform-ratio,,6.608470384673552e-17
+omega,1,1,0.098076923076923034,uniform-ratio,,6.608470384673552e-17
+omega,1,2,-8.6906785392027628e-19,uniform-ratio,,6.608470384673552e-17
+omega,2,1,-8.6906785392027628e-19,uniform-ratio,,6.608470384673552e-17
+omega,2,2,0.0019230769230769195,uniform-ratio,,6.608470384673552e-17
+cross,1,1,0.0096153846153846124,uniform-ratio,,6.608470384673552e-17
+cross,2,1,0.0096153846153846124,uniform-ratio,,6.608470384673552e-17
+"""
+
+GOLDEN_SWEEP_CSV = """\
+eta,method,delta_1_1,delta_1_1_stderr,omega_1_1,omega_1_1_stderr
+1,mc,0.048398175803405719,0.014193053218255433,0.080487467890902845,0.0088327343543921789
+1,first-order,0.049999999999999982,,,
+2,mc,0.038501282012879584,0.0069714930085602684,0.048275203326831384,0.0037408537160457406
+2,first-order,0.049999999999999982,,,
+"""
+
+
+def two_node_network():
+    return network_from_dict(
+        network_doc(2, [(1, 2)], inertia=1.0, damping=5.0, noise={1: 1.0}, capacity=1.0)
+    )
+
+
 class TestReportSerialization:
     def test_csv_long_format(self):
         net = network_from_dict(network_doc(3, complete_lines(3), noise={1: 0.3}))
@@ -214,6 +279,28 @@ class TestReportSerialization:
         payload = json.loads(buffer.getvalue())
         assert payload["method"] == "uniform-ratio"
         np.testing.assert_array_equal(np.array(payload["q_delta"]), report.q_delta)
+
+    def test_numeric_csv_bytes(self):
+        buffer = io.StringIO()
+        write_report(run_variance(two_node_network(), "numeric"), buffer, "csv")
+        assert buffer.getvalue() == GOLDEN_NUMERIC_CSV
+
+    def test_simulate_csv_bytes_with_stderr(self):
+        report = run_variance(two_node_network(), "mc", {"trajectories": 4, "master_seed": 3})
+        buffer = io.StringIO()
+        write_report(report, buffer, "csv")
+        assert buffer.getvalue() == GOLDEN_SIMULATE_CSV
+
+    def test_compare_csv_bytes_with_discrepancy(self):
+        buffer = io.StringIO()
+        write_comparison(compare_variance(two_node_network()), buffer, "csv")
+        assert buffer.getvalue() == GOLDEN_COMPARE_CSV
+
+    def test_mc_first_order_sweep_csv_bytes(self):
+        spec = two_node_mc_sweep_spec()
+        buffer = io.StringIO()
+        write_sweep(run_sweep(spec, seed=3), spec, buffer)
+        assert buffer.getvalue() == GOLDEN_SWEEP_CSV
 
     def test_seventeen_digit_numbers_round_trip(self):
         rng = np.random.default_rng(3)
@@ -236,6 +323,19 @@ def sweep_doc(noise=None, axes=None, methods=None, quantities=None, kind="comple
         "methods": methods or ["closed", "numeric"],
         "quantities": quantities or [{"block": "omega", "i": 2, "j": 2}],
     }
+
+
+def two_node_mc_sweep_spec():
+    doc = sweep_doc(
+        noise={"1": 1.0},
+        n=2,
+        axes=[{"parameter": "eta", "grid": [1.0, 2.0]}],
+        methods=["mc", "first-order"],
+        quantities=[{"block": "delta", "i": 1, "j": 1}, {"block": "omega", "i": 1, "j": 1}],
+    )
+    doc["base"].update(gamma=1.0, eta=1.0, damping=5.0)
+    doc["mc"] = {"trajectories": 4}
+    return sweep_from_dict(doc)
 
 
 class TestSweeps:
@@ -291,11 +391,21 @@ class TestSweeps:
             outputs.append(buffer.getvalue())
         assert outputs[0] == outputs[1]
 
-    def test_thread_cap_does_not_change_rows(self, monkeypatch):
-        spec = sweep_from_dict(sweep_doc(axes=[{"parameter": "damping", "grid": [0.2, 0.4, 0.8]}]))
-        serial = run_sweep(spec)
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            pytest.param(
+                sweep_from_dict(sweep_doc(axes=[{"parameter": "damping", "grid": [0.2, 0.4, 0.8]}])),
+                None,
+                id="closed-numeric",
+            ),
+            pytest.param(two_node_mc_sweep_spec(), 3, id="mc-first-order"),
+        ],
+    )
+    def test_thread_cap_does_not_change_rows(self, monkeypatch, spec, seed):
+        serial = run_sweep(spec, seed=seed)
         monkeypatch.setenv("GRIDFLUCT_THREADS", "3")
-        threaded = run_sweep(spec)
+        threaded = run_sweep(spec, seed=seed)
         assert serial == threaded
 
     def test_mc_sweep_deterministic_with_stderr_column(self):
