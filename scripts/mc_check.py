@@ -3,13 +3,15 @@
 
 Simulates the 5-node single-source benchmark system, compares every output
 covariance entry against the numeric Lyapunov route in units of the Monte
-Carlo standard error, and prints a summary.
+Carlo standard error, and prints a summary.  Exits 1 when any entry lies
+beyond 4 standard errors of the numeric route, and 0 otherwise.
 
 Usage:
     python3 scripts/mc_check.py [--trajectories 2000] [--seed 2024]
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -18,7 +20,10 @@ from gridfluct import LinearizedSystem, asymptotic_variance_numeric, canonical_c
 from gridfluct.montecarlo import default_sim_config, simulate_covariance
 
 
-def main() -> None:
+SIGMAS = 4.0
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trajectories", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=2024)
@@ -53,10 +58,11 @@ def main() -> None:
     print(f"simulated {cfg.trajectories} trajectories in {elapsed:.1f}s "
           f"({report.diagnostics['samples_per_trajectory']} samples each)")
     print(f"max |z| over all covariance entries: {z.max():.2f}")
-    print(f"entries beyond 4 standard errors: {(z > 4).sum()} of {z.size}")
+    print(f"entries beyond {SIGMAS:g} standard errors: {(z > SIGMAS).sum()} of {z.size}")
     print(f"frequency-block sample mean (should be ~0): "
           f"{np.abs(report.diagnostics['frequency_mean']).max():.2e}")
+    return int((z > SIGMAS).any())
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,7 +27,7 @@ class InstabilityError(GridfluctError):
 
 
 class StepSizeError(GridfluctError):
-    """Stochastic integration diverged; retry with a smaller time step."""
+    """Stochastic simulation diverged: the state norm passed its guard."""
 
 
 class ValidationError(GridfluctError):

@@ -1,10 +1,14 @@
 """Monte Carlo estimation of the stationary output covariance.
 
-Euler-Maruyama integration of the full linear stochastic system, run as a
-statistics-level oracle for the analytic routes.  The outputs (line angle
-differences and node frequencies) are invariant to the marginally stable
-mean-angle mode, so the full system is simulated and only a periodic
-drift-removal resync keeps the raw state bounded.
+The full linear stochastic system dx = A x dt + B dW is an Ornstein-Uhlenbeck
+process, so it is advanced by its exact Gaussian transition over each sample
+interval h, x <- e^{Ah} x + N(0, Sigma_h), and run as a statistics-level
+oracle for the analytic routes.  The transition comes from the matrix
+exponential (Van Loan 1978), not from a Lyapunov solver, so the oracle stays
+independent of the routes it checks.  The outputs (line angle differences
+and node frequencies) are invariant to the marginally stable mean-angle
+mode, so the full system is simulated and the angles are recentred after
+every step to keep the raw state bounded.
 
 Trajectories use independent, collision-free counter-based streams
 (Philox keyed by ``trajectory_seed``), are reduced in fixed index order,
@@ -13,28 +17,34 @@ and therefore give bit-identical results for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import expm
 
-from .errors import StepSizeError, ValidationError
+from .errors import InternalInvariantError, StepSizeError, ValidationError
 from .swing import LinearizedSystem
-from .variance import METHOD_MC, CovarianceReport, make_report, reduce_system
+from .variance import METHOD_MC, CovarianceReport, ReducedSystem, make_report, reduce_system
 
 STATE_NORM_GUARD = 1e12
-RESYNC_INTERVAL = 10_000
-NOISE_CHUNK = 2048
-NOISE_BLOCK = 64
+# Normals held in the noise buffer at once (about 32 MB of float64).
+NOISE_BUFFER = 4_000_000
+# Largest ||A||_1 h0 of the sub-step whose block exponential is taken directly.
+SUBSTEP_NORM = 0.5
+# Sigma_h is rejected when its smallest eigenvalue is below -PSD_TOL times its largest.
+PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration and sampling plan for the Monte Carlo estimator.
+    """Sampling plan for the Monte Carlo estimator.
 
-    ``burn_in`` seconds are discarded before sampling; ``horizon`` seconds
-    are then sampled every ``sample_stride`` steps.  ``master_seed`` fixes
-    all randomness.
+    Samples are taken every ``dt * sample_stride`` seconds, the interval of
+    one exact transition.  ``burn_in`` seconds (rounded up to whole
+    intervals) are discarded first; ``horizon`` seconds are then sampled,
+    one sample per interval.  ``master_seed`` fixes all randomness.
     """
 
     dt: float
@@ -75,6 +85,53 @@ def _trajectory_generators(master_seed: int, count: int) -> list[np.random.Gener
     ]
 
 
+def ou_transition(
+    drift: np.ndarray, diffusion: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact transition (F, Sigma_h) of dx = drift x dt + dW, Cov(dW) = diffusion dt.
+
+    Over a step h, x(t + h) = F x(t) + N(0, Sigma_h) with F = e^{drift h}
+    and Sigma_h = int_0^h e^{drift s} diffusion e^{drift^T s} ds.  Van Loan's
+    block exponential of [[-drift, diffusion], [0, drift^T]] h0 gives both on
+    a sub-step h0 = h / 2^k with ||drift||_1 h0 <= 1/2, where its blocks stay
+    of order one; k doublings, Sigma <- Sigma + F Sigma F^T and F <- F^2,
+    then extend them to h, so stiff steps lose no accuracy.
+    """
+    n = drift.shape[0]
+    reach = float(np.abs(drift).sum(axis=0).max()) * h
+    doublings = math.ceil(math.log2(reach / SUBSTEP_NORM)) if reach > SUBSTEP_NORM else 0
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -drift
+    block[:n, n:] = diffusion
+    block[n:, n:] = drift.T
+    exp_block = expm(block * (h / 2**doublings))
+    transition = exp_block[n:, n:].T
+    sigma = transition @ exp_block[:n, n:]
+    for _ in range(doublings):
+        sigma = sigma + transition @ sigma @ transition.T
+        transition = transition @ transition
+    return transition, 0.5 * (sigma + sigma.T)
+
+
+def transition_factor(sigma: np.ndarray) -> np.ndarray:
+    """Full-width factor G with G G^T = sigma, from ``eigh``.
+
+    Rounding negatives are clipped to zero, so G has as many columns as
+    sigma has rows whatever its rank, and each step draws that many normals.
+
+    Raises:
+        InternalInvariantError: if sigma's smallest eigenvalue is below
+            -1e-10 times its largest (a transition covariance is PSD).
+    """
+    values, vectors = np.linalg.eigh(sigma)
+    if values[0] < -PSD_TOL * max(values[-1], 0.0):
+        raise InternalInvariantError(
+            f"transition covariance is not positive semi-definite: "
+            f"eigenvalues span [{values[0]:.3e}, {values[-1]:.3e}]"
+        )
+    return vectors * np.sqrt(np.clip(values, 0.0, None))
+
+
 @dataclass(frozen=True)
 class MomentEstimate:
     """Pooled second-moment estimate with per-entry batch-means standard errors.
@@ -104,16 +161,21 @@ def simulate_stationary_covariance(
     output: np.ndarray | None = None,
     recenter: Callable[[np.ndarray], None] | None = None,
 ) -> MomentEstimate:
-    """Euler-Maruyama second moments of y = output @ x for dx = drift x dt + noise dW.
+    """Second moments of y = output @ x for dx = drift x dt + noise dW, by exact steps.
 
-    All trajectories are advanced simultaneously (state array of shape
-    (states, trajectories)); the estimator pools per-trajectory time
-    averages, one batch per trajectory, and reduces them in trajectory
-    index order.  Each trajectory consumes its own counter-based stream
-    sequentially, so results are bit-identical for identical inputs.
+    Every step advances all trajectories (state array of shape (states,
+    trajectories)) by one exact transition over h = dt * sample_stride:
+    ceil(burn_in / h) steps of burn-in, then one sample after each of the
+    ceil(round(horizon / dt) / sample_stride) sampling steps.  The
+    estimator pools per-trajectory time averages, one batch per
+    trajectory, and reduces them in trajectory index order.  Each
+    trajectory consumes its own counter-based stream sequentially, one
+    normal per state and step, so results are bit-identical for identical
+    inputs and do not depend on how many trajectories run.
 
     Raises:
-        StepSizeError: if the state norm exceeds 1e12 during integration.
+        StepSizeError: if the state norm exceeds 1e12 after a step.
+        InternalInvariantError: if the transition covariance is not PSD.
     """
     drift = np.asarray(drift, dtype=float)
     noise_input = np.atleast_2d(np.asarray(noise_input, dtype=float))
@@ -122,64 +184,42 @@ def simulate_stationary_covariance(
     n_out = output.shape[0]
     n_traj = cfg.trajectories
 
-    # Columns of the noise map that are identically zero inject nothing;
-    # dropping them keeps the active streams identical and saves draws.
-    active = np.flatnonzero(np.abs(noise_input).max(axis=0) > 0)
-    forcing_map = cfg.dt**0.5 * noise_input[:, active]
-    n_active = active.size
-    forced = slice(None)
-    if n_active == 1:
-        # Each forcing entry is then a single, exactly rounded product, so
-        # the rows outside the span of nonzero entries, which receive
-        # nothing, are skipped without changing a bit of the result.
-        rows = np.flatnonzero(forcing_map[:, 0])
-        forced = slice(rows[0], rows[-1] + 1)
-        forcing_map = forcing_map[forced]
+    interval = cfg.dt * cfg.sample_stride
+    transition, sigma = ou_transition(drift, noise_input @ noise_input.T, interval)
+    factor = transition_factor(sigma)
 
-    burn_steps = int(round(cfg.burn_in / cfg.dt))
-    sample_window = int(round(cfg.horizon / cfg.dt))
-    total_steps = burn_steps + sample_window
-    step_matrix = np.eye(n_states) + cfg.dt * drift
+    burn_steps = math.ceil(cfg.burn_in / interval)
+    n_samples = len(range(0, round(cfg.horizon / cfg.dt), cfg.sample_stride))
+    total_steps = burn_steps + n_samples
 
     generators = _trajectory_generators(cfg.master_seed, n_traj)
     state = np.zeros((n_states, n_traj))
-    scratch = np.empty_like(state)
     first_moments = np.zeros((n_traj, n_out, n_out))
     second_moments = np.zeros((n_traj, n_out, n_out))
     mean_acc = np.zeros((n_out, n_traj))
 
-    # Noise is drawn per trajectory (its own stream, in order) in chunks
-    # sized to keep the buffer around 32 MB.  The buffer is laid out step
-    # first, so each step's forcing reads one contiguous (active, traj)
-    # slab instead of gathering one value per trajectory a chunk apart.
-    # Draws land in a block of NOISE_BLOCK trajectories first and are then
-    # transposed into the buffer, which keeps the scattered writes cached.
-    chunk_cap = max(256, min(NOISE_CHUNK, 4_000_000 // max(1, n_active * n_traj)))
-    block = np.empty((min(NOISE_BLOCK, n_traj), chunk_cap, n_active))
+    # Each trajectory fills its own contiguous (steps, states) slab of the
+    # buffer from its stream, a chunk of steps at a time.
+    chunk_cap = min(total_steps, max(1, NOISE_BUFFER // (n_states * n_traj)))
+    noise = np.empty((n_traj, chunk_cap, n_states))
 
-    n_samples = len(range(0, sample_window, cfg.sample_stride))
     half_split = n_samples // 2
-    sample_idx = 0
-    step = 0
-    while step < total_steps:
-        chunk = min(chunk_cap, total_steps - step)
-        if n_active:
-            noise = np.empty((chunk, n_active, n_traj))
-            for first in range(0, n_traj, NOISE_BLOCK):
-                draws = block[: min(NOISE_BLOCK, n_traj - first), :chunk]
-                for row, gen in zip(draws, generators[first:first + NOISE_BLOCK]):
-                    gen.standard_normal(out=row)
-                noise[:, :, first:first + len(draws)] = draws.transpose(1, 2, 0)
+    for first_step in range(0, total_steps, chunk_cap):
+        chunk = min(chunk_cap, total_steps - first_step)
+        for slab, gen in zip(noise, generators):
+            gen.standard_normal(out=slab[:chunk])
         for local in range(chunk):
-            np.matmul(step_matrix, state, out=scratch)
-            if n_active:
-                scratch[forced] += forcing_map @ noise[local]
-            state, scratch = scratch, state
-            step += 1
-            if recenter is not None and step % RESYNC_INTERVAL == 0:
+            step = first_step + local
+            state = transition @ state + factor @ noise[:, local].T
+            if recenter is not None:
                 recenter(state)
-            offset = step - 1 - burn_steps
-            if offset >= 0 and offset % cfg.sample_stride == 0:
+            if np.abs(state).max() > STATE_NORM_GUARD:
+                raise StepSizeError(
+                    f"state norm exceeded {STATE_NORM_GUARD:g} at step {step + 1}; "
+                    "the drift is not stable"
+                )
+            sample_idx = step - burn_steps
+            if sample_idx >= 0:
                 y = output @ state
                 outer = np.einsum("pt,qt->tpq", y, y)
                 if sample_idx < half_split:
@@ -187,11 +227,6 @@ def simulate_stationary_covariance(
                 else:
                     second_moments += outer
                 mean_acc += y
-                sample_idx += 1
-        if np.abs(state).max() > STATE_NORM_GUARD:
-            raise StepSizeError(
-                f"state norm exceeded {STATE_NORM_GUARD:g} at step {step}; reduce dt"
-            )
 
     def batch_means(per_trajectory: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pooled = per_trajectory.mean(axis=0)
@@ -215,6 +250,26 @@ def simulate_stationary_covariance(
     )
 
 
+# The mc route builds its config with default_sim_config and then simulates
+# with simulate_covariance, both on one LinearizedSystem object, and both
+# need its reduction.  The last reduction is kept with the object it came
+# from and reused while the same object is asked for.  A LinearizedSystem
+# is never mutated (its Laplacian is fixed at construction), so identity
+# identifies the system; a miss, as when sweep threads interleave, only
+# reduces again.
+_last_reduction: tuple[LinearizedSystem, ReducedSystem] | None = None
+
+
+def _reduction(lin: LinearizedSystem) -> ReducedSystem:
+    global _last_reduction
+    last = _last_reduction
+    if last is not None and last[0] is lin:
+        return last[1]
+    reduced = reduce_system(lin)
+    _last_reduction = (lin, reduced)
+    return reduced
+
+
 def default_sim_config(
     lin: LinearizedSystem,
     trajectories: int = 2000,
@@ -224,34 +279,23 @@ def default_sim_config(
     horizon: float | None = None,
     sample_stride: int | None = None,
 ) -> SimConfig:
-    """Config with a low-bias stable step and a 10-decay-time burn-in.
+    """Config sampling every twentieth of the slowest decay time.
 
-    The resolution heuristic 0.2 / sqrt(lambda_max alpha_max + alpha_max^2)
-    (lambda_max the largest whitened-Laplacian eigenvalue, alpha_max the
-    largest damping-inertia ratio) is capped at 1.5% of the per-mode
-    explicit-Euler bound min_k(-2 Re mu_k / |mu_k|^2): for lightly damped
-    networks the heuristic alone sits beyond the stability bound, and the
-    stationary-variance bias of the explicit scheme only drops below the
-    percent level well under it.  Every field can be overridden.
+    With tau = 1 / decay the slowest decay time of the reduced system, the
+    defaults are dt = 0.05 tau with ``sample_stride`` 1 (the exact
+    transition has no step-size bias, so dt is only the sample interval),
+    a 10 tau burn-in and a horizon of max(2.5 tau, 100 dt).  Every field
+    can be overridden.
     """
-    reduced = reduce_system(lin)
-    decay = -reduced.spectral_abscissa
+    decay = -_reduction(lin).spectral_abscissa
     if dt is None:
-        lam_max = float(reduced.spectral.eigenvalues[-1])
-        alpha_max = float((lin.damping / lin.inertia).max())
-        dt = 0.2 / np.sqrt(lam_max * alpha_max + alpha_max**2)
-        modes = np.linalg.eigvals(reduced.a2)
-        stability_bound = float((-2.0 * modes.real / np.abs(modes) ** 2).min())
-        dt = min(dt, 0.015 * stability_bound)
+        dt = 0.05 / decay
     if burn_in is None:
         burn_in = 10.0 / decay
     if horizon is None:
         horizon = max(2.5 / decay, 100 * dt)
     if sample_stride is None:
-        # Sampling finer than a twentieth of the slowest decay time adds
-        # almost no information; keep at least 50 samples per trajectory.
-        sample_stride = max(1, int(0.05 / (decay * dt)))
-        sample_stride = min(sample_stride, max(1, int(horizon / dt / 50)))
+        sample_stride = 1
     return SimConfig(dt, burn_in, horizon, trajectories, master_seed, sample_stride)
 
 
@@ -263,8 +307,7 @@ def simulate_covariance(lin: LinearizedSystem, cfg: SimConfig | None = None) -> 
     near stationarity.  Standard errors (one batch per trajectory) and
     stationarity diagnostics are attached to the report.
     """
-    reduced = reduce_system(lin)
-    decay = -reduced.spectral_abscissa
+    decay = -_reduction(lin).spectral_abscissa
     if cfg is None:
         cfg = default_sim_config(lin)
     if cfg.burn_in < 10.0 / decay * (1.0 - 1e-9):

@@ -211,13 +211,13 @@ cross,2,1,0.0096153846153846124,numeric,
 
 GOLDEN_SIMULATE_CSV = """\
 quantity,index_i,index_j,value,method,stderr
-delta,1,1,0.048398175803405719,monte-carlo,0.014193053218255433
-omega,1,1,0.080487467890902845,monte-carlo,0.0088327343543921789
-omega,1,2,-0.0006972337978556893,monte-carlo,0.00081249930127598327
-omega,2,1,-0.0006972337978556893,monte-carlo,0.00081249930127598327
-omega,2,2,0.0019231827899485801,monte-carlo,0.00058053775399720192
-cross,1,1,0.0039918125058647494,monte-carlo,0.004150680439348753
-cross,2,1,0.0094850962869846341,monte-carlo,0.0028671221559177151
+delta,1,1,0.033625403909708501,monte-carlo,0.013722759261891874
+omega,1,1,0.084559471080437404,monte-carlo,0.0067002441038617345
+omega,1,2,-0.00044285649843274765,monte-carlo,0.00058972727948400285
+omega,2,1,-0.00044285649843274765,monte-carlo,0.00058972727948400285
+omega,2,2,0.0012903991979391629,monte-carlo,0.00055314394465111403
+cross,1,1,0.004795639368747431,monte-carlo,0.0031247083547353998
+cross,2,1,0.0064478311748362811,monte-carlo,0.0027554553696398356
 """
 
 GOLDEN_COMPARE_CSV = """\
@@ -247,9 +247,9 @@ cross,2,1,0.0096153846153846124,uniform-ratio,,6.608470384673552e-17
 
 GOLDEN_SWEEP_CSV = """\
 eta,method,delta_1_1,delta_1_1_stderr,omega_1_1,omega_1_1_stderr
-1,mc,0.048398175803405719,0.014193053218255433,0.080487467890902845,0.0088327343543921789
+1,mc,0.033625403909708501,0.013722759261891874,0.084559471080437404,0.0067002441038617345
 1,first-order,0.049999999999999982,,,
-2,mc,0.038501282012879584,0.0069714930085602684,0.048275203326831384,0.0037408537160457406
+2,mc,0.033544852959535958,0.014661431649105107,0.037291421974911677,0.0044874605796318967
 2,first-order,0.049999999999999982,,,
 """
 

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from gridfluct import (
+    InternalInvariantError,
     SimConfig,
     StepSizeError,
     ValidationError,
     asymptotic_variance_numeric,
+    reduce_system,
     simulate_covariance,
     trajectory_seed,
 )
-from gridfluct.montecarlo import default_sim_config, simulate_stationary_covariance
+from gridfluct.montecarlo import (
+    default_sim_config,
+    ou_transition,
+    simulate_stationary_covariance,
+    transition_factor,
+)
 
 from conftest import full_output_matrix, homogeneous_system
 
@@ -46,7 +53,8 @@ class TestTrajectorySeed:
         )
 
 
-def _raw_estimate(lin, cfg):
+def _full_system(lin):
+    """Drift, noise input and output map of the full 2n-state system."""
     n, m = lin.node_count, lin.line_count
     drift = np.zeros((2 * n, 2 * n))
     drift[:n, n:] = np.eye(n)
@@ -57,7 +65,47 @@ def _raw_estimate(lin, cfg):
     output = np.zeros((m + n, 2 * n))
     output[:m, :n] = lin.incidence.T
     output[m:, n:] = np.eye(n)
+    return drift, noise_input, output
+
+
+def _raw_estimate(lin, cfg):
+    drift, noise_input, output = _full_system(lin)
     return simulate_stationary_covariance(drift, noise_input, cfg, output)
+
+
+class TestExactTransition:
+    @pytest.mark.parametrize("rate", [2.0, 2000.0])
+    @pytest.mark.parametrize("h", [1e-3, 0.17, 2.0, 50.0])
+    def test_scalar_closed_form(self, rate, h):
+        # d x = -a x dt + dW: F = exp(-a h), Sigma_h = (1 - exp(-2 a h)) / (2 a).
+        # a h ranges from 2e-3 to 1e5, so most cases take the doubling path.
+        transition, sigma = ou_transition(np.array([[-rate]]), np.array([[1.0]]), h)
+        np.testing.assert_allclose(transition[0, 0], np.exp(-rate * h), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            sigma[0, 0], -np.expm1(-2 * rate * h) / (2 * rate), rtol=1e-12, atol=0
+        )
+
+    def test_long_step_reaches_numeric_route(self):
+        # After 60 decay times the transition covariance is the stationary
+        # one in every output (the mean-angle drift is invisible to them).
+        n = 5
+        noise = np.zeros(n)
+        noise[1] = 0.04
+        lin = homogeneous_system("complete", n, 10.0, 0.5, 0.3, noise)
+        decay = -reduce_system(lin).spectral_abscissa
+        drift, noise_input, output = _full_system(lin)
+        _, sigma = ou_transition(drift, noise_input @ noise_input.T, 60.0 / decay)
+        got = output @ sigma @ output.T
+        reference = asymptotic_variance_numeric(lin)
+        m = lin.line_count
+        for block, ref in ((got[:m, :m], reference.q_delta),
+                           (got[m:, m:], reference.q_omega),
+                           (got[m:, :m], reference.q_delta_omega)):
+            assert np.abs(block - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    def test_non_psd_transition_covariance_rejected(self):
+        with pytest.raises(InternalInvariantError, match="positive semi-definite"):
+            transition_factor(np.array([[1.0, 0.0], [0.0, -0.1]]))
 
 
 class TestScalarProcess:
@@ -70,7 +118,14 @@ class TestScalarProcess:
     def test_divergence_guard(self):
         cfg = SimConfig(dt=2.0, burn_in=0.0, horizon=400.0, trajectories=4, master_seed=0)
         with pytest.raises(StepSizeError):
-            simulate_stationary_covariance(np.array([[-2.0]]), np.array([[1.0]]), cfg)
+            simulate_stationary_covariance(np.array([[2.0]]), np.array([[1.0]]), cfg)
+
+    def test_long_step_is_stationary(self):
+        # The exact transition has no step-size limit: dt = 2 (where
+        # explicit Euler diverges for drift -2) still gives variance 0.25.
+        cfg = SimConfig(dt=2.0, burn_in=0.0, horizon=400.0, trajectories=4, master_seed=0)
+        est = simulate_stationary_covariance(np.array([[-2.0]]), np.array([[1.0]]), cfg)
+        assert abs(est.moment[0, 0] - 0.25) <= 4 * est.stderr[0, 0]
 
 
 class TestSimulateCovariance:
