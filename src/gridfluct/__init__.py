@@ -11,7 +11,8 @@ Library layout:
   the report invariant checks and the one uniformity checker;
 * :mod:`gridfluct.closedforms` / :mod:`gridfluct.trends` -- analytic
   complete/star formulas, single-source corollaries, trend derivatives;
-* :mod:`gridfluct.montecarlo` -- Euler-Maruyama covariance oracle;
+* :mod:`gridfluct.montecarlo` -- Monte Carlo covariance oracle on exact
+  Ornstein-Uhlenbeck transitions;
 * :mod:`gridfluct.netfile` / :mod:`gridfluct.pipeline` / :mod:`gridfluct.cli`
   -- file formats, the route table (``pipeline.ROUTES``) with its dispatch,
   sweeps and the command line.

@@ -83,6 +83,7 @@ class StarLeafSummary:
 # ---------------------------------------------------------------------------
 # Scalar displays (continuous network size)
 # ---------------------------------------------------------------------------
+# The underscored general-noise helpers also take arrays of squared amplitudes.
 
 
 def complete_source_frequency(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
@@ -281,16 +282,14 @@ def complete_report(p: HomogeneousParams) -> CovarianceReport:
     exact cluster evaluation.  The angle block's PSD check runs on its
     n x n factored core diag(b^2) / (2 d gamma n).
     """
-    graph = canonical_complete(p.n, p.gamma)
-    inc = incidence(graph)
+    inc = incidence(canonical_complete(p.n, p.gamma))
     alpha = p.damping / p.eta
 
-    q_delta = complete_first_order(p)
+    q_delta = complete_first_order(p, inc)
     q_omega, q_cross = _cluster_covariance(_complete_clusters(p), p.noise_sq, inc, p.eta, alpha)
-    for i in range(p.n):
-        q_omega[i, i] = _complete_frequency_diag(
-            p.n, p.gamma, p.eta, p.damping, p.noise_sq[i], p.trace_noise_sq
-        )
+    np.fill_diagonal(q_omega, _complete_frequency_diag(
+        p.n, p.gamma, p.eta, p.damping, p.noise_sq, p.trace_noise_sq
+    ))
     core = np.diag(p.noise_sq) / (2 * p.damping * p.gamma * p.n)
     return make_report(
         q_delta, q_omega, q_cross, METHOD_CLOSED, {"graph": "complete"},
@@ -305,32 +304,28 @@ def star_report(p: HomogeneousParams) -> CovarianceReport:
     displayed formulas; the remaining entries come from the exact cluster
     evaluation.
     """
-    graph = canonical_star(p.n, p.gamma)
-    inc = incidence(graph)
+    inc = incidence(canonical_star(p.n, p.gamma))
     alpha = p.damping / p.eta
     b_sq = p.noise_sq
     trace_sq = p.trace_noise_sq
 
-    m = p.n - 1
-    q_delta = np.empty((m, m))
-    for k in range(m):
-        q_delta[k, k] = _star_line_diag(
-            p.n, p.gamma, p.eta, p.damping, b_sq[k + 1], b_sq[0], trace_sq
-        )
-        for q in range(k + 1, m):
-            value = _star_line_offdiag(
-                p.n, p.gamma, p.eta, p.damping, b_sq[k + 1], b_sq[q + 1], b_sq[0], trace_sq
-            )
-            q_delta[k, q] = q_delta[q, k] = value
+    q_delta = _star_line_offdiag(
+        p.n, p.gamma, p.eta, p.damping, b_sq[1:, None], b_sq[None, 1:], b_sq[0], trace_sq
+    )
+    # Line pair (k, q) is evaluated with k < q and mirrored: the formula is
+    # symmetric only in exact arithmetic.
+    q_delta = np.where(np.tri(p.n - 1, dtype=bool), q_delta.T, q_delta)
+    np.fill_diagonal(q_delta, _star_line_diag(
+        p.n, p.gamma, p.eta, p.damping, b_sq[1:], b_sq[0], trace_sq
+    ))
 
     q_omega, q_cross = _cluster_covariance(_star_clusters(p), b_sq, inc, p.eta, alpha)
     q_omega[0, 0] = _complete_frequency_diag(
         p.n, p.gamma, p.eta, p.damping, b_sq[0], trace_sq
     )
-    for i in range(1, p.n):
-        q_omega[i, i] = _star_leaf_frequency_diag(
-            p.n, p.gamma, p.eta, p.damping, b_sq[i], b_sq[0], trace_sq
-        )
+    np.fill_diagonal(q_omega[1:, 1:], _star_leaf_frequency_diag(
+        p.n, p.gamma, p.eta, p.damping, b_sq[1:], b_sq[0], trace_sq
+    ))
     return make_report(q_delta, q_omega, q_cross, METHOD_CLOSED, {"graph": "star"})
 
 
@@ -372,12 +367,14 @@ def star_single_source_leaf(p: HomogeneousParams) -> StarLeafSummary:
     )
 
 
-def complete_first_order(p: HomogeneousParams) -> np.ndarray:
+def complete_first_order(p: HomogeneousParams, inc: np.ndarray | None = None) -> np.ndarray:
     """Zero-inertia angle-difference covariance on the complete graph.
 
-    Identical to the inertial result: (1 / (2 d gamma n)) C^T B^2 C.
+    Identical to the inertial result: (1 / (2 d gamma n)) C^T B^2 C, where
+    ``inc`` is the canonical complete incidence C (built when not given).
     """
-    inc = incidence(canonical_complete(p.n, p.gamma))
+    if inc is None:
+        inc = incidence(canonical_complete(p.n, p.gamma))
     return inc.T @ (p.noise_sq[:, None] * inc) / (2 * p.damping * p.gamma * p.n)
 
 

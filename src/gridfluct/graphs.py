@@ -1,68 +1,90 @@
 """Undirected weighted graphs and their matrix representations.
 
-Nodes are labelled 1..n (the convention used for the canonical complete
-and star constructions); matrix row/column ``i - 1`` corresponds to node
-``i``.  Edge order is significant: edge ``k`` (1-based) defines line
-index ``k`` and its stored orientation fixes the incidence signs.
+A graph keeps one entry per line in read-only arrays: 0-based ``tails``
+and ``heads`` and the ``weights``; line k runs from ``tails[k]`` to
+``heads[k]``, which fixes its incidence signs.  Node i (1-based, as in
+``edges`` and messages) is matrix row/column i - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, InvalidGraphError, ShapeError
+from .errors import InvalidGraphError, ShapeError
 
 # Relative gap below which adjacent eigenvalues are treated as degenerate.
 DEGENERACY_GAP = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightedGraph:
-    """Undirected graph with positive edge weights and oriented edges.
-
-    ``edges`` is an ordered tuple of ``(i, j, weight)`` with 1-based node
-    indices; the pair order ``i -> j`` fixes the incidence orientation of
-    that line.
-    """
+    """Undirected graph with positive edge weights and oriented edges, built
+    as ``WeightedGraph(n, edges)`` from ordered ``(i, j, weight)`` tuples with
+    1-based nodes; the pair order ``i -> j`` orients that line."""
 
     node_count: int
-    edges: tuple[tuple[int, int, float], ...]
+    tails: np.ndarray
+    heads: np.ndarray
+    weights: np.ndarray
+    _incidence: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise InvalidGraphError(f"node_count must be positive, got {self.node_count}")
-        seen = set()
-        for k, (i, j, w) in enumerate(self.edges, start=1):
-            if not (1 <= i <= self.node_count and 1 <= j <= self.node_count):
-                raise InvalidGraphError(f"edge {k}: node index out of range 1..{self.node_count}")
-            if i == j:
-                raise InvalidGraphError(f"edge {k}: self-loop at node {i}")
-            pair = (min(i, j), max(i, j))
-            if pair in seen:
-                raise InvalidGraphError(f"edge {k}: duplicate line between nodes {pair[0]} and {pair[1]}")
-            seen.add(pair)
-            if not w > 0:
-                raise InvalidGraphError(f"edge {k}: weight must be positive, got {w}")
+    def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]]) -> None:
+        edges = tuple(edges)
+        ends = np.array([(i, j) for i, j, _ in edges], dtype=np.int64).reshape(len(edges), 2) - 1
+        vars(self).update(node_count=node_count, tails=ends[:, 0], heads=ends[:, 1],
+                          weights=np.array([w for _, _, w in edges], dtype=float))
+        self.__post_init__(ends_checked=False)
+
+    def __post_init__(self, ends_checked: bool) -> None:
+        """Raise InvalidGraphError naming the first edge with, in this order, a
+        node index out of range, a self-loop, an earlier edge's node pair or a
+        weight that is not positive (or NaN); then make the arrays read-only."""
+        n, weights = self.node_count, self.weights
+        if n < 1:
+            raise InvalidGraphError(f"node_count must be positive, got {n}")
+        lo, hi = np.minimum(self.tails, self.heads) + 1, np.maximum(self.tails, self.heads) + 1
+        failed = np.zeros((4, len(weights)), dtype=bool)  # row r: edges failing check r
+        if not ends_checked:
+            _, first, pair = np.unique(lo * (n + 1) + hi, return_index=True, return_inverse=True)
+            failed[:3] = (lo < 1) | (hi > n), lo == hi, first[pair] < np.arange(len(pair))
+        failed[3] = ~(weights > 0)
+        if failed.any():
+            k = int(failed.any(axis=0).argmax())
+            reason = (f"node index out of range 1..{n}", f"self-loop at node {lo[k]}",
+                      f"duplicate line between nodes {lo[k]} and {hi[k]}",
+                      f"weight must be positive, got {float(weights[k])}")[failed[:, k].argmax()]
+            raise InvalidGraphError(f"edge {k + 1}: {reason}")
+        for arr in (self.tails, self.heads, weights):
+            arr.flags.writeable = False
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, _, w in self.edges], dtype=float)
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """``(i, j, weight)`` per line, in line order, with 1-based nodes."""
+        ends = (self.tails + 1).tolist(), (self.heads + 1).tolist()
+        return tuple(zip(*ends, self.weights.tolist()))
 
     def with_weights(self, weights) -> "WeightedGraph":
-        """Copy of this graph with the same edges but new weights."""
-        weights = np.asarray(weights, dtype=float)
+        """Copy with new weights, sharing this graph's index arrays and incidence."""
+        weights = np.array(weights, dtype=float)
         if weights.shape != (self.edge_count,):
             raise ShapeError(f"expected {self.edge_count} weights, got shape {weights.shape}")
-        return WeightedGraph(
-            self.node_count,
-            tuple((i, j, float(w)) for (i, j, _), w in zip(self.edges, weights)),
-        )
+        return _on_checked_ends(self.node_count, self.tails, self.heads, weights, incidence(self))
+
+
+def _on_checked_ends(node_count, tails, heads, weights, incidence=None) -> WeightedGraph:
+    """Graph on index arrays valid by construction: only its weights are checked."""
+    graph = object.__new__(WeightedGraph)
+    vars(graph).update(node_count=node_count, tails=tails, heads=heads, weights=weights,
+                       _incidence=incidence)
+    graph.__post_init__(ends_checked=True)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -81,40 +103,48 @@ class SpectralDecomposition:
 
 def laplacian(graph: WeightedGraph) -> np.ndarray:
     """Weighted Laplacian: -w_ij off the diagonal, row sums zero."""
-    n = graph.node_count
+    n, tails, heads, w = graph.node_count, graph.tails, graph.heads, graph.weights
     lap = np.zeros((n, n))
-    for i, j, w in graph.edges:
-        a, b = i - 1, j - 1
-        lap[a, b] -= w
-        lap[b, a] -= w
-        lap[a, a] += w
-        lap[b, b] += w
+    lap[tails, heads] = -w
+    lap[heads, tails] = -w
+    # bincount adds each node's weights in line order, as a loop over lines would.
+    ends = np.column_stack((tails, heads)).ravel()
+    np.fill_diagonal(lap, np.bincount(ends, weights=np.repeat(w, 2), minlength=n))
     return lap
 
 
-def incidence(graph: WeightedGraph) -> np.ndarray:
-    """Node-by-line incidence matrix: +1 at each edge's source, -1 at its sink."""
-    mat = np.zeros((graph.node_count, graph.edge_count))
-    for k, (i, j, _) in enumerate(graph.edges):
-        mat[i - 1, k] = 1.0
-        mat[j - 1, k] = -1.0
+def _incidence_matrix(node_count: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    lines = np.arange(len(tails))
+    mat = np.zeros((node_count, len(tails)))
+    mat[tails, lines] = 1.0
+    mat[heads, lines] = -1.0
+    mat.flags.writeable = False
     return mat
+
+
+def incidence(graph: WeightedGraph) -> np.ndarray:
+    """Node-by-line incidence matrix: +1 at each edge's source, -1 at its sink;
+    built once per topology and cached read-only on the graph."""
+    if graph._incidence is None:
+        vars(graph)["_incidence"] = _incidence_matrix(graph.node_count, graph.tails, graph.heads)
+    return graph._incidence
 
 
 def canonical_complete(n: int, weight: float = 1.0) -> WeightedGraph:
     """Complete graph on n nodes, lines in lexicographic (i, j) order, i < j."""
     if n < 2:
         raise InvalidGraphError(f"complete graph needs at least 2 nodes, got {n}")
-    edges = tuple((i, j, float(weight)) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return WeightedGraph(n, edges)
+    tails, heads = np.triu_indices(n, 1)
+    return _on_checked_ends(n, tails, heads, np.full(len(tails), float(weight)))
 
 
 def canonical_star(n: int, weight: float = 1.0) -> WeightedGraph:
     """Star graph on n nodes with root 1; line k connects the root to node k + 1."""
     if n < 2:
         raise InvalidGraphError(f"star graph needs at least 2 nodes, got {n}")
-    edges = tuple((1, j, float(weight)) for j in range(2, n + 1))
-    return WeightedGraph(n, edges)
+    return _on_checked_ends(
+        n, np.zeros(n - 1, dtype=np.intp), np.arange(1, n), np.full(n - 1, float(weight))
+    )
 
 
 def is_connected(graph: WeightedGraph) -> bool:
@@ -122,31 +152,21 @@ def is_connected(graph: WeightedGraph) -> bool:
 
     Numerical disconnection is left to the covariance routes' spectra.
     """
-    neighbours: list[list[int]] = [[] for _ in range(graph.node_count)]
-    for i, j, _ in graph.edges:
-        neighbours[i - 1].append(j - 1)
-        neighbours[j - 1].append(i - 1)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in neighbours[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == graph.node_count
+    reached = np.zeros(graph.node_count, dtype=bool)
+    reached[0] = True
+    while True:
+        crossing = reached[graph.tails] != reached[graph.heads]
+        if not crossing.any():
+            return bool(reached.all())
+        reached[graph.tails[crossing]] = True
+        reached[graph.heads[crossing]] = True
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the first non-negligible entry of each column positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        threshold = 1e-8 * np.abs(col).max()
-        lead = col[np.abs(col) > threshold][0]
-        if lead < 0:
-            out[:, k] = -col
-    return out
+    size = np.abs(vectors)
+    lead = (size > 1e-8 * size.max(axis=0)).argmax(axis=0)
+    return vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
 
 
 def degeneracy_groups(eigenvalues: np.ndarray, gap: float = DEGENERACY_GAP) -> tuple[tuple[int, ...], ...]:
@@ -208,9 +228,3 @@ def whitened_spectrum(lap: np.ndarray, scaling) -> SpectralDecomposition:
             null = np.sqrt(diag)
             vectors[:, 0] = null / np.linalg.norm(null)
     return SpectralDecomposition(eigenvalues, vectors, groups)
-
-
-def require_connected(graph: WeightedGraph) -> None:
-    """Raise DisconnectedGraphError unless ``graph`` is connected."""
-    if not is_connected(graph):
-        raise DisconnectedGraphError(f"graph with {graph.node_count} nodes is not connected")

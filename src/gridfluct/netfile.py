@@ -128,6 +128,7 @@ def network_from_dict(data: Any, context: str = "network") -> PowerNetwork:
             target.append(value)
 
     edges = []
+    line_of_pair: dict[frozenset, int] = {}
     for pos, line in enumerate(lines):
         where = f"{context}: lines[{pos}]"
         if not isinstance(line, dict):
@@ -142,14 +143,12 @@ def network_from_dict(data: Any, context: str = "network") -> PowerNetwork:
         capacity = _number(_require(line, "capacity", where), f"{where}.capacity")
         if not capacity > 0:
             raise ValidationError(f"{where}: field 'capacity' must be positive, got {capacity}")
+        first = line_of_pair.setdefault(frozenset((src, dst)), pos)
+        if first != pos:
+            raise ValidationError(
+                f"{where}: duplicate of lines[{first}] between nodes {src!r} and {dst!r}"
+            )
         edges.append((ids[src], ids[dst], capacity))
-
-    seen = set()
-    for i, j, _ in edges:
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise ValidationError(f"{context}: duplicate line between nodes {pair}")
-        seen.add(pair)
 
     topology = WeightedGraph(len(nodes), tuple(edges))
     return PowerNetwork(

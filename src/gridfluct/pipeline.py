@@ -22,7 +22,6 @@ import numpy as np
 
 from .closedforms import HomogeneousParams, complete_report, star_report
 from .errors import AssumptionViolatedError, ValidationError
-from .graphs import canonical_complete, canonical_star
 from .montecarlo import default_sim_config, simulate_covariance
 from .netfile import HomogeneousBase, SweepSpec, format_number
 from .swing import LinearizedSystem, PowerNetwork, linearize, solve_synchronous_state
@@ -57,7 +56,8 @@ def canonicalize_homogeneous(lin: LinearizedSystem) -> CanonicalForm:
     eta = uniform_value(lin.inertia, "inertia values")
     damping = uniform_value(lin.damping, "damping values")
 
-    degree = np.count_nonzero(lin.incidence, axis=1)
+    tails, heads = lin.graph.tails, lin.graph.heads
+    degree = np.bincount(np.concatenate((tails, heads)), minlength=n)
 
     if m == n * (n - 1) // 2:
         kind = "complete"
@@ -65,24 +65,20 @@ def canonicalize_homogeneous(lin: LinearizedSystem) -> CanonicalForm:
     elif m == n - 1 and degree.max() == n - 1:
         kind = "star"
         root = int(degree.argmax())
-        node_map = np.empty(n, dtype=int)
+        node_map = np.arange(n) + (np.arange(n) < root)  # root first, others in order
         node_map[root] = 0
-        node_map[np.arange(n) != root] = np.arange(1, n)
     else:
         raise AssumptionViolatedError(
             "closed forms defined only for complete/star topologies; "
             f"this network has {n} nodes and {m} lines with neither shape"
         )
 
-    canonical = canonical_complete(n, gamma) if kind == "complete" else canonical_star(n, gamma)
-    canonical_index = {(i, j): k for k, (i, j, _) in enumerate(canonical.edges)}
-    line_map = np.empty(m, dtype=int)
-    signs = np.empty(m)
-    for k, (i, j, _) in enumerate(lin.graph.edges):
-        # Canonical lines all run from the lower to the higher index.
-        ci, cj = node_map[i - 1] + 1, node_map[j - 1] + 1
-        line_map[k] = canonical_index[(min(ci, cj), max(ci, cj))]
-        signs[k] = 1.0 if ci < cj else -1.0
+    # Canonical lines (lo, hi), lo < hi, are in lexicographic order: line (lo, hi)
+    # follows lo*n - lo(lo+1)/2 lines of lower nodes and hi - lo - 1 of its own.
+    ci, cj = node_map[tails], node_map[heads]
+    lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
+    line_map = lo * n - lo * (lo + 1) // 2 + hi - lo - 1
+    signs = np.where(ci < cj, 1.0, -1.0)
 
     noise = np.empty(n)
     noise[node_map] = lin.noise
@@ -101,9 +97,7 @@ def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
     form = canonicalize_homogeneous(lin)
     report = complete_report(form.params) if form.kind == "complete" else star_report(form.params)
 
-    nodes = form.node_to_canonical
-    lines = form.line_to_canonical
-    signs = form.line_signs
+    nodes, lines, signs = form.node_to_canonical, form.line_to_canonical, form.line_signs
     return replace(
         report,
         q_delta=signs[:, None] * report.q_delta[np.ix_(lines, lines)] * signs[None, :],
@@ -246,16 +240,19 @@ def _field(value: Any) -> str:
 
 
 def _report_lines(report: CovarianceReport, suffix: str = "") -> Iterator[str]:
-    """CSV lines ``quantity,i,j,value,method,stderr`` plus ``suffix``, one per
-    block entry, block by block and row by row."""
+    """CSV lines ``quantity,i,j,value,method,stderr`` plus ``suffix``, block
+    by block; each string holds one block row, one line per entry."""
     for quantity, (block, stderr) in _blocks(report).items():
-        if block is None:
+        if block is None or block.size == 0:
             continue
-        for i, values in enumerate(block.tolist(), start=1):
-            errors = [None] * len(values) if stderr is None else stderr[i - 1].tolist()
-            for j, (value, error) in enumerate(zip(values, errors), start=1):
-                yield (f"{quantity},{i},{j},{format_number(value)},{report.method},"
-                       f"{_field(error)}{suffix}\n")
+        # "%.17g" is ``format_number``; each stderr follows its value.
+        height, width = block.shape
+        error = "" if stderr is None else "%.17g"
+        cells = [f"{j},%.17g,{report.method},{error}{suffix}\n" for j in range(1, width + 1)]
+        rows = block if stderr is None else np.stack((block, stderr), 2).reshape(height, 2 * width)
+        for i, values in enumerate(rows.tolist(), start=1):
+            head = f"{quantity},{i},"
+            yield (head + head.join(cells)) % tuple(values)
 
 
 def _block_payload(report: CovarianceReport) -> dict[str, Any]:

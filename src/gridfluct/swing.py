@@ -19,17 +19,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DisconnectedGraphError,
     InsecureStateError,
     InvalidGraphError,
     NoEquilibriumError,
     NoSynchronousStateError,
     ShapeError,
 )
-from .graphs import WeightedGraph, incidence, laplacian, require_connected
+from .graphs import WeightedGraph, incidence, is_connected, laplacian
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 10
+
+
+def _store_node_arrays(obj, n: int, names: tuple[str, ...]) -> None:
+    """Store named fields as float arrays of shape (n,); check their signs."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        if arr.shape != (n,):
+            raise ShapeError(f"{name} must have shape ({n},), got {arr.shape}")
+        object.__setattr__(obj, name, arr)
+    for name in ("inertia", "damping"):
+        if not np.all(getattr(obj, name) > 0):
+            raise InvalidGraphError(f"all {name} values must be positive")
+    if not np.all(obj.noise >= 0):
+        raise InvalidGraphError("noise strengths must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -50,22 +65,13 @@ class PowerNetwork:
 
     def __post_init__(self) -> None:
         n = self.topology.node_count
-        for name in ("inertia", "damping", "power", "noise"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ShapeError(f"{name} must have shape ({n},), got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        if not np.all(self.inertia > 0):
-            raise InvalidGraphError("all inertia values must be positive")
-        if not np.all(self.damping > 0):
-            raise InvalidGraphError("all damping values must be positive")
-        if not np.all(self.noise >= 0):
-            raise InvalidGraphError("noise strengths must be non-negative")
+        _store_node_arrays(self, n, ("inertia", "damping", "power", "noise"))
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(1, n + 1)))
         elif len(self.labels) != n:
             raise ShapeError(f"expected {n} labels, got {len(self.labels)}")
-        require_connected(self.topology)
+        if not is_connected(self.topology):
+            raise DisconnectedGraphError(f"graph with {n} nodes is not connected")
 
     @property
     def node_count(self) -> int:
@@ -113,16 +119,7 @@ class LinearizedSystem:
     incidence: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.graph.node_count
-        for name in ("inertia", "damping", "noise"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ShapeError(f"{name} must have shape ({n},), got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        if not np.all(self.inertia > 0) or not np.all(self.damping > 0):
-            raise InvalidGraphError("inertia and damping diagonals must be positive")
-        if not np.all(self.noise >= 0):
-            raise InvalidGraphError("noise strengths must be non-negative")
+        _store_node_arrays(self, self.graph.node_count, ("inertia", "damping", "noise"))
         object.__setattr__(self, "laplacian", laplacian(self.graph))
         object.__setattr__(self, "incidence", incidence(self.graph))
 
@@ -222,11 +219,10 @@ def linearize(net: PowerNetwork, state: SynchronousState) -> LinearizedSystem:
     """
     report = security_check(state, net)
     if not report.secure:
-        offenders = [
-            f"line {k} ({i},{j})"
-            for k, ((i, j, _), m) in enumerate(zip(net.topology.edges, report.margins), start=1)
-            if m <= 0
-        ]
+        topo = net.topology
+        bad = np.flatnonzero(report.margins <= 0)
+        offenders = [f"line {k + 1} ({i + 1},{j + 1})"
+                     for k, i, j in zip(bad, topo.tails[bad], topo.heads[bad])]
         raise InsecureStateError(
             "angle difference at or beyond pi/2 on: " + ", ".join(offenders)
         )

@@ -173,10 +173,6 @@ class ReducedSystem:
     spectral: SpectralDecomposition
     spectral_abscissa: float
 
-    @property
-    def state_size(self) -> int:
-        return self.a2.shape[0]
-
 
 def _require_connected_spectrum(spectral: SpectralDecomposition) -> None:
     eigs = spectral.eigenvalues

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gridfluct import ValidationError, load_network
+from gridfluct import ValidationError, graphs, load_network
 from gridfluct.cli import main
 from gridfluct.netfile import (
     emit_network,
@@ -408,6 +408,23 @@ class TestSweeps:
         threaded = run_sweep(spec, seed=seed)
         assert serial == threaded
 
+    @pytest.mark.parametrize("kind, noise", [("complete", {"2": 0.04}), ("star", {"2": 0.5})])
+    def test_trend_sweep_builds_one_incidence_per_cell(self, monkeypatch, kind, noise):
+        builds = []
+        build = graphs._incidence_matrix
+        monkeypatch.setattr(graphs, "_incidence_matrix",
+                            lambda *args: builds.append(args) or build(*args))
+        spec = sweep_from_dict(sweep_doc(
+            kind=kind,
+            noise=noise,
+            axes=[{"parameter": "damping", "grid": [0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 1.7, 2.5]}],
+            methods=["closed", "numeric", "uniform", "first-order"],
+            quantities=[{"block": "omega", "i": 2, "j": 2}, {"block": "delta", "i": 1, "j": 1}],
+        ))
+        assert len(run_sweep(spec)) == 32
+        # One per cell, plus the closed route's canonical one in its 8 cells.
+        assert len(builds) <= 40
+
     def test_mc_sweep_deterministic_with_stderr_column(self):
         doc = sweep_doc(
             kind="complete",
@@ -511,6 +528,21 @@ class TestCommandLine:
         assert main(["compare", str(path), "--methods", "first-order"]) == 2
         err = capsys.readouterr().err
         assert "'first-order'" in err and "numeric, uniform, closed" in err
+
+    @pytest.mark.parametrize("method", ["numeric", "mc"])
+    def test_single_node_network_writes_frequency_entry_only(self, tmp_path, capsys, method):
+        path = write_doc(tmp_path, network_doc(1, [], noise={1: 0.1}))
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps({"trajectories": 4}))
+        assert main(["variance", str(path), "--method", method, "--mc-config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("omega,1,1,")
+
+    def test_duplicate_line_exits_two_naming_lines_and_ids(self, tmp_path, capsys):
+        path = write_doc(tmp_path, network_doc(3, [(1, 2), (2, 3), (3, 2)], noise={1: 0.1}))
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: lines[2]: duplicate of lines[1] between nodes 'n3' and 'n2'" in err
 
     def test_invalid_file_exits_two(self, tmp_path, capsys):
         doc = network_doc(2, [(1, 2)])

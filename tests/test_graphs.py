@@ -1,4 +1,8 @@
-"""Graph structure, Laplacian/incidence matrices and whitened spectra."""
+"""Graph structure, Laplacian/incidence matrices and whitened spectra.
+
+The loop functions below are the per-edge references that the array-backed
+``graphs`` implementations must match exactly.
+"""
 
 import numpy as np
 import pytest
@@ -16,9 +20,90 @@ from gridfluct import (
     laplacian,
     whitened_spectrum,
 )
-from gridfluct.graphs import degeneracy_groups
+from gridfluct.graphs import _fix_eigenvector_signs, degeneracy_groups
 
 from conftest import random_connected_graph
+
+
+def loop_validation_error(n, edges):
+    seen = set()
+    for k, (i, j, w) in enumerate(edges, start=1):
+        if not (1 <= i <= n and 1 <= j <= n):
+            return f"edge {k}: node index out of range 1..{n}"
+        if i == j:
+            return f"edge {k}: self-loop at node {i}"
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            return f"edge {k}: duplicate line between nodes {pair[0]} and {pair[1]}"
+        seen.add(pair)
+        if not w > 0:
+            return f"edge {k}: weight must be positive, got {w}"
+    return None
+
+
+def loop_laplacian(n, edges):
+    lap = np.zeros((n, n))
+    for i, j, w in edges:
+        a, b = i - 1, j - 1
+        lap[a, b] -= w
+        lap[b, a] -= w
+        lap[a, a] += w
+        lap[b, b] += w
+    return lap
+
+
+def loop_is_connected(n, edges):
+    neighbours = [[] for _ in range(n)]
+    for i, j, _ in edges:
+        neighbours[i - 1].append(j - 1)
+        neighbours[j - 1].append(i - 1)
+    seen, stack = {0}, [0]
+    while stack:
+        for u in neighbours[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == n
+
+
+def loop_fix_signs(vectors):
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        lead = col[np.abs(col) > 1e-8 * np.abs(col).max()][0]
+        if lead < 0:
+            out[:, k] = -col
+    return out
+
+
+def random_edges(rng, n, prob):
+    """Random simple edges in random order and orientation (maybe disconnected)."""
+    edges = [(i, j, float(rng.uniform(0.5, 3.0)))
+             for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < prob]
+    edges = [(j, i, w) if rng.random() < 0.5 else (i, j, w) for i, j, w in edges]
+    return [edges[k] for k in rng.permutation(len(edges))]
+
+
+def inject_defect(rng, n, edges, defect):
+    """Insert a defective edge at a random position of an edge list (a weight
+    defect replaces an edge instead)."""
+    k = int(rng.integers(0, len(edges) + 1))
+    i = int(rng.integers(1, n + 1))
+    if defect == "range":
+        bad = (i, int(rng.choice([0, -2, n + 1, n + 7])), 1.0)
+        bad = bad if rng.random() < 0.5 else (bad[1], i, 1.0)
+    elif defect == "self-loop":
+        bad = (i, i, 1.0)
+    elif defect == "duplicate":
+        first = int(rng.integers(0, len(edges)))
+        a, b, _ = edges[first]
+        k = int(rng.integers(first + 1, len(edges) + 1))
+        bad = (a, b, 2.0) if rng.random() < 0.5 else (b, a, 2.0)
+    else:  # the same line with a weight that is not positive
+        k = int(rng.integers(0, len(edges)))
+        a, b, _ = edges.pop(k)
+        bad = (a, b, float(rng.choice([0.0, -0.0, -1.5, np.nan, -np.inf])))
+    return edges[:k] + [bad] + edges[k:]
 
 
 class TestWeightedGraph:
@@ -39,6 +124,34 @@ class TestWeightedGraph:
         with pytest.raises(InvalidGraphError, match="weight"):
             WeightedGraph(2, ((1, 2, w),))
 
+    @given(st.integers(3, 12), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(["range", "self-loop", "duplicate", "weight"]),
+                    min_size=1, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_first_defect_named_as_by_the_loop(self, n, seed, defects):
+        rng = np.random.default_rng(seed)
+        edges = list(random_connected_graph(rng, n).edges)
+        for defect in defects:
+            edges = inject_defect(rng, n, edges, defect)
+        expected = loop_validation_error(n, edges)
+        with pytest.raises(InvalidGraphError) as excinfo:
+            WeightedGraph(n, edges)
+        assert str(excinfo.value) == expected
+
+    def test_arrays_and_incidence_read_only_and_shared_by_with_weights(self):
+        g = random_connected_graph(np.random.default_rng(4), 8)
+        h = g.with_weights(2.0 * g.weights)
+        for arr in (g.tails, g.heads, g.weights, h.weights, incidence(g)):
+            assert not arr.flags.writeable
+        assert h.tails is g.tails and h.heads is g.heads
+        assert incidence(h) is incidence(g)
+        assert h.edges == tuple((i, j, 2.0 * w) for i, j, w in g.edges)
+
+    def test_with_weights_rejects_nonpositive_weight(self):
+        g = canonical_star(4, 1.0)
+        with pytest.raises(InvalidGraphError, match="edge 2: weight must be positive, got nan"):
+            g.with_weights([1.0, np.nan, 1.0])
+
 
 class TestLaplacian:
     def test_complete_three_nodes(self):
@@ -52,6 +165,13 @@ class TestLaplacian:
     def test_star_three_nodes(self):
         lap = laplacian(canonical_star(3, 1.0))
         np.testing.assert_array_equal(lap, [[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
+
+    @given(st.integers(2, 16), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        edges = random_edges(rng, n, 0.4)
+        assert np.array_equal(laplacian(WeightedGraph(n, edges)), loop_laplacian(n, edges))
 
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -127,6 +247,12 @@ class TestIsConnected:
     def test_path(self):
         assert is_connected(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1.0))))
 
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.floats(0.0, 0.6))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_search(self, n, seed, prob):
+        edges = random_edges(np.random.default_rng(seed), n, prob)
+        assert is_connected(WeightedGraph(n, edges)) == loop_is_connected(n, edges)
+
     def test_very_unequal_weights_still_connected(self):
         # Connectivity is topological: a tiny weight is still an edge.
         assert is_connected(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1e-10))))
@@ -185,6 +311,14 @@ class TestWhitenedSpectrum:
     def test_degeneracy_groups_cluster_equal_eigenvalues(self):
         spec = whitened_spectrum(laplacian(canonical_star(5, 1.0)), np.ones(5))
         assert spec.degeneracy_groups == ((0,), (1, 2, 3), (4,))
+
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sign_fix_bit_identical_to_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        vectors = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        vectors[0, : n // 2] = 1e-12  # leading entries below the threshold
+        assert np.array_equal(_fix_eigenvector_signs(vectors), loop_fix_signs(vectors))
 
     def test_degeneracy_groups_all_distinct(self):
         groups = degeneracy_groups(np.array([0.0, 1.0, 2.0, 5.0]))
