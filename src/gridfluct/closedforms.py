@@ -1,9 +1,14 @@
 """Fully analytic covariance formulas for homogeneous complete and star graphs.
 
 All formulas assume identical inertia eta, identical damping d and
-identical line weights gamma, with canonical node/line indices: complete
-graphs list lines in lexicographic order; star graphs have the root at
-node 1 and line k connecting the root to node k + 1.
+identical line weights gamma.  The scalar displays and the public report
+builders use canonical indices: complete graphs list lines in
+lexicographic order; star graphs have the root at node 1 and line k
+connecting the root to node k + 1.  :func:`closed_form_report` evaluates
+the same formulas in a network's own node and line order: the complete
+graph's spectral projectors do not depend on the node order, a star's
+only on which node is its root, and each star line's angle entries carry
+the sign of its orientation.
 
 The scalar display functions accept the network size as a float so that
 trend analysis can differentiate with respect to it; the report builders
@@ -18,13 +23,14 @@ eigendecomposition or Lyapunov solve is involved anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AssumptionViolatedError, InvalidGraphError
-from .graphs import canonical_complete, canonical_star, incidence
-from .variance import METHOD_CLOSED, CovarianceReport, make_report
+from .graphs import WeightedGraph, canonical_complete, canonical_star, incidence
+from .swing import LinearizedSystem
+from .variance import METHOD_CLOSED, CovarianceReport, make_report, uniform_value
 
 
 @dataclass(frozen=True)
@@ -254,11 +260,11 @@ def _complete_clusters(p: HomogeneousParams) -> list[tuple[float, np.ndarray]]:
     return [(0.0, mean_proj), (p.gamma * n / p.eta, np.eye(n) - mean_proj)]
 
 
-def _star_clusters(p: HomogeneousParams) -> list[tuple[float, np.ndarray]]:
+def _star_clusters(p: HomogeneousParams, root: int) -> list[tuple[float, np.ndarray]]:
     n = p.n
     mean_proj = np.full((n, n), 1.0 / n)
     heavy = np.full(n, -1.0)
-    heavy[0] = n - 1.0
+    heavy[root] = n - 1.0
     heavy_proj = np.outer(heavy, heavy) / (n * (n - 1.0))
     middle_proj = np.eye(n) - mean_proj - heavy_proj
     return [
@@ -282,7 +288,11 @@ def complete_report(p: HomogeneousParams) -> CovarianceReport:
     exact cluster evaluation.  The angle block's PSD check runs on its
     n x n factored core diag(b^2) / (2 d gamma n).
     """
-    inc = incidence(canonical_complete(p.n, p.gamma))
+    return _complete_blocks(p, canonical_complete(p.n, p.gamma))
+
+
+def _complete_blocks(p: HomogeneousParams, graph: WeightedGraph) -> CovarianceReport:
+    inc = incidence(graph)
     alpha = p.damping / p.eta
 
     q_delta = complete_first_order(p, inc)
@@ -304,29 +314,66 @@ def star_report(p: HomogeneousParams) -> CovarianceReport:
     displayed formulas; the remaining entries come from the exact cluster
     evaluation.
     """
-    inc = incidence(canonical_star(p.n, p.gamma))
+    return _star_blocks(p, canonical_star(p.n, p.gamma), 0)
+
+
+def _star_blocks(p: HomogeneousParams, graph: WeightedGraph, root: int) -> CovarianceReport:
+    inc = incidence(graph)
     alpha = p.damping / p.eta
     b_sq = p.noise_sq
     trace_sq = p.trace_noise_sq
+    # Line k joins the root to leaf[k]; its sign is +1 when it leaves the root.
+    outward = graph.tails == root
+    leaf = np.where(outward, graph.heads, graph.tails)
+    sign = np.where(outward, 1.0, -1.0)
+    leaf_sq = b_sq[leaf]
 
     q_delta = _star_line_offdiag(
-        p.n, p.gamma, p.eta, p.damping, b_sq[1:, None], b_sq[None, 1:], b_sq[0], trace_sq
+        p.n, p.gamma, p.eta, p.damping, leaf_sq[:, None], leaf_sq[None, :], b_sq[root], trace_sq
     )
-    # Line pair (k, q) is evaluated with k < q and mirrored: the formula is
-    # symmetric only in exact arithmetic.
-    q_delta = np.where(np.tri(p.n - 1, dtype=bool), q_delta.T, q_delta)
+    # Line pair (k, q) is evaluated with the lower leaf first and mirrored:
+    # the formula is symmetric only in exact arithmetic.
+    q_delta = np.where(leaf[:, None] > leaf[None, :], q_delta.T, q_delta)
     np.fill_diagonal(q_delta, _star_line_diag(
-        p.n, p.gamma, p.eta, p.damping, b_sq[1:], b_sq[0], trace_sq
+        p.n, p.gamma, p.eta, p.damping, leaf_sq, b_sq[root], trace_sq
     ))
+    q_delta *= sign[:, None] * sign[None, :]
 
-    q_omega, q_cross = _cluster_covariance(_star_clusters(p), b_sq, inc, p.eta, alpha)
-    q_omega[0, 0] = _complete_frequency_diag(
-        p.n, p.gamma, p.eta, p.damping, b_sq[0], trace_sq
-    )
-    np.fill_diagonal(q_omega[1:, 1:], _star_leaf_frequency_diag(
-        p.n, p.gamma, p.eta, p.damping, b_sq[1:], b_sq[0], trace_sq
-    ))
+    q_omega, q_cross = _cluster_covariance(_star_clusters(p, root), b_sq, inc, p.eta, alpha)
+    diag = _star_leaf_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq, b_sq[root], trace_sq)
+    diag[root] = _complete_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq[root], trace_sq)
+    np.fill_diagonal(q_omega, diag)
     return make_report(q_delta, q_omega, q_cross, METHOD_CLOSED, {"graph": "star"})
+
+
+def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
+    """Closed-form covariance of a homogeneous complete or star network, in
+    its own node and line order.
+
+    Raises AssumptionViolatedError when line weights, inertia or damping
+    (checked in that order) are not uniform, or when the topology is
+    neither complete nor a star.  The star's root is its node of degree
+    n - 1.  The kind is recorded as the ``canonical_kind`` diagnostic.
+    """
+    n, m = lin.node_count, lin.line_count
+    p = HomogeneousParams(
+        n,
+        uniform_value(lin.graph.weights, "line weights", "lines"),
+        uniform_value(lin.inertia, "inertia values"),
+        uniform_value(lin.damping, "damping values"),
+        lin.noise,
+    )
+    degree = np.bincount(np.concatenate((lin.graph.tails, lin.graph.heads)), minlength=n)
+    if m == n * (n - 1) // 2:
+        kind, report = "complete", _complete_blocks(p, lin.graph)
+    elif m == n - 1 and degree.max() == n - 1:
+        kind, report = "star", _star_blocks(p, lin.graph, int(degree.argmax()))
+    else:
+        raise AssumptionViolatedError(
+            "closed forms defined only for complete/star topologies; "
+            f"this network has {n} nodes and {m} lines with neither shape"
+        )
+    return replace(report, diagnostics={**report.diagnostics, "canonical_kind": kind})
 
 
 def _require_single_source(p: HomogeneousParams, source: int) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InternalInvariantError, StepSizeError, ValidationError
+from .netfile import _number
 from .swing import LinearizedSystem
 from .variance import METHOD_MC, CovarianceReport, ReducedSystem, make_report, reduce_system
 
@@ -55,6 +56,14 @@ class SimConfig:
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("dt", "burn_in", "horizon"):
+            _number(getattr(self, name), name)
+        for name in ("trajectories", "master_seed", "sample_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name}: expected an integer, got {value!r}")
+        if self.master_seed < 0:
+            raise ValidationError(f"master_seed must be non-negative, got {self.master_seed}")
         if not self.dt > 0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.burn_in < 0:
@@ -293,7 +302,7 @@ def default_sim_config(
     if burn_in is None:
         burn_in = 10.0 / decay
     if horizon is None:
-        horizon = max(2.5 / decay, 100 * dt)
+        horizon = max(2.5 / decay, 100 * _number(dt, "dt"))
     if sample_stride is None:
         sample_stride = 1
     return SimConfig(dt, burn_in, horizon, trajectories, master_seed, sample_stride)

@@ -75,6 +75,13 @@ def _number(value: Any, context: str) -> float:
     return number
 
 
+def _node_index(key: str, context: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ValidationError(f"{context}: node index must be an integer, got {key!r}") from None
+
+
 def _load_json(path: str | Path) -> Any:
     try:
         with open(path) as fh:
@@ -248,7 +255,9 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
             raise ValidationError(f"{context}.base: 'noise' must map node index to amplitude")
         noise_by_node = tuple(
             (int(node), _number(value, f"{context}.base.noise[{node}]"))
-            for node, value in sorted(noise_doc.items(), key=lambda kv: int(kv[0]))
+            for node, value in sorted(
+                noise_doc.items(), key=lambda kv: _node_index(kv[0], f"{context}.base.noise")
+            )
         )
         base = HomogeneousBase(
             kind=kind,

@@ -5,9 +5,9 @@ method validation everywhere and the CLI's choices derive from it.
 
 ``run_variance`` takes a validated network through synchronous-state
 solve, security check and linearization, then runs the requested route.
-The closed-form route additionally requires a homogeneous complete or
-star topology; arbitrary node labellings are remapped to the canonical
-indexing and the resulting blocks mapped back.
+The closed-form route (``closedforms.closed_form_report``) additionally
+requires a homogeneous complete or star topology, in any node and line
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Any, Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .closedforms import HomogeneousParams, complete_report, star_report
+from .closedforms import closed_form_report
 from .errors import AssumptionViolatedError, ValidationError
 from .montecarlo import default_sim_config, simulate_covariance
 from .netfile import HomogeneousBase, SweepSpec, format_number
@@ -30,81 +30,7 @@ from .variance import (
     asymptotic_variance_numeric,
     asymptotic_variance_uniform_ratio,
     first_order_variance,
-    uniform_value,
 )
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Mapping of a homogeneous network onto canonical complete/star indices."""
-
-    kind: str
-    params: HomogeneousParams
-    node_to_canonical: np.ndarray  # user node index-1 -> canonical index-1
-    line_to_canonical: np.ndarray  # user line index-1 -> canonical index-1
-    line_signs: np.ndarray  # +1 if the user orientation matches canonical
-
-
-def canonicalize_homogeneous(lin: LinearizedSystem) -> CanonicalForm:
-    """Classify a homogeneous linearized network as complete or star.
-
-    Raises AssumptionViolatedError when the weights/inertia/damping are not
-    uniform or the topology is neither complete nor a star.
-    """
-    n, m = lin.node_count, lin.line_count
-    gamma = uniform_value(lin.graph.weights, "line weights", "lines")
-    eta = uniform_value(lin.inertia, "inertia values")
-    damping = uniform_value(lin.damping, "damping values")
-
-    tails, heads = lin.graph.tails, lin.graph.heads
-    degree = np.bincount(np.concatenate((tails, heads)), minlength=n)
-
-    if m == n * (n - 1) // 2:
-        kind = "complete"
-        node_map = np.arange(n)
-    elif m == n - 1 and degree.max() == n - 1:
-        kind = "star"
-        root = int(degree.argmax())
-        node_map = np.arange(n) + (np.arange(n) < root)  # root first, others in order
-        node_map[root] = 0
-    else:
-        raise AssumptionViolatedError(
-            "closed forms defined only for complete/star topologies; "
-            f"this network has {n} nodes and {m} lines with neither shape"
-        )
-
-    # Canonical lines (lo, hi), lo < hi, are in lexicographic order: line (lo, hi)
-    # follows lo*n - lo(lo+1)/2 lines of lower nodes and hi - lo - 1 of its own.
-    ci, cj = node_map[tails], node_map[heads]
-    lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
-    line_map = lo * n - lo * (lo + 1) // 2 + hi - lo - 1
-    signs = np.where(ci < cj, 1.0, -1.0)
-
-    noise = np.empty(n)
-    noise[node_map] = lin.noise
-    params = HomogeneousParams(n, gamma, eta, damping, noise)
-    return CanonicalForm(kind, params, node_map, line_map, signs)
-
-
-def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
-    """Closed-form covariance of a homogeneous complete/star network,
-    remapped back to the network's own node and line ordering.
-
-    The remap is a signed permutation, so the canonical report's checked,
-    exactly symmetric blocks stay exactly symmetric with the same
-    eigenvalues; they are not checked again.
-    """
-    form = canonicalize_homogeneous(lin)
-    report = complete_report(form.params) if form.kind == "complete" else star_report(form.params)
-
-    nodes, lines, signs = form.node_to_canonical, form.line_to_canonical, form.line_signs
-    return replace(
-        report,
-        q_delta=signs[:, None] * report.q_delta[np.ix_(lines, lines)] * signs[None, :],
-        q_omega=report.q_omega[np.ix_(nodes, nodes)],
-        q_delta_omega=report.q_delta_omega[np.ix_(nodes, lines)] * signs[None, :],
-        diagnostics={**report.diagnostics, "canonical_kind": form.kind},
-    )
 
 
 def linearized(net: PowerNetwork) -> LinearizedSystem:

@@ -375,6 +375,11 @@ class TestSweeps:
         with pytest.raises(ValidationError, match="voltage"):
             sweep_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["two", "1.5"])
+    def test_non_integer_noise_node_rejected(self, key):
+        with pytest.raises(ValidationError, match=f"sweep.base.noise: node index must be an integer, got '{key}'"):
+            sweep_from_dict(sweep_doc(noise={key: 0.5}))
+
     def test_quantity_out_of_range(self):
         doc = sweep_doc(quantities=[{"block": "omega", "i": 99, "j": 1}])
         spec = sweep_from_dict(doc)
@@ -422,8 +427,8 @@ class TestSweeps:
             quantities=[{"block": "omega", "i": 2, "j": 2}, {"block": "delta", "i": 1, "j": 1}],
         ))
         assert len(run_sweep(spec)) == 32
-        # One per cell, plus the closed route's canonical one in its 8 cells.
-        assert len(builds) <= 40
+        # One per cell: the closed route reads the network's own incidence.
+        assert len(builds) == 32
 
     def test_mc_sweep_deterministic_with_stderr_column(self):
         doc = sweep_doc(
@@ -571,6 +576,39 @@ class TestCommandLine:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "quantity,index_i,index_j,value,method,stderr"
         assert any(line.split(",")[-1] not in ("", "stderr") for line in lines[1:])
+
+    @pytest.mark.parametrize(
+        "options, config, message",
+        [
+            (["--seed", "-1"], {}, "master_seed must be non-negative, got -1"),
+            ([], {"trajectories": "ten"}, "trajectories: expected an integer, got 'ten'"),
+            ([], {"trajectories": 2.5}, "trajectories: expected an integer, got 2.5"),
+            ([], {"trajectories": True}, "trajectories: expected an integer, got True"),
+            ([], {"sample_stride": 1.5}, "sample_stride: expected an integer, got 1.5"),
+            ([], {"master_seed": None}, "master_seed: expected an integer, got None"),
+            ([], {"dt": "fast"}, "dt: expected a number, got 'fast'"),
+            ([], {"horizon": float("inf")}, "horizon: expected a finite number, got inf"),
+        ],
+    )
+    def test_bad_monte_carlo_setting_exits_two(self, tmp_path, capsys, options, config, message):
+        doc = network_doc(2, [(1, 2)], inertia=1.0, damping=5.0, noise={1: 1.0}, capacity=1.0)
+        net_path = write_doc(tmp_path, doc)
+        mc_path = tmp_path / "mc.json"
+        mc_path.write_text(json.dumps(config))
+        assert main(["simulate", str(net_path), "--mc-config", str(mc_path), *options]) == 2
+        assert capsys.readouterr().err == f"gridfluct: {message}\n"
+
+    def test_null_monte_carlo_setting_means_default(self, tmp_path, capsys):
+        doc = network_doc(2, [(1, 2)], inertia=1.0, damping=5.0, noise={1: 1.0}, capacity=1.0)
+        net_path = write_doc(tmp_path, doc)
+        outputs = []
+        for config in ({"trajectories": 3}, {"trajectories": 3, "dt": None, "burn_in": None,
+                                             "horizon": None, "sample_stride": None}):
+            mc_path = tmp_path / "mc.json"
+            mc_path.write_text(json.dumps(config))
+            assert main(["simulate", str(net_path), "--mc-config", str(mc_path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_sweep_loads_relative_network_base(self, tmp_path):
         net_path = write_doc(tmp_path, network_doc(3, complete_lines(3), noise={1: 0.5}))

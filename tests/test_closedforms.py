@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfluct import (
     AssumptionViolatedError,
     HomogeneousParams,
     InvalidGraphError,
+    LinearizedSystem,
+    WeightedGraph,
     asymptotic_variance_numeric,
+    canonical_complete,
+    canonical_star,
     complete_first_order,
     complete_report,
     complete_single_source,
@@ -17,6 +23,7 @@ from gridfluct import (
     star_single_source_leaf,
     star_single_source_root,
 )
+from gridfluct.closedforms import closed_form_report
 
 from conftest import full_output_matrix, homogeneous_system
 
@@ -296,3 +303,74 @@ def test_closed_vs_numeric_across_benchmark_tables(kind):
         numeric = full_output_matrix(asymptotic_variance_numeric(to_system(kind, p)))
         worst = max(worst, max_rel(closed, numeric))
     assert worst <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The closed route in a network's own order against the canonical report
+# ---------------------------------------------------------------------------
+
+
+def shuffled_homogeneous(kind, n, root, rng):
+    """Complete graph, or star rooted at 0-based ``root``, with lines in random
+    order and orientation and homogeneous random parameters; returns the
+    system and its node map to canonical order (star root first)."""
+    if kind == "complete":
+        node_map = np.arange(n)
+        ends = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        node_map = np.arange(n) + (np.arange(n) < root)
+        node_map[root] = 0
+        ends = [(root, leaf) for leaf in range(n) if leaf != root]
+    gamma, eta, damping = rng.uniform(0.5, 5.0, 3)
+    edges = []
+    for k in rng.permutation(len(ends)):
+        i, j = ends[k] if rng.random() < 0.5 else ends[k][::-1]
+        edges.append((i + 1, j + 1, gamma))
+    noise = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
+    ones = np.ones(n)
+    lin = LinearizedSystem(WeightedGraph(n, edges), eta * ones, damping * ones, noise)
+    return lin, node_map
+
+
+def signed_permutation_reference(kind, lin, node_map):
+    """The canonical report gathered into the network's order, each line's
+    entries signed by whether its orientation matches the canonical one.
+    The parameters are the arrays' means, as the closed route reads them."""
+    n = lin.node_count
+    canonical = (canonical_complete if kind == "complete" else canonical_star)(n)
+    position = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(canonical.tails, canonical.heads))}
+    ci, cj = node_map[lin.graph.tails], node_map[lin.graph.heads]
+    lines = np.array([position[min(a, b), max(a, b)] for a, b in zip(ci.tolist(), cj.tolist())])
+    signs = np.where(ci < cj, 1.0, -1.0)
+    noise = np.empty(n)
+    noise[node_map] = lin.noise
+    means = (float(values.mean()) for values in (lin.graph.weights, lin.inertia, lin.damping))
+    build = complete_report if kind == "complete" else star_report
+    report = build(HomogeneousParams(n, *means, noise))
+    return (
+        signs[:, None] * report.q_delta[np.ix_(lines, lines)] * signs[None, :],
+        report.q_omega[np.ix_(node_map, node_map)],
+        report.q_delta_omega[np.ix_(node_map, lines)] * signs[None, :],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["complete", "star"]),
+    n=st.integers(3, 40),
+    root_fraction=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_route_is_signed_permutation_of_canonical(kind, n, root_fraction, seed):
+    root = int(root_fraction * n)
+    lin, node_map = shuffled_homogeneous(kind, n, root, np.random.default_rng(seed))
+    report = closed_form_report(lin)
+    assert report.diagnostics["canonical_kind"] == kind
+    blocks = (report.q_delta, report.q_omega, report.q_delta_omega)
+    for block, expected in zip(blocks, signed_permutation_reference(kind, lin, node_map)):
+        if kind == "complete":
+            # Same node order, so every entry is bit-identical (-0 equals 0).
+            assert np.all(block == expected)
+        else:
+            # A star's noise trace and projector products sum in another node order.
+            assert np.abs(block - expected).max() <= 1e-15 * np.abs(expected).max()

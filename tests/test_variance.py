@@ -23,7 +23,7 @@ from gridfluct import (
     uniform_ratio_blocks,
     whitened_spectrum,
 )
-from gridfluct import closedforms, pipeline, variance
+from gridfluct import closedforms, variance
 from gridfluct.graphs import SpectralDecomposition
 from gridfluct.variance import PSD_FLOOR, make_report
 
@@ -163,7 +163,7 @@ class TestMakeReport:
             "numeric": variance.asymptotic_variance_numeric,
             "uniform": variance.asymptotic_variance_uniform_ratio,
             "first-order": variance.first_order_variance,
-            "closed": pipeline.closed_form_report,
+            "closed": closedforms.closed_form_report,
         }
         for route in routes:
             captured.clear()
