@@ -317,6 +317,26 @@ def star_report(p: HomogeneousParams) -> CovarianceReport:
     return _star_blocks(p, canonical_star(p.n, p.gamma), 0)
 
 
+def _star_angle_block(p: HomogeneousParams, eta: float, leaf: np.ndarray, root: int) -> np.ndarray:
+    """Angle block of a star whose line k runs from ``root`` to ``leaf[k]``.
+
+    ``eta`` is passed apart from ``p`` so that eta = 0 gives the
+    first-order block.
+    """
+    b_sq, trace_sq = p.noise_sq, p.trace_noise_sq
+    leaf_sq = b_sq[leaf]
+    q_delta = _star_line_offdiag(
+        p.n, p.gamma, eta, p.damping, leaf_sq[:, None], leaf_sq[None, :], b_sq[root], trace_sq
+    )
+    # Line pair (k, q) is evaluated with the lower leaf first and mirrored:
+    # the formula is symmetric only in exact arithmetic.
+    q_delta = np.where(leaf[:, None] > leaf[None, :], q_delta.T, q_delta)
+    np.fill_diagonal(q_delta, _star_line_diag(
+        p.n, p.gamma, eta, p.damping, leaf_sq, b_sq[root], trace_sq
+    ))
+    return q_delta
+
+
 def _star_blocks(p: HomogeneousParams, graph: WeightedGraph, root: int) -> CovarianceReport:
     inc = incidence(graph)
     alpha = p.damping / p.eta
@@ -326,18 +346,7 @@ def _star_blocks(p: HomogeneousParams, graph: WeightedGraph, root: int) -> Covar
     outward = graph.tails == root
     leaf = np.where(outward, graph.heads, graph.tails)
     sign = np.where(outward, 1.0, -1.0)
-    leaf_sq = b_sq[leaf]
-
-    q_delta = _star_line_offdiag(
-        p.n, p.gamma, p.eta, p.damping, leaf_sq[:, None], leaf_sq[None, :], b_sq[root], trace_sq
-    )
-    # Line pair (k, q) is evaluated with the lower leaf first and mirrored:
-    # the formula is symmetric only in exact arithmetic.
-    q_delta = np.where(leaf[:, None] > leaf[None, :], q_delta.T, q_delta)
-    np.fill_diagonal(q_delta, _star_line_diag(
-        p.n, p.gamma, p.eta, p.damping, leaf_sq, b_sq[root], trace_sq
-    ))
-    q_delta *= sign[:, None] * sign[None, :]
+    q_delta = _star_angle_block(p, p.eta, leaf, root) * (sign[:, None] * sign[None, :])
 
     q_omega, q_cross = _cluster_covariance(_star_clusters(p, root), b_sq, inc, p.eta, alpha)
     diag = _star_leaf_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq, b_sq[root], trace_sq)
@@ -426,23 +435,6 @@ def complete_first_order(p: HomogeneousParams, inc: np.ndarray | None = None) ->
 
 
 def star_first_order(p: HomogeneousParams) -> np.ndarray:
-    """Zero-inertia angle-difference covariance on the star graph."""
-    d, g, n = p.damping, p.gamma, p.n
-    b_sq = p.noise_sq
-    trace_sq = p.trace_noise_sq
-    m = n - 1
-    out = np.empty((m, m))
-    for k in range(m):
-        out[k, k] = (
-            b_sq[0] / (2 * d * g * n)
-            + (n**2 - n + 1) * b_sq[k + 1] / (2 * d * g * n * (1 + n))
-            + (trace_sq - b_sq[k + 1] - b_sq[0]) / (2 * d * g * n * (1 + n))
-        )
-        for q in range(k + 1, m):
-            value = (
-                b_sq[0] / (2 * d * g * n)
-                + (1 - n) * (b_sq[k + 1] + b_sq[q + 1]) / (2 * d * g * n * (1 + n))
-                + (trace_sq - b_sq[k + 1] - b_sq[q + 1] - b_sq[0]) / (2 * d * g * n * (1 + n))
-            )
-            out[k, q] = out[q, k] = value
-    return out
+    """Zero-inertia angle-difference covariance on the canonical star graph:
+    the star angle block at eta = 0."""
+    return _star_angle_block(p, 0.0, np.arange(1, p.n), 0)

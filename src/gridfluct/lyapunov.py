@@ -2,10 +2,12 @@
 
 Two algorithmically independent backends solve A Q + Q A^T + W = 0:
 
-* :func:`lyapunov_solve` -- Bartels-Stewart via a real Schur decomposition
-  (scipy's LAPACK-backed implementation), the production path;
+* :func:`lyapunov_solve_with_abscissa` -- Bartels-Stewart: real Schur form,
+  then LAPACK ``trsyl``, as scipy's solver does it; the Schur form also
+  gives the Hurwitz verdict.  :func:`lyapunov_solve` returns its Q alone;
 * :func:`lyapunov_solve_kron` -- dense Kronecker vectorisation, kept as an
-  oracle for cross-checking the primary path on small systems.
+  oracle for cross-checking the primary path on small systems; it checks
+  stability by ``eigvals`` (:func:`assert_hurwitz`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import InstabilityError, ShapeError
+from .errors import InstabilityError, InternalInvariantError, ShapeError
 
 HURWITZ_MARGIN = 1e-12
 
@@ -30,47 +32,63 @@ def _validate(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, w
 
 
-def assert_hurwitz(a: np.ndarray, margin: float = HURWITZ_MARGIN) -> float:
-    """Return max Re(eig(A)), raising InstabilityError unless it is < -margin."""
-    spectral_abscissa = float(np.linalg.eigvals(a).real.max())
-    if spectral_abscissa >= -margin:
+def _hurwitz(spectral_abscissa: float) -> float:
+    if spectral_abscissa >= -HURWITZ_MARGIN:
         raise InstabilityError(
             f"matrix is not Hurwitz: max real part of eigenvalues is {spectral_abscissa:.3e}"
         )
     return spectral_abscissa
 
 
-def lyapunov_solve(a, w, *, check_hurwitz: bool = True) -> np.ndarray:
-    """Solve A Q + Q A^T + W = 0 by Bartels-Stewart.
+def assert_hurwitz(a: np.ndarray) -> float:
+    """Return max Re(eig(A)), raising InstabilityError unless it is < -1e-12."""
+    return _hurwitz(float(np.linalg.eigvals(a).real.max()))
+
+
+def lyapunov_solve_with_abscissa(a, w) -> tuple[np.ndarray, float]:
+    """Symmetric solution Q of A Q + Q A^T + W = 0 and max Re(eig(A)).
+
+    The spectral abscissa is the largest diagonal entry of the real Schur
+    factor T: each 2 x 2 block of the standardized form has both diagonal
+    entries equal to its complex pair's real part.
 
     Args:
         a: square Hurwitz matrix.
         w: symmetric positive semi-definite matrix of matching size.
-        check_hurwitz: verify the stability precondition (the equation has a
-            unique PSD solution only for Hurwitz A).
-
-    Returns:
-        The symmetric solution Q.
 
     Raises:
         InstabilityError: if A has an eigenvalue with real part >= -1e-12.
+        InternalInvariantError: if ``trsyl`` had to perturb the equation
+            (an eigenvalue pair of A sums to nearly zero).
         ShapeError: on dimension mismatch or non-symmetric W.
     """
     a, w = _validate(a, w)
-    if check_hurwitz:
-        assert_hurwitz(a)
-    q = scipy.linalg.solve_continuous_lyapunov(a, -w)
-    return 0.5 * (q + q.T)
+    t, z = scipy.linalg.schur(a, output="real")
+    spectral_abscissa = _hurwitz(float(np.diag(t).max()))
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t, w))
+    y, scale, info = trsyl(t, t, z.T.dot((-w).dot(z)), tranb="T")
+    if info:
+        raise InternalInvariantError(
+            f"Lyapunov solve perturbed the equation (trsyl info {info}): "
+            "A has an eigenvalue pair whose sum is nearly zero"
+        )
+    y *= scale
+    q = z.dot(y).dot(z.T)
+    return 0.5 * (q + q.T), spectral_abscissa
 
 
-def lyapunov_solve_kron(a, w, *, check_hurwitz: bool = True) -> np.ndarray:
+def lyapunov_solve(a, w) -> np.ndarray:
+    """Q alone from :func:`lyapunov_solve_with_abscissa`."""
+    return lyapunov_solve_with_abscissa(a, w)[0]
+
+
+def lyapunov_solve_kron(a, w) -> np.ndarray:
     """Solve A Q + Q A^T + W = 0 via (I (x) A + A (x) I) vec(Q) = -vec(W).
 
     Dense oracle; memory grows like n^4, so keep n modest (<= ~60).
     """
     a, w = _validate(a, w)
-    if check_hurwitz:
-        assert_hurwitz(a)
+    assert_hurwitz(a)
     n = a.shape[0]
     eye = np.eye(n)
     system = np.kron(eye, a) + np.kron(a, eye)

@@ -25,9 +25,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InternalInvariantError, StepSizeError, ValidationError
+from .lyapunov import assert_hurwitz
 from .netfile import _number
 from .swing import LinearizedSystem
-from .variance import METHOD_MC, CovarianceReport, ReducedSystem, make_report, reduce_system
+from .variance import METHOD_MC, CovarianceReport, make_report, reduce_system
 
 STATE_NORM_GUARD = 1e12
 # Normals held in the noise buffer at once (about 32 MB of float64).
@@ -261,22 +262,22 @@ def simulate_stationary_covariance(
 
 # The mc route builds its config with default_sim_config and then simulates
 # with simulate_covariance, both on one LinearizedSystem object, and both
-# need its reduction.  The last reduction is kept with the object it came
-# from and reused while the same object is asked for.  A LinearizedSystem
-# is never mutated (its Laplacian is fixed at construction), so identity
-# identifies the system; a miss, as when sweep threads interleave, only
-# reduces again.
-_last_reduction: tuple[LinearizedSystem, ReducedSystem] | None = None
+# need its slowest decay rate, from eigvals (not the Lyapunov solver, which
+# the oracle checks).  The last rate is kept with the object it came from
+# and reused while the same object is asked for.  A LinearizedSystem is
+# never mutated, so identity identifies the system; a miss, as when sweep
+# threads interleave, only computes it again.
+_last_decay: tuple[LinearizedSystem, float] | None = None
 
 
-def _reduction(lin: LinearizedSystem) -> ReducedSystem:
-    global _last_reduction
-    last = _last_reduction
+def _decay(lin: LinearizedSystem) -> float:
+    global _last_decay
+    last = _last_decay
     if last is not None and last[0] is lin:
         return last[1]
-    reduced = reduce_system(lin)
-    _last_reduction = (lin, reduced)
-    return reduced
+    decay = -assert_hurwitz(reduce_system(lin).a2)
+    _last_decay = (lin, decay)
+    return decay
 
 
 def default_sim_config(
@@ -296,7 +297,7 @@ def default_sim_config(
     a 10 tau burn-in and a horizon of max(2.5 tau, 100 dt).  Every field
     can be overridden.
     """
-    decay = -_reduction(lin).spectral_abscissa
+    decay = _decay(lin)
     if dt is None:
         dt = 0.05 / decay
     if burn_in is None:
@@ -316,7 +317,7 @@ def simulate_covariance(lin: LinearizedSystem, cfg: SimConfig | None = None) -> 
     near stationarity.  Standard errors (one batch per trajectory) and
     stationarity diagnostics are attached to the report.
     """
-    decay = -_reduction(lin).spectral_abscissa
+    decay = _decay(lin)
     if cfg is None:
         cfg = default_sim_config(lin)
     if cfg.burn_in < 10.0 / decay * (1.0 - 1e-9):

@@ -75,11 +75,19 @@ def _number(value: Any, context: str) -> float:
     return number
 
 
+def _integer(value: Any, context: str) -> int:
+    """``value`` as an int; a number with a fractional part is rejected."""
+    number = _number(value, context)
+    if not number.is_integer():
+        raise ValidationError(f"{context}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def _node_index(key: str, context: str) -> int:
-    try:
-        return int(key)
-    except ValueError:
-        raise ValidationError(f"{context}: node index must be an integer, got {key!r}") from None
+    # ASCII digits only: int() would also read " 2", "+2", "2_0" and non-ASCII digits.
+    if not (key.isascii() and key.isdigit()):
+        raise ValidationError(f"{context}: node index must be an integer, got {key!r}")
+    return int(key)
 
 
 def _load_json(path: str | Path) -> Any:
@@ -253,19 +261,19 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
         noise_doc = _require(base_doc, "noise", f"{context}.base")
         if not isinstance(noise_doc, dict) or not noise_doc:
             raise ValidationError(f"{context}.base: 'noise' must map node index to amplitude")
-        noise_by_node = tuple(
-            (int(node), _number(value, f"{context}.base.noise[{node}]"))
-            for node, value in sorted(
-                noise_doc.items(), key=lambda kv: _node_index(kv[0], f"{context}.base.noise")
-            )
-        )
+        noise = {}
+        for key, value in noise_doc.items():
+            node = _node_index(key, f"{context}.base.noise")
+            if node in noise:
+                raise ValidationError(f"{context}.base.noise: node {node} is given more than once")
+            noise[node] = _number(value, f"{context}.base.noise[{key}]")
         base = HomogeneousBase(
             kind=kind,
-            n=int(_number(_require(base_doc, "n", f"{context}.base"), f"{context}.base.n")),
+            n=_integer(_require(base_doc, "n", f"{context}.base"), f"{context}.base.n"),
             gamma=_number(_require(base_doc, "gamma", f"{context}.base"), f"{context}.base.gamma"),
             eta=_number(_require(base_doc, "eta", f"{context}.base"), f"{context}.base.eta"),
             damping=_number(_require(base_doc, "damping", f"{context}.base"), f"{context}.base.damping"),
-            noise_by_node=noise_by_node,
+            noise_by_node=tuple(sorted(noise.items())),
         )
         allowed_axes = HOMOGENEOUS_AXES
     elif kind == "network":
@@ -296,7 +304,8 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
         grid = _require(axis, "grid", where)
         if not isinstance(grid, list) or not grid:
             raise ValidationError(f"{where}: 'grid' must be a non-empty list")
-        axes.append((parameter, tuple(_number(v, f"{where}.grid") for v in grid)))
+        parse = _integer if parameter == "n" else _number
+        axes.append((parameter, tuple(parse(v, f"{where}.grid") for v in grid)))
 
     methods_doc = _require(data, "methods", context)
     if not isinstance(methods_doc, list) or not methods_doc:
@@ -317,8 +326,8 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
             raise ValidationError(
                 f"{where}: block must be one of {', '.join(QUANTITY_BLOCKS)}, got {block!r}"
             )
-        i = int(_number(_require(quantity, "i", where), f"{where}.i"))
-        j = int(_number(_require(quantity, "j", where), f"{where}.j"))
+        i = _integer(_require(quantity, "i", where), f"{where}.i")
+        j = _integer(_require(quantity, "j", where), f"{where}.j")
         if i < 1 or j < 1:
             raise ValidationError(f"{where}: indices are 1-based and must be positive")
         quantities.append((block, i, j))

@@ -255,10 +255,7 @@ def _grid_points(spec: SweepSpec) -> list[dict[str, float]]:
 def _apply_point(spec: SweepSpec, point: dict[str, float]) -> PowerNetwork:
     base = spec.base
     if isinstance(base, HomogeneousBase):
-        updates: dict[str, Any] = {}
-        for parameter, value in point.items():
-            updates[parameter] = int(round(value)) if parameter == "n" else value
-        return replace(base, **updates).network()
+        return replace(base, **point).network()
     scales = {param: point.get(param, 1.0) for param in
               ("capacity_scale", "inertia_scale", "damping_scale", "noise_scale")}
     return PowerNetwork(

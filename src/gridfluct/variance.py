@@ -2,8 +2,8 @@
 
 The 2n-state system has a marginally stable mean-angle mode, so the
 covariance is computed in whitened spectral coordinates with that mode
-removed: the reduced (2n-1)-state matrix is Hurwitz and its Lyapunov
-solution, mapped through the output matrix, gives the covariance blocks
+removed: the reduced (2n-1)-state matrix is Hurwitz (the solver's own
+Schur form says so) and its Lyapunov solution gives the covariance blocks
 of the line angle differences (Q_delta), the node frequencies (Q_omega)
 and their cross terms (Q_delta_omega).
 
@@ -20,13 +20,13 @@ Routes provided here:
 
 Every report passes :func:`make_report`'s symmetry/PSD checks once;
 :func:`uniform_value` is the one uniformity test.  The numeric,
-uniform-ratio and first-order routes build the angle block as L X L^T
-from an m x (n-1) line map L and a small state covariance X, and hand
-``delta_factor=(L, X)`` to :func:`make_report`, which then decides
-positive semi-definiteness on the (n-1) x (n-1) core instead of the
-m x m block.  The dense eigenvalue check still runs on the frequency
-block, on Monte Carlo and star closed-form angle blocks, and whenever
-L has at least as many columns as rows.
+uniform-ratio and first-order routes map their modal state covariance
+[[G, S], [S^T, R]] by one :func:`_modal_report`: the angle block is
+L G L^T with an m x (n-1) line map L, and ``delta_factor=(L, G)`` lets
+:func:`make_report` decide positive semi-definiteness on the (n-1) x (n-1)
+core instead of the m x m block.  The dense eigenvalue check still runs
+on the frequency block, on Monte Carlo and star closed-form angle blocks,
+and whenever L has at least as many columns as rows.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import AssumptionViolatedError, DisconnectedGraphError, InternalInvariantError
 from .graphs import SpectralDecomposition, whitened_spectrum
-from .lyapunov import assert_hurwitz, lyapunov_residual, lyapunov_solve
+from .lyapunov import lyapunov_residual, lyapunov_solve_with_abscissa
 from .swing import LinearizedSystem
 
 METHOD_NUMERIC = "numeric"
@@ -155,7 +155,7 @@ def make_report(
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Hurwitz reduced system in whitened spectral coordinates.
+    """Reduced system in whitened spectral coordinates.
 
     With eigenpairs (Lambda, U) of M^{-1/2} L M^{-1/2} and the zero-mode
     state removed, the (2n-1)-state matrix is
@@ -163,15 +163,13 @@ class ReducedSystem:
         A2 = [[0, A22], [A23, A24]],
         A22 = [0 I_{n-1}], A23^T = [0 -Lambda_{n-1}], A24 = -U^T M^{-1} D U,
 
-    with input B2 = [0; U^T M^{-1/2} B] and output C2 mapping back to line
-    angle differences and node frequencies.
+    with input B2 = [0; U^T M^{-1/2} B]; the state is angle modes 2..n,
+    then frequency modes 1..n.  The Lyapunov solve checks A2 is Hurwitz.
     """
 
     a2: np.ndarray
     b2: np.ndarray
-    c2: np.ndarray
     spectral: SpectralDecomposition
-    spectral_abscissa: float
 
 
 def _require_connected_spectrum(spectral: SpectralDecomposition) -> None:
@@ -183,7 +181,7 @@ def _require_connected_spectrum(spectral: SpectralDecomposition) -> None:
 def reduce_system(
     lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
 ) -> ReducedSystem:
-    """Build the reduced Hurwitz system for a connected linearized network.
+    """Build the reduced system for a connected linearized network.
 
     ``spectral`` overrides the inertia-whitened Laplacian decomposition
     (used by basis-invariance tests); by default it is computed here.
@@ -194,27 +192,38 @@ def reduce_system(
 
     n = lin.node_count
     u = spectral.vectors
-    lam = spectral.eigenvalues
-    inv_sqrt_m = 1.0 / np.sqrt(lin.inertia)
-
     a_full = np.zeros((2 * n, 2 * n))
     a_full[:n, n:] = np.eye(n)
-    a_full[n:, :n] = -np.diag(lam)
+    a_full[n:, :n] = -np.diag(spectral.eigenvalues)
     a_full[n:, n:] = -u.T @ ((lin.damping / lin.inertia)[:, None] * u)
 
     b_full = np.zeros((2 * n, n))
-    b_full[n:, :] = u.T @ (inv_sqrt_m[:, None] * np.diag(lin.noise))
+    b_full[n:, :] = u.T @ ((1.0 / np.sqrt(lin.inertia))[:, None] * np.diag(lin.noise))
+    return ReducedSystem(a_full[1:, 1:], b_full[1:, :], spectral)
 
-    m = lin.line_count
-    c_full = np.zeros((m + n, 2 * n))
-    c_full[:m, :n] = lin.incidence.T @ (inv_sqrt_m[:, None] * u)
-    c_full[m:, n:] = inv_sqrt_m[:, None] * u
 
-    a2 = a_full[1:, 1:]
-    b2 = b_full[1:, :]
-    c2 = c_full[:, 1:]
-    abscissa = assert_hurwitz(a2)
-    return ReducedSystem(a2, b2, c2, spectral, abscissa)
+def _modal_report(
+    lin: LinearizedSystem, spectral: SpectralDecomposition, scaling: np.ndarray, g: np.ndarray,
+    r: np.ndarray | None, s: np.ndarray | None, method: str,
+    diagnostics: Mapping[str, Any] | None = None,
+) -> CovarianceReport:
+    """Report of the modal state covariance [[G, S], [S^T, R]].
+
+    ``spectral`` is the Laplacian whitened by ``scaling`` (inertia, or damping
+    for the first-order model).  With node map N = scaling^{-1/2} U and line
+    map L = C^T N[:, 1:], the blocks are L G L^T, N R N^T and N S^T L^T; with
+    R and S None, only the angle block.
+    """
+    nodes_from_modes = (1.0 / np.sqrt(scaling))[:, None] * spectral.vectors
+    lines_from_modes = lin.incidence.T @ nodes_from_modes[:, 1:]
+    q_omega = q_cross = None
+    if r is not None:
+        q_omega = nodes_from_modes @ r @ nodes_from_modes.T
+        q_cross = nodes_from_modes @ s.T @ lines_from_modes.T
+    return make_report(
+        lines_from_modes @ g @ lines_from_modes.T, q_omega, q_cross, method, diagnostics,
+        delta_factor=(lines_from_modes, g),
+    )
 
 
 def asymptotic_variance_numeric(
@@ -223,17 +232,15 @@ def asymptotic_variance_numeric(
     """Stationary output covariance via the reduced Lyapunov equation."""
     reduced = reduce_system(lin, spectral)
     w = reduced.b2 @ reduced.b2.T
-    q_x = lyapunov_solve(reduced.a2, w, check_hurwitz=False)
-    q_y = reduced.c2 @ q_x @ reduced.c2.T
-    m, n = lin.line_count, lin.node_count
+    q_x, abscissa = lyapunov_solve_with_abscissa(reduced.a2, w)
     diagnostics = {
         "lyapunov_residual": lyapunov_residual(reduced.a2, q_x, w),
-        "spectral_abscissa": reduced.spectral_abscissa,
+        "spectral_abscissa": abscissa,
     }
-    # The line rows of c2 vanish beyond the n - 1 angle-mode columns.
-    return make_report(
-        q_y[:m, :m], q_y[m:, m:], q_y[m:, :m], METHOD_NUMERIC, diagnostics,
-        delta_factor=(reduced.c2[:m, : n - 1], q_x[: n - 1, : n - 1]),
+    k = lin.node_count - 1
+    return _modal_report(
+        lin, reduced.spectral, lin.inertia, q_x[:k, :k], q_x[k:, k:], q_x[:k, k:],
+        METHOD_NUMERIC, diagnostics,
     )
 
 
@@ -256,7 +263,7 @@ def uniform_value(values: np.ndarray, what: str, entries: str = "nodes") -> floa
 
 @dataclass(frozen=True)
 class UniformRatioBlocks:
-    """Pieces of the explicit stationary state covariance under a uniform ratio.
+    """Explicit stationary state covariance under a uniform ratio.
 
     In spectral coordinates the state covariance is [[G, S], [S^T, R]] with
 
@@ -270,52 +277,20 @@ class UniformRatioBlocks:
     rho_i = 2 a^2 + lambda_i and chi_ij = (lambda_i - lambda_j)^2
     + 2 a^2 (lambda_i + lambda_j).  chi is positive whenever (i, j) != (1, 1),
     including repeated eigenvalues, so no degenerate branch is needed.
+    ``spectral`` is the decomposition (Lambda, U) the blocks are written in.
     """
 
     g: np.ndarray
     s: np.ndarray
     r: np.ndarray
     alpha: float
-    rho: np.ndarray
-    chi: np.ndarray
+    spectral: SpectralDecomposition
 
 
 def uniform_ratio_blocks(
     lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
 ) -> UniformRatioBlocks:
-    """Explicit spectral-coordinate covariance blocks for a uniform ratio."""
-    alpha = uniform_value(lin.damping / lin.inertia, "damping-inertia ratios")
-    if spectral is None:
-        spectral = whitened_spectrum(lin.laplacian, lin.inertia)
-    return _uniform_ratio_blocks(lin, spectral, alpha)
-
-
-def _uniform_ratio_blocks(
-    lin: LinearizedSystem, spectral: SpectralDecomposition, alpha: float
-) -> UniformRatioBlocks:
-    _require_connected_spectrum(spectral)
-    lam = spectral.eigenvalues
-    u = spectral.vectors
-    xi = lin.noise**2 / lin.inertia
-    p = u.T @ (xi[:, None] * u)
-
-    rho = 2.0 * alpha**2 + lam
-    diff = lam[:, None] - lam[None, :]
-    chi = diff**2 + 2.0 * alpha**2 * (lam[:, None] + lam[None, :])
-
-    s = (diff[1:, :] / chi[1:, :]) * p[1:, :]
-    g = (2.0 * alpha / chi[1:, 1:]) * p[1:, 1:]
-    chi_safe = chi.copy()
-    chi_safe[0, 0] = 1.0  # only the (1,1) entry is singular; overwritten below
-    r = (alpha * (lam[:, None] + lam[None, :]) / chi_safe) * p
-    r[0, 0] = p[0, 0] / (2.0 * alpha)
-    return UniformRatioBlocks(g, s, r, alpha, rho, chi)
-
-
-def asymptotic_variance_uniform_ratio(
-    lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
-) -> CovarianceReport:
-    """Stationary output covariance from the explicit uniform-ratio solution.
+    """Explicit spectral-coordinate covariance blocks for a uniform ratio.
 
     Requires max_i |d_i/m_i - alpha| <= 1e-9 alpha; raises
     AssumptionViolatedError naming the offending nodes otherwise, before
@@ -324,21 +299,32 @@ def asymptotic_variance_uniform_ratio(
     alpha = uniform_value(lin.damping / lin.inertia, "damping-inertia ratios")
     if spectral is None:
         spectral = whitened_spectrum(lin.laplacian, lin.inertia)
-    blocks = _uniform_ratio_blocks(lin, spectral, alpha)
-
+    _require_connected_spectrum(spectral)
+    lam = spectral.eigenvalues
     u = spectral.vectors
-    u_hat = u[:, 1:]
-    inv_sqrt_m = 1.0 / np.sqrt(lin.inertia)
-    lines_from_modes = lin.incidence.T @ (inv_sqrt_m[:, None] * u_hat)
-    nodes_from_modes = inv_sqrt_m[:, None] * u
+    xi = lin.noise**2 / lin.inertia
+    p = u.T @ (xi[:, None] * u)
 
-    q_delta = lines_from_modes @ blocks.g @ lines_from_modes.T
-    q_omega = nodes_from_modes @ blocks.r @ nodes_from_modes.T
-    q_cross = nodes_from_modes @ blocks.s.T @ lines_from_modes.T
-    diagnostics = {"alpha": blocks.alpha}
-    return make_report(
-        q_delta, q_omega, q_cross, METHOD_UNIFORM, diagnostics,
-        delta_factor=(lines_from_modes, blocks.g),
+    diff = lam[:, None] - lam[None, :]
+    chi = diff**2 + 2.0 * alpha**2 * (lam[:, None] + lam[None, :])
+
+    s = (diff[1:, :] / chi[1:, :]) * p[1:, :]
+    g = (2.0 * alpha / chi[1:, 1:]) * p[1:, 1:]
+    chi[0, 0] = 1.0  # only the (1,1) entry is singular; overwritten below
+    r = (alpha * (lam[:, None] + lam[None, :]) / chi) * p
+    r[0, 0] = p[0, 0] / (2.0 * alpha)
+    return UniformRatioBlocks(g, s, r, alpha, spectral)
+
+
+def asymptotic_variance_uniform_ratio(
+    lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
+) -> CovarianceReport:
+    """Stationary output covariance from the explicit uniform-ratio solution
+    (see :func:`uniform_ratio_blocks` for the uniformity requirement)."""
+    blocks = uniform_ratio_blocks(lin, spectral)
+    return _modal_report(
+        lin, blocks.spectral, lin.inertia, blocks.g, blocks.r, blocks.s, METHOD_UNIFORM,
+        {"alpha": blocks.alpha},
     )
 
 
@@ -365,13 +351,7 @@ def first_order_variance(
     xi = lin.noise**2 / lin.damping
     p = u2.T @ (xi[:, None] * u2)
     q_x = p / (lam[1:, None] + lam[None, 1:])
-
-    inv_sqrt_d = 1.0 / np.sqrt(lin.damping)
-    lines_from_modes = lin.incidence.T @ (inv_sqrt_d[:, None] * u2)
-    q_delta = lines_from_modes @ q_x @ lines_from_modes.T
-    return make_report(
-        q_delta, None, None, METHOD_FIRST_ORDER, delta_factor=(lines_from_modes, q_x)
-    )
+    return _modal_report(lin, spectral, lin.damping, q_x, None, None, METHOD_FIRST_ORDER)
 
 
 def trace_frequency_variance(lin: LinearizedSystem) -> float:

@@ -2,11 +2,12 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
-from gridfluct import ValidationError, graphs, load_network
+from gridfluct import ValidationError, graphs, load_network, variance
 from gridfluct.cli import main
 from gridfluct.netfile import (
     emit_network,
@@ -375,10 +376,40 @@ class TestSweeps:
         with pytest.raises(ValidationError, match="voltage"):
             sweep_from_dict(doc)
 
-    @pytest.mark.parametrize("key", ["two", "1.5"])
+    @pytest.mark.parametrize("key", ["two", "1.5", "2_0", " 2", "+2", "\u0662"])
     def test_non_integer_noise_node_rejected(self, key):
-        with pytest.raises(ValidationError, match=f"sweep.base.noise: node index must be an integer, got '{key}'"):
+        with pytest.raises(ValidationError, match=re.escape(f"sweep.base.noise: node index must be an integer, got {key!r}")):
             sweep_from_dict(sweep_doc(noise={key: 0.5}))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["quantities"][0].update(i=2.7), "sweep: quantities[0].i: expected an integer, got 2.7"),
+            (lambda doc: doc["quantities"][0].update(j=1.5), "sweep: quantities[0].j: expected an integer, got 1.5"),
+            (lambda doc: doc["base"].update(n=20.9), "sweep.base.n: expected an integer, got 20.9"),
+            (lambda doc: doc.update(axes=[{"parameter": "n", "grid": [10, 20.5]}]),
+             "sweep: axes[0].grid: expected an integer, got 20.5"),
+            (lambda doc: doc["base"].update(noise={"2": 0.04, "02": 0.5}),
+             "sweep.base.noise: node 2 is given more than once"),
+        ],
+        ids=["quantity-i", "quantity-j", "base-n", "n-axis", "repeated-noise-node"],
+    )
+    def test_truncating_sweep_field_rejected(self, tmp_path, capsys, edit, message):
+        doc = sweep_doc()
+        edit(doc)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sweep_from_dict(doc)
+        path = write_doc(tmp_path, doc, "sweep.json")
+        assert main(["sweep", "--spec", str(path)]) == 2
+        assert message.split(": ", 1)[1] in capsys.readouterr().err
+
+    def test_integral_float_sweep_fields_accepted(self):
+        doc = sweep_doc(axes=[{"parameter": "n", "grid": [4.0, 5]}], methods=["closed"],
+                        quantities=[{"block": "omega", "i": 2.0, "j": 2}])
+        doc["base"]["n"] = 6.0
+        spec = sweep_from_dict(doc)
+        assert spec.base.n == 6 and spec.quantities == (("omega", 2, 2),)
+        assert [row["n"] for row in run_sweep(spec)] == [4, 5]
 
     def test_quantity_out_of_range(self):
         doc = sweep_doc(quantities=[{"block": "omega", "i": 99, "j": 1}])
@@ -473,15 +504,30 @@ class TestCommandLine:
         assert "complete/star" in capsys.readouterr().err
 
     def test_internal_invariant_failure_exits_one(self, tmp_path, capsys):
-        # On this slow but valid star the Lyapunov solution itself is wrong
-        # (scipy warns that it perturbed a near-zero eigenvalue pair): the
-        # angle block's smallest eigenvalue is -3.0e-5 against a largest
-        # entry of 2.5e-5, so no rescaled PSD floor would accept it.  The
-        # check reports an internal error, not a traceback.
+        # On this slow but valid star the Bartels-Stewart solve has to
+        # perturb a near-zero eigenvalue pair, so its solution is wrong (the
+        # angle block would have smallest eigenvalue -3.0e-5 against a
+        # largest entry of 2.5e-5).  That reports an internal error, not a
+        # traceback or a warning.
         doc = network_doc(4, [(1, 2), (1, 3), (1, 4)], inertia=1e9, damping=0.2, noise={2: 0.1})
         path = write_doc(tmp_path, doc)
         assert main(["variance", str(path), "--method", "numeric"]) == 1
-        assert "internal error: angle-difference block" in capsys.readouterr().err
+        assert "internal error: Lyapunov solve perturbed the equation" in capsys.readouterr().err
+
+    def test_angle_block_invariant_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # A solver returning a negated (negative definite) state covariance
+        # fails the angle block's PSD check on its factored core.
+        real_solve = variance.lyapunov_solve_with_abscissa
+
+        def negated(a, w):
+            q, abscissa = real_solve(a, w)
+            return -q, abscissa
+
+        monkeypatch.setattr(variance, "lyapunov_solve_with_abscissa", negated)
+        path = write_doc(tmp_path, network_doc(4, [(1, 2), (1, 3), (1, 4)], noise={2: 0.1}))
+        assert main(["variance", str(path), "--method", "numeric"]) == 1
+        err = capsys.readouterr().err
+        assert "internal error: angle-difference block is not positive semi-definite" in err
 
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
     @pytest.mark.parametrize(

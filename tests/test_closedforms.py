@@ -241,6 +241,27 @@ class TestStarFirstOrder:
         engine = first_order_variance(to_system("star", p))
         np.testing.assert_allclose(star_first_order(p), engine.q_delta, atol=1e-11)
 
+    def test_matches_term_by_term_display(self):
+        # The first-order star entries written out term by term: line k
+        # joins the root (node 1) to node k + 1.
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            n = int(rng.integers(2, 30))
+            noise = np.where(rng.random(n) < 0.5, rng.uniform(0, 1, n), 0.0)
+            p = params(n, rng.uniform(0.1, 20), 1.0, rng.uniform(0.05, 3), noise)
+            b_sq, unit = p.noise_sq, 2 * p.damping * p.gamma * n
+            leaf, root, rest = b_sq[1:], b_sq[0], p.trace_noise_sq - b_sq[0]
+            pair = leaf[:, None] + leaf[None, :]
+            expected = root / unit + ((1 - n) * pair + rest - pair) / (unit * (1 + n))
+            np.fill_diagonal(
+                expected,
+                root / unit + ((n**2 - n + 1) * leaf + rest - leaf) / (unit * (1 + n)),
+            )
+            q_bar = star_first_order(p)
+            assert np.array_equal(q_bar, q_bar.T)
+            scale = max(np.abs(expected).max(), 1e-300)
+            assert np.abs(q_bar - expected).max() <= 1e-15 * scale
+
 
 # ---------------------------------------------------------------------------
 # Benchmark tables: closed forms vs the numeric route across swept parameters

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gridfluct import (
     InstabilityError,
@@ -10,6 +11,7 @@ from gridfluct import (
     lyapunov_solve,
     lyapunov_solve_kron,
 )
+from gridfluct.lyapunov import assert_hurwitz, lyapunov_solve_with_abscissa
 
 
 def random_hurwitz(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -70,3 +72,43 @@ class TestLyapunovSolve:
             q_kron = lyapunov_solve_kron(a, w)
             scale = np.abs(q_kron).max()
             assert np.abs(q_schur - q_kron).max() <= 1e-10 * max(1.0, scale)
+
+
+class TestSchurAbscissa:
+    def test_matches_eigenvalue_abscissa(self):
+        # Random real matrices have complex pairs, which sit in the 2 x 2
+        # blocks of the real Schur form.
+        rng = np.random.default_rng(41)
+        pairs = 0
+        for _ in range(40):
+            size = int(rng.integers(2, 40))
+            a = random_hurwitz(rng, size)
+            pairs += int(np.iscomplex(np.linalg.eigvals(a)).sum()) // 2
+            g = rng.standard_normal((size, size))
+            _, abscissa = lyapunov_solve_with_abscissa(a, g @ g.T)
+            expected = assert_hurwitz(a)
+            assert abs(abscissa - expected) <= 1e-12 * np.abs(a).sum(axis=0).max()
+        assert pairs > 100
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([-1.0, -2.0, 0.5]),
+            # A complex pair 0.25 +- 2i behind a stable real eigenvalue.
+            np.array([[-3.0, 1.0, 0.0], [0.0, 0.25, 2.0], [0.0, -2.0, 0.25]]),
+            np.zeros((2, 2)),
+        ],
+        ids=["real", "complex-pair", "zero"],
+    )
+    def test_non_hurwitz_rejected(self, a):
+        with pytest.raises(InstabilityError, match="not Hurwitz"):
+            lyapunov_solve_with_abscissa(a, np.eye(a.shape[0]))
+
+    def test_solution_is_scipys_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for size in (1, 5, 37):
+            a = random_hurwitz(rng, size)
+            g = rng.standard_normal((size, size))
+            w = g @ g.T
+            reference = scipy.linalg.solve_continuous_lyapunov(a, -w)
+            np.testing.assert_array_equal(lyapunov_solve(a, w), 0.5 * (reference + reference.T))

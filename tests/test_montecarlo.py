@@ -13,6 +13,7 @@ from gridfluct import (
     simulate_covariance,
     trajectory_seed,
 )
+from gridfluct.lyapunov import assert_hurwitz
 from gridfluct.montecarlo import (
     default_sim_config,
     ou_transition,
@@ -92,7 +93,7 @@ class TestExactTransition:
         noise = np.zeros(n)
         noise[1] = 0.04
         lin = homogeneous_system("complete", n, 10.0, 0.5, 0.3, noise)
-        decay = -reduce_system(lin).spectral_abscissa
+        decay = -assert_hurwitz(reduce_system(lin).a2)
         drift, noise_input, output = _full_system(lin)
         _, sigma = ou_transition(drift, noise_input @ noise_input.T, 60.0 / decay)
         got = output @ sigma @ output.T

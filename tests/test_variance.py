@@ -23,7 +23,7 @@ from gridfluct import (
     uniform_ratio_blocks,
     whitened_spectrum,
 )
-from gridfluct import closedforms, variance
+from gridfluct import closedforms, lyapunov, variance
 from gridfluct.graphs import SpectralDecomposition
 from gridfluct.variance import PSD_FLOOR, make_report
 
@@ -186,7 +186,6 @@ class TestReduceSystem:
         reduced = reduce_system(lin)
         assert reduced.a2.shape == (3, 3)
         assert reduced.b2.shape == (3, 2)
-        assert reduced.c2.shape == (1 + 2, 3)
         assert np.linalg.eigvals(reduced.a2).real.max() < 0
 
     def test_complete_spectrum(self):
@@ -257,9 +256,30 @@ class TestNumericRoute:
             lin = random_heterogeneous_system(rng, int(rng.integers(3, 10)))
             reduced = reduce_system(lin)
             q_x = lyapunov_solve_kron(reduced.a2, reduced.b2 @ reduced.b2.T)
-            q_y = reduced.c2 @ q_x @ reduced.c2.T
+            # Output map of the reduced state (angle modes 2..n, then the
+            # n frequency modes) to line angle differences and frequencies.
+            n, m = lin.node_count, lin.line_count
+            nodes_from_modes = reduced.spectral.vectors / np.sqrt(lin.inertia)[:, None]
+            c2 = np.zeros((m + n, 2 * n - 1))
+            c2[:m, : n - 1] = lin.incidence.T @ nodes_from_modes[:, 1:]
+            c2[m:, n - 1:] = nodes_from_modes
+            q_y = c2 @ q_x @ c2.T
             report = asymptotic_variance_numeric(lin)
             assert max_rel(full_output_matrix(report), q_y) <= 1e-10
+
+    def test_runs_without_eigenvalue_routine(self, monkeypatch):
+        # The Hurwitz verdict and the spectral abscissa come from the
+        # Lyapunov solver's own Schur form.
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvalue routine called on the numeric route")
+
+        lin = random_heterogeneous_system(np.random.default_rng(5), 8)
+        expected = lyapunov.assert_hurwitz(reduce_system(lin).a2)
+        monkeypatch.setattr(lyapunov, "assert_hurwitz", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        report = asymptotic_variance_numeric(lin)
+        abscissa = report.diagnostics["spectral_abscissa"]
+        assert abs(abscissa - expected) <= 1e-12 * abs(expected)
 
     def test_superposition_general_system(self):
         rng = np.random.default_rng(17)
