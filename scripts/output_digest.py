@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """sha256 of every CLI output on a fixed set of small networks.
 
-Runs ``gridfluct`` in process on three networks: ``scripts/specs/star6.json``,
-a complete n=20 graph with shuffled lines and flipped orientations, and a
-random sparse n=40 graph with a common damping ratio.  On each it runs
+Runs ``gridfluct`` in process on four networks: ``scripts/specs/star6.json``,
+a complete n=20 graph with shuffled lines and flipped orientations, a
+random sparse n=40 graph with a common damping ratio, and a complete n=24
+graph shuffled the same way, whose 276 lines take more than one row panel
+of ``variance.PANEL_ROWS`` in the angle block's product.  On each it runs
 ``variance`` by the numeric, uniform, closed and first-order routes in csv
 and json, ``compare`` in csv and json, and ``simulate --seed 3`` with 20
 trajectories; then ``sweep --spec scripts/specs/complete_inertia_sweep.json``
@@ -124,7 +126,12 @@ def outputs(work: Path) -> list[tuple[str, str]]:
     mc_config = work / "mc.json"
     mc_config.write_text(json.dumps({"trajectories": 20}))
     networks = {"star6": SPECS / "star6.json"}
-    for name, doc in (("complete20", shuffled_complete_doc()), ("sparse40", sparse_doc())):
+    docs = (
+        ("complete20", shuffled_complete_doc()),
+        ("sparse40", sparse_doc()),
+        ("complete24", shuffled_complete_doc(24)),
+    )
+    for name, doc in docs:
         networks[name] = work / f"{name}.json"
         networks[name].write_text(json.dumps(doc))
 

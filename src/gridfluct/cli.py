@@ -19,7 +19,7 @@ from .errors import (
     InvalidGraphError,
     ValidationError,
 )
-from .netfile import format_number, load_network, load_sweep, validate_mc_overrides
+from .netfile import _load_json, format_number, load_network, load_sweep, validate_mc_overrides
 from .pipeline import (
     EXACT_ROUTES,
     ROUTES,
@@ -88,12 +88,7 @@ def _output(path: str | None):
 def _mc_overrides(args) -> dict:
     overrides = {}
     if getattr(args, "mc_config", None):
-        try:
-            with open(args.mc_config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"{args.mc_config}: {exc}") from exc
-        overrides = validate_mc_overrides(overrides, str(args.mc_config))
+        overrides = validate_mc_overrides(_load_json(args.mc_config), str(args.mc_config))
     overrides.setdefault("master_seed", args.seed)
     return overrides
 

@@ -283,10 +283,11 @@ def complete_report(p: HomogeneousParams) -> CovarianceReport:
     """Covariance blocks for the homogeneous complete graph.
 
     The angle block is (1 / (2 d gamma n)) C^T B^2 C, the same as the
-    zero-inertia block of :func:`complete_first_order`, and the frequency
-    diagonal follows the per-node display; remaining entries come from the
-    exact cluster evaluation.  The angle block's PSD check runs on its
-    n x n factored core diag(b^2) / (2 d gamma n).
+    zero-inertia block of :func:`complete_first_order`; it reaches
+    :func:`make_report` as the pair (C^T, diag(b^2) / (2 d gamma n)), whose
+    n x n core carries its symmetry and PSD checks.  The frequency diagonal
+    follows the per-node display; remaining entries come from the exact
+    cluster evaluation.
     """
     return _complete_blocks(p, canonical_complete(p.n, p.gamma))
 
@@ -295,16 +296,12 @@ def _complete_blocks(p: HomogeneousParams, graph: WeightedGraph) -> CovarianceRe
     inc = incidence(graph)
     alpha = p.damping / p.eta
 
-    q_delta = complete_first_order(p, inc)
     q_omega, q_cross = _cluster_covariance(_complete_clusters(p), p.noise_sq, inc, p.eta, alpha)
     np.fill_diagonal(q_omega, _complete_frequency_diag(
         p.n, p.gamma, p.eta, p.damping, p.noise_sq, p.trace_noise_sq
     ))
     core = np.diag(p.noise_sq) / (2 * p.damping * p.gamma * p.n)
-    return make_report(
-        q_delta, q_omega, q_cross, METHOD_CLOSED, {"graph": "complete"},
-        delta_factor=(inc.T, core),
-    )
+    return make_report((inc.T, core), q_omega, q_cross, METHOD_CLOSED, {"graph": "complete"})
 
 
 def star_report(p: HomogeneousParams) -> CovarianceReport:
@@ -423,14 +420,13 @@ def star_single_source_leaf(p: HomogeneousParams) -> StarLeafSummary:
     )
 
 
-def complete_first_order(p: HomogeneousParams, inc: np.ndarray | None = None) -> np.ndarray:
+def complete_first_order(p: HomogeneousParams) -> np.ndarray:
     """Zero-inertia angle-difference covariance on the complete graph.
 
     Identical to the inertial result: (1 / (2 d gamma n)) C^T B^2 C, where
-    ``inc`` is the canonical complete incidence C (built when not given).
+    C is the canonical complete incidence.
     """
-    if inc is None:
-        inc = incidence(canonical_complete(p.n, p.gamma))
+    inc = incidence(canonical_complete(p.n, p.gamma))
     return inc.T @ (p.noise_sq[:, None] * inc) / (2 * p.damping * p.gamma * p.n)
 
 

@@ -13,7 +13,6 @@ Two algorithmically independent backends solve A Q + Q A^T + W = 0:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InstabilityError, InternalInvariantError, ShapeError
 
@@ -62,6 +61,8 @@ def lyapunov_solve_with_abscissa(a, w) -> tuple[np.ndarray, float]:
             (an eigenvalue pair of A sums to nearly zero).
         ShapeError: on dimension mismatch or non-symmetric W.
     """
+    import scipy.linalg  # on first use: routes that solve no Lyapunov equation start faster
+
     a, w = _validate(a, w)
     t, z = scipy.linalg.schur(a, output="real")
     spectral_abscissa = _hurwitz(float(np.diag(t).max()))

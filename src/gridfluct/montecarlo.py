@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InternalInvariantError, StepSizeError, ValidationError
 from .lyapunov import assert_hurwitz
@@ -107,6 +106,8 @@ def ou_transition(
     of order one; k doublings, Sigma <- Sigma + F Sigma F^T and F <- F^2,
     then extend them to h, so stiff steps lose no accuracy.
     """
+    from scipy.linalg import expm  # on first use: other routes start without scipy
+
     n = drift.shape[0]
     reach = float(np.abs(drift).sum(axis=0).max()) * h
     doublings = math.ceil(math.log2(reach / SUBSTEP_NORM)) if reach > SUBSTEP_NORM else 0

@@ -98,9 +98,9 @@ def _load_json(path: str | Path) -> Any:
         raise ValidationError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal beyond int's digit limit
-        raise ValidationError(f"{path}: {exc}") from exc
-    except OSError as exc:
+    # ValueError: an integer literal beyond int's digit limit; RecursionError:
+    # nesting deeper than the interpreter's recursion limit.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 

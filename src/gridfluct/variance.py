@@ -22,11 +22,12 @@ Every report passes :func:`make_report`'s symmetry/PSD checks once;
 :func:`uniform_value` is the one uniformity test.  The numeric,
 uniform-ratio and first-order routes map their modal state covariance
 [[G, S], [S^T, R]] by one :func:`_modal_report`: the angle block is
-L G L^T with an m x (n-1) line map L, and ``delta_factor=(L, G)`` lets
-:func:`make_report` decide positive semi-definiteness on the (n-1) x (n-1)
-core instead of the m x m block.  The dense eigenvalue check still runs
-on the frequency block, on Monte Carlo and star closed-form angle blocks,
-and whenever L has at least as many columns as rows.
+L G L^T with an m x (n-1) line map L and the frequency block N R N^T with
+an n x n node map N.  Each reaches :func:`make_report` as the pair (L, G)
+or (N, R), whose symmetry and positive semi-definiteness are decided on
+the small core, and is then built once, exactly symmetric, by a row-panel
+product.  Monte Carlo blocks and the closed star angle and frequency
+blocks arrive dense and are checked as given.
 """
 
 from __future__ import annotations
@@ -50,7 +51,11 @@ METHOD_MC = "monte-carlo"
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = -1e-10
 UNIFORMITY_TOL = 1e-9
-SYMMETRIZE_TILE = 256
+# Rows per panel of the L X L^T product.
+PANEL_ROWS = 256
+
+# A covariance block, dense or as a pair (L, X) meaning L X L^T.
+Block = np.ndarray | tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -79,75 +84,76 @@ class CovarianceReport:
         return 0 if self.q_omega is None else self.q_omega.shape[0]
 
 
-def _symmetrized(block: np.ndarray) -> tuple[float, np.ndarray]:
-    """max|B - B^T| and 0.5 (B + B^T), in one tiled pass over B.
+def _scale(block: np.ndarray) -> float:
+    return max(1.0, float(block.max(initial=0.0)), -float(block.min(initial=0.0)))
 
-    Each pair of mirror tiles is read once and written twice: addition
-    commutes, so the lower tile is the upper one transposed, bit for bit.
+
+def _congruence(lines: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """L X L^T for a symmetric X, exactly symmetric.
+
+    Row panel [i, i + PANEL_ROWS) of (L X) L^T is taken from column i on;
+    it is written with its mirror, and only its leading square tile, which
+    holds the diagonal, is averaged with its transpose.
     """
-    m = block.shape[0]
+    m = lines.shape[0]
+    left = lines @ core
     out = np.empty((m, m))
-    asymmetry = 0.0
-    for i in range(0, m, SYMMETRIZE_TILE):
-        rows = slice(i, i + SYMMETRIZE_TILE)
-        for j in range(i, m, SYMMETRIZE_TILE):
-            cols = slice(j, j + SYMMETRIZE_TILE)
-            upper, lower_t = block[rows, cols], block[cols, rows].T
-            asymmetry = max(asymmetry, float(np.abs(upper - lower_t).max()))
-            tile = upper + lower_t
-            tile *= 0.5
-            out[rows, cols] = tile
-            out[cols, rows] = tile.T
-    return asymmetry, out
+    for i in range(0, m, PANEL_ROWS):
+        end = min(i + PANEL_ROWS, m)
+        panel = left[i:end] @ lines[i:].T
+        tile = panel[:, : end - i]
+        out[i:end, i:end] = 0.5 * (tile + tile.T)
+        out[i:end, end:] = panel[:, end - i :]
+        out[end:, i:end] = panel[:, end - i :].T
+    return out
 
 
-def _checked_symmetric(
-    block: np.ndarray, name: str, factor: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
-    scale = max(1.0, float(block.max(initial=0.0)), -float(block.min(initial=0.0)))
-    asymmetry, block = _symmetrized(block)
-    if asymmetry > SYMMETRY_TOL * scale:
+def _checked_symmetric(block: Block, name: str) -> np.ndarray:
+    """The block, exactly symmetric, after its symmetry and PSD checks.
+
+    A pair (L, X) stands for L X L^T.  Symmetry is decided on X, which is
+    then replaced by (X + X^T) / 2, and positive semi-definiteness on
+    R X R^T with R from the QR factorization of L: L X L^T = Q (R X R^T) Q^T,
+    so its eigenvalues are the block's own, apart from zeros.
+    """
+    lines, core = block if isinstance(block, tuple) else (None, block)
+    core = np.asarray(core, dtype=float)
+    if np.abs(core - core.T).max(initial=0.0) > SYMMETRY_TOL * _scale(core):
         raise InternalInvariantError(f"{name} block lost symmetry beyond tolerance")
-    if factor is not None and factor[0].shape[1] < factor[0].shape[0]:
-        # block = L X L^T = Q (R X R^T) Q^T: the k x k core has the block's
-        # nonzero eigenvalues, and the other m - k are zero.
-        lines, core = factor
-        r = np.linalg.qr(lines, mode="r")
-        spectrum_of = r @ (0.5 * (core + core.T)) @ r.T
+    core = 0.5 * (core + core.T)
+    if lines is None:
+        block = spectrum_of = core
     else:
-        spectrum_of = block
-    if block.size and np.linalg.eigvalsh(spectrum_of).min() < PSD_FLOOR * scale:
+        block = _congruence(lines, core)
+        r = np.linalg.qr(lines, mode="r")
+        spectrum_of = r @ core @ r.T
+    if spectrum_of.size and np.linalg.eigvalsh(spectrum_of).min() < PSD_FLOOR * _scale(block):
         raise InternalInvariantError(f"{name} block is not positive semi-definite")
     return block
 
 
 def make_report(
-    q_delta: np.ndarray,
-    q_omega: np.ndarray | None,
+    q_delta: Block,
+    q_omega: Block | None,
     q_delta_omega: np.ndarray | None,
     method: str,
     diagnostics: Mapping[str, Any] | None = None,
-    *,
-    delta_factor: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CovarianceReport:
     """Assemble a report, enforcing symmetry/PSD invariants on the blocks.
 
-    ``delta_factor = (L, X)`` states that ``q_delta`` was built as
-    L X L^T with L of shape m x k.  When k < m, positive semi-definiteness
-    of the angle block is decided on the k x k matrix R sym(X) R^T, with R
-    from the QR factorization of L: its eigenvalues are the block's nonzero
-    ones, so the verdict is the dense one at O(m k^2) instead of O(m^3)
-    cost.  Without a factor, or when k >= m, ``eigvalsh`` runs on the dense
-    block.  Symmetry, the symmetrization and the floor's scale always use
-    the dense block.
+    ``q_delta`` and ``q_omega`` are each a dense block or a pair (L, X)
+    meaning L X L^T, with L of any shape.  A pair's symmetry is decided on
+    X and its positive semi-definiteness on the small matrix R X R^T (see
+    :func:`_checked_symmetric`), at O(m k^2) instead of O(m^3) cost for an
+    m x k map L; the block is then built once, exactly symmetric.  A dense
+    block is checked as given and returned as (B + B^T) / 2.  The PSD
+    floor scales with the built block's largest |entry|.
 
     Raises InternalInvariantError when a block breaks either invariant.
     """
-    q_delta = _checked_symmetric(
-        np.asarray(q_delta, dtype=float), "angle-difference", delta_factor
-    )
+    q_delta = _checked_symmetric(q_delta, "angle-difference")
     if q_omega is not None:
-        q_omega = _checked_symmetric(np.asarray(q_omega, dtype=float), "frequency")
+        q_omega = _checked_symmetric(q_omega, "frequency")
     if q_delta_omega is not None:
         q_delta_omega = np.asarray(q_delta_omega, dtype=float)
     return CovarianceReport(q_delta, q_omega, q_delta_omega, method, dict(diagnostics or {}))
@@ -218,12 +224,9 @@ def _modal_report(
     lines_from_modes = lin.incidence.T @ nodes_from_modes[:, 1:]
     q_omega = q_cross = None
     if r is not None:
-        q_omega = nodes_from_modes @ r @ nodes_from_modes.T
+        q_omega = (nodes_from_modes, r)
         q_cross = nodes_from_modes @ s.T @ lines_from_modes.T
-    return make_report(
-        lines_from_modes @ g @ lines_from_modes.T, q_omega, q_cross, method, diagnostics,
-        delta_factor=(lines_from_modes, g),
-    )
+    return make_report((lines_from_modes, g), q_omega, q_cross, method, diagnostics)
 
 
 def asymptotic_variance_numeric(

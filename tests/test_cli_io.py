@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,10 +554,44 @@ class TestCommandLine:
         path.write_text(text.replace('"capacity": 10.0', '"capacity": 1' + "0" * 400))
         assert main(["solve", str(path)]) == 2
         assert "lines[0].capacity: expected a finite number" in capsys.readouterr().err
-        # Beyond Python's integer digit limit the JSON parser itself refuses.
-        path.write_text(text.replace('"capacity": 10.0', '"capacity": 1' + "0" * 5000))
-        assert main(["solve", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"gridfluct: {path}: ")
+        # Beyond Python's integer digit limit, or nested deeper than its
+        # recursion limit, the JSON parser itself refuses: in a network, a
+        # sweep or a Monte Carlo file alike.
+        huge = "1" + "0" * 5000
+        deep = "[" * 10_000 + "]" * 10_000
+        net_path = write_doc(tmp_path, network_doc(2, [(1, 2)], noise={1: 0.1}), "valid.json")
+        sweep_path, mc_path = tmp_path / "sweep.json", tmp_path / "mc.json"
+        simulate = ["simulate", str(net_path), "--mc-config", str(mc_path)]
+        cases = [
+            (["solve", str(path)], path, text.replace('"capacity": 10.0', f'"capacity": {huge}')),
+            (["solve", str(path)], path, text.replace('"capacity": 10.0', f'"capacity": {deep}')),
+            (["sweep", "--spec", str(sweep_path)], sweep_path, deep),
+            (simulate, mc_path, f'{{"trajectories": {huge}}}'),
+            (simulate, mc_path, f'{{"trajectories": {deep}}}'),
+        ]
+        for argv, bad, content in cases:
+            bad.write_text(content)
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith(f"gridfluct: {bad}: "), argv
+
+    def test_routes_without_lyapunov_solve_do_not_import_scipy(self):
+        script = """
+import contextlib, io, sys
+from gridfluct.cli import main
+star = sys.argv[1]
+commands = [["solve", star]]
+commands += [["variance", star, "--method", m] for m in ("closed", "uniform", "first-order")]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in commands:
+        assert main(argv) == 0, argv
+assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith("scipy"))
+"""
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        star = str(root / "scripts" / "specs" / "star6.json")
+        result = subprocess.run([sys.executable, "-c", script, star], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
     def test_numerically_disconnected_network(self, tmp_path, capsys):
         doc = network_doc(3, [(1, 2), (2, 3)], inertia=1.0, damping=1.0, noise={1: 0.1})

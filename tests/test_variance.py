@@ -14,11 +14,13 @@ from gridfluct import (
     asymptotic_variance_uniform_ratio,
     canonical_complete,
     canonical_star,
+    default_sim_config,
     first_order_variance,
     incidence,
     laplacian,
     lyapunov_solve_kron,
     reduce_system,
+    simulate_covariance,
     trace_frequency_variance,
     uniform_ratio_blocks,
     whitened_spectrum,
@@ -81,6 +83,9 @@ class TestMakeReport:
             make_report(np.array([[1.0, 1.0], [0.0, 1.0]]), None, None, "test")
         with pytest.raises(InternalInvariantError, match="positive semi-definite"):
             make_report(np.diag([1.0, -1.0]), None, None, "test")
+        lines = np.random.default_rng(3).standard_normal((5, 2))
+        with pytest.raises(InternalInvariantError, match="angle-difference block lost symmetry"):
+            make_report((lines, np.array([[1.0, 1.0], [0.0, 1.0]])), None, None, "test")
 
     def test_factored_psd_verdict_matches_dense(self):
         """The k x k core check raises exactly when the dense block's
@@ -108,7 +113,7 @@ class TestMakeReport:
             floor = PSD_FLOOR * max(1.0, np.abs(block).max())
             dense_rejects = bool(np.linalg.eigvalsh(sym).min() < floor)
             try:
-                make_report(block, None, None, "test", delta_factor=(lines, core))
+                make_report((lines, core), None, None, "test")
                 factored_rejects = False
             except InternalInvariantError as exc:
                 assert "positive semi-definite" in str(exc)
@@ -122,11 +127,11 @@ class TestMakeReport:
         lines = rng.standard_normal((30, 4))
         core = np.diag([1.0, 2.0, 0.5, -1.0])
         with pytest.raises(InternalInvariantError, match="angle-difference block is not positive"):
-            make_report(lines @ core @ lines.T, None, None, "test", delta_factor=(lines, core))
-        # A square factor falls back to the dense check, with the same verdict.
+            make_report((lines, core), None, None, "test")
+        # A square factor gives the same verdict.
         square = rng.standard_normal((4, 4))
         with pytest.raises(InternalInvariantError, match="angle-difference block is not positive"):
-            make_report(square @ core @ square.T, None, None, "test", delta_factor=(square, core))
+            make_report((square, core), None, None, "test")
 
     @pytest.mark.parametrize(
         "network, routes",
@@ -153,7 +158,7 @@ class TestMakeReport:
         def spy(*args, **kwargs):
             start = len(eig_sizes)
             report = real_make_report(*args, **kwargs)
-            captured.append((kwargs.get("delta_factor"), report, eig_sizes[start:]))
+            captured.append((args[0], report, eig_sizes[start:]))
             return report
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
@@ -178,6 +183,29 @@ class TestMakeReport:
             # modes, or the n nodes of the closed form's incidence factor.
             assert sizes[0] == k <= (n if route == "closed" else n - 1), route
             assert max(sizes) <= n, route
+
+
+    def test_every_route_returns_exactly_symmetric_blocks(self):
+        rng = np.random.default_rng(24)
+        complete = shuffled_complete_system(rng, 24)
+        assert complete.line_count > variance.PANEL_ROWS
+        root, leaves = 6, [i for i in range(1, 13) if i != 6]
+        edges = [(root, j, 10.0) if rng.random() < 0.5 else (j, root, 10.0)
+                 for j in rng.permutation(leaves)]
+        ones = np.ones(12)
+        star = LinearizedSystem(WeightedGraph(12, tuple(edges)), 0.5 * ones, 0.3 * ones, 0.1 * ones)
+        reports = [
+            variance.asymptotic_variance_numeric(complete),
+            variance.asymptotic_variance_uniform_ratio(complete),
+            variance.first_order_variance(complete),
+            closedforms.closed_form_report(complete),
+            closedforms.closed_form_report(star),
+            simulate_covariance(complete, default_sim_config(complete, trajectories=2)),
+        ]
+        for report in reports:
+            for block in (report.q_delta, report.q_omega):
+                assert block is None or np.array_equal(block, block.T), report.method
+        assert reports[4].diagnostics["canonical_kind"] == "star"
 
 
 class TestReduceSystem:
