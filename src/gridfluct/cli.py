@@ -12,6 +12,8 @@ import contextlib
 import json
 import sys
 
+import numpy as np
+
 from .errors import (
     AssumptionViolatedError,
     DisconnectedGraphError,
@@ -159,12 +161,17 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": _cmd_variance,
     }
     try:
-        return handlers[args.command](args)
+        # Overflow, invalid operations and division by zero raise, never leave inf or nan.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handlers[args.command](args)
     except USER_ERRORS as exc:
         print(f"gridfluct: {exc}", file=sys.stderr)
         return 2
     except GridfluctError as exc:
         print(f"gridfluct: internal error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"gridfluct: internal error: floating-point range exceeded: {exc}", file=sys.stderr)
         return 1
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidGraphError, ShapeError
 
-# Relative gap below which adjacent eigenvalues are treated as degenerate.
+# Relative gap at or below which the two smallest eigenvalues form one cluster.
 DEGENERACY_GAP = 1e-9
 
 
@@ -91,14 +91,12 @@ def _on_checked_ends(node_count, tails, heads, weights, incidence=None) -> Weigh
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a whitened Laplacian.
 
-    ``degeneracy_groups`` partitions the eigenvalue indices into clusters of
-    (numerically) equal eigenvalues; any orthonormal basis of a cluster's
-    eigenspace is an equally valid set of columns.
+    Any orthonormal basis of a cluster of (numerically) equal eigenvalues is
+    an equally valid set of columns.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    degeneracy_groups: tuple[tuple[int, ...], ...]
 
 
 def laplacian(graph: WeightedGraph) -> np.ndarray:
@@ -169,26 +167,15 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
 
 
-def degeneracy_groups(eigenvalues: np.ndarray, gap: float = DEGENERACY_GAP) -> tuple[tuple[int, ...], ...]:
-    """Cluster ascending eigenvalues whose relative gap is below ``gap``."""
-    scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - eigenvalues[i - 1] <= gap * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return tuple(tuple(g) for g in groups)
-
-
 def whitened_spectrum(lap: np.ndarray, scaling) -> SpectralDecomposition:
     """Eigendecomposition of S^{-1/2} L S^{-1/2} for a positive diagonal S.
 
     Eigenvalues are returned ascending.  For a connected graph the zero
     eigenvalue is simple and its eigenvector is replaced by the exact null
     direction, normalised S^{1/2} 1 (the all-positive choice); under uniform
-    scaling this is exactly ones(n)/sqrt(n).  Remaining eigenvectors have
-    their leading sign fixed for reproducibility.
+    scaling this is exactly ones(n)/sqrt(n).  It is simple when n = 1 or the
+    first gap exceeds DEGENERACY_GAP max(1, max |eigenvalue|).  Remaining
+    eigenvectors have their leading sign fixed for reproducibility.
 
     Args:
         lap: symmetric matrix with zero row sums (a weighted Laplacian).
@@ -219,12 +206,13 @@ def whitened_spectrum(lap: np.ndarray, scaling) -> SpectralDecomposition:
     eigenvalues, vectors = np.linalg.eigh(whitened)
     vectors = _fix_eigenvector_signs(vectors)
 
-    groups = degeneracy_groups(eigenvalues)
+    gap = DEGENERACY_GAP * max(1.0, float(np.abs(eigenvalues).max()))
+    simple = len(eigenvalues) == 1 or eigenvalues[1] - eigenvalues[0] > gap
     # Simple zero eigenvalue: overwrite with the exact null direction.
-    if len(groups[0]) == 1 and abs(eigenvalues[0]) <= DEGENERACY_GAP * max(1.0, eigenvalues[-1]):
+    if simple and abs(eigenvalues[0]) <= DEGENERACY_GAP * max(1.0, eigenvalues[-1]):
         if np.all(diag == diag[0]):
             vectors[:, 0] = np.full(lap.shape[0], 1.0 / np.sqrt(lap.shape[0]))
         else:
             null = np.sqrt(diag)
             vectors[:, 0] = null / np.linalg.norm(null)
-    return SpectralDecomposition(eigenvalues, vectors, groups)
+    return SpectralDecomposition(eigenvalues, vectors)

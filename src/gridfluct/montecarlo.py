@@ -18,14 +18,15 @@ and therefore give bit-identical results for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .errors import InternalInvariantError, StepSizeError, ValidationError
+from .graphs import incidence
 from .lyapunov import assert_hurwitz
-from .netfile import _number
+from .netfile import _check_mc_setting, _number
 from .swing import LinearizedSystem
 from .variance import METHOD_MC, CovarianceReport, make_report, reduce_system
 
@@ -56,12 +57,8 @@ class SimConfig:
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("dt", "burn_in", "horizon"):
-            _number(getattr(self, name), name)
-        for name in ("trajectories", "master_seed", "sample_stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name}: expected an integer, got {value!r}")
+        for setting in fields(self):
+            _check_mc_setting(setting.name, getattr(self, setting.name), setting.name)
         if self.master_seed < 0:
             raise ValidationError(f"master_seed must be non-negative, got {self.master_seed}")
         if not self.dt > 0:
@@ -335,7 +332,7 @@ def simulate_covariance(lin: LinearizedSystem, cfg: SimConfig | None = None) -> 
     noise_input = np.zeros((2 * n, n))
     noise_input[n:, :] = np.diag(lin.noise / lin.inertia)
     output = np.zeros((m + n, 2 * n))
-    output[:m, :n] = lin.incidence.T
+    output[:m, :n] = incidence(lin.graph).T
     output[m:, n:] = np.eye(n)
 
     def recenter(state: np.ndarray) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -36,17 +37,29 @@ HOMOGENEOUS_AXES = ("gamma", "eta", "damping", "n")
 NETWORK_AXES = ("capacity_scale", "inertia_scale", "damping_scale", "noise_scale")
 QUANTITY_BLOCKS = ("delta", "omega", "cross")
 MC_OVERRIDE_KEYS = ("trajectories", "master_seed", "dt", "burn_in", "horizon", "sample_stride")
+MC_NULLABLE_KEYS = ("dt", "burn_in", "horizon", "sample_stride")  # null: the default
+
+
+def _check_mc_setting(key: str, value: Any, context: str) -> None:
+    """Raise ValidationError naming ``context`` unless ``value`` suits Monte Carlo
+    setting ``key``: a finite number for a time, otherwise an int (not a bool)."""
+    if key in ("dt", "burn_in", "horizon"):
+        _number(value, context)
+    elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{context}: expected an integer, got {reprlib.repr(value)}")
 
 
 def validate_mc_overrides(overrides: Any, context: str) -> dict:
     if not isinstance(overrides, dict):
         raise ValidationError(f"{context}: Monte Carlo overrides must be an object")
-    for key in overrides:
+    for key, value in overrides.items():
         if key not in MC_OVERRIDE_KEYS:
             raise ValidationError(
-                f"{context}: unknown Monte Carlo field {key!r}; "
+                f"{context}: unknown Monte Carlo field {reprlib.repr(key)}; "
                 f"allowed: {', '.join(MC_OVERRIDE_KEYS)}"
             )
+        if value is not None or key not in MC_NULLABLE_KEYS:
+            _check_mc_setting(key, value, f"{context}: {key}")
     return dict(overrides)
 
 
@@ -65,13 +78,13 @@ def _number(value: Any, context: str) -> float:
     """``value`` as a finite float; JSON's Infinity, -Infinity and NaN, and
     integers beyond float range, are rejected with the field named."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{context}: expected a number, got {value!r}")
+        raise ValidationError(f"{context}: expected a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ValidationError(f"{context}: expected a finite number, got {value!r}")
+        raise ValidationError(f"{context}: expected a finite number, got {reprlib.repr(value)}")
     return number
 
 
@@ -79,14 +92,14 @@ def _integer(value: Any, context: str) -> int:
     """``value`` as an int; a number with a fractional part is rejected."""
     number = _number(value, context)
     if not number.is_integer():
-        raise ValidationError(f"{context}: expected an integer, got {value!r}")
+        raise ValidationError(f"{context}: expected an integer, got {reprlib.repr(value)}")
     return int(number)
 
 
 def _node_index(key: str, context: str) -> int:
     # ASCII digits only: int() would also read " 2", "+2", "2_0" and non-ASCII digits.
     if not (key.isascii() and key.isdigit()):
-        raise ValidationError(f"{context}: node index must be an integer, got {key!r}")
+        raise ValidationError(f"{context}: node index must be an integer, got {reprlib.repr(key)}")
     return int(key)
 
 
@@ -110,7 +123,7 @@ def network_from_dict(data: Any, context: str = "network") -> PowerNetwork:
         raise ValidationError(f"{context}: document must be an object")
     version = _require(data, "schema_version", context)
     if version != SCHEMA_VERSION:
-        raise ValidationError(f"{context}: unsupported schema_version {version!r}")
+        raise ValidationError(f"{context}: unsupported schema_version {reprlib.repr(version)}")
 
     nodes = _require(data, "nodes", context)
     lines = _require(data, "lines", context)
@@ -250,7 +263,7 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
         raise ValidationError(f"{context}: document must be an object")
     version = _require(data, "schema_version", context)
     if version != SCHEMA_VERSION:
-        raise ValidationError(f"{context}: unsupported schema_version {version!r}")
+        raise ValidationError(f"{context}: unsupported schema_version {reprlib.repr(version)}")
 
     base_doc = _require(data, "base", context)
     if not isinstance(base_doc, dict):

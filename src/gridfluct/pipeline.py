@@ -12,6 +12,7 @@ order.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -306,9 +307,9 @@ def run_sweep(spec: SweepSpec, seed: int | None = None) -> list[dict]:
     """One row per grid point per method, in deterministic order.
 
     Grid points enumerate the axes in file order (last axis fastest);
-    independent cells may evaluate on up to GRIDFLUCT_THREADS workers, but
-    the output assembly order is fixed regardless.  Every method is checked
-    against ``ROUTES`` before any cell runs.
+    independent cells may evaluate on up to GRIDFLUCT_THREADS workers, each in
+    a copy of the caller's context (numpy's error state included), but the
+    output order is fixed.  Every method is checked against ``ROUTES`` first.
     """
     _require_methods(spec.methods, ROUTES, "sweep")
     points = _grid_points(spec)
@@ -317,7 +318,8 @@ def run_sweep(spec: SweepSpec, seed: int | None = None) -> list[dict]:
     if workers == 1:
         return [_sweep_cell(spec, point, method, seed) for point, method in cells]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_cell, spec, point, method, seed) for point, method in cells]
+        futures = [pool.submit(contextvars.copy_context().run, _sweep_cell, spec, point, method, seed)
+                   for point, method in cells]
         return [future.result() for future in futures]
 
 

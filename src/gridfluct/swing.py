@@ -116,12 +116,10 @@ class LinearizedSystem:
     damping: np.ndarray
     noise: np.ndarray
     laplacian: np.ndarray = field(init=False, repr=False)
-    incidence: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _store_node_arrays(self, self.graph.node_count, ("inertia", "damping", "noise"))
         object.__setattr__(self, "laplacian", laplacian(self.graph))
-        object.__setattr__(self, "incidence", incidence(self.graph))
 
     @property
     def node_count(self) -> int:

@@ -28,10 +28,14 @@ or (N, R), whose symmetry and positive semi-definiteness are decided on
 the small core, and is then built once, exactly symmetric, by a row-panel
 product.  Monte Carlo blocks and the closed star angle and frequency
 blocks arrive dense and are checked as given.
+
+Each route takes only the :class:`LinearizedSystem`; its one whitened
+spectrum comes from :func:`_connected_spectrum`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -84,8 +88,12 @@ class CovarianceReport:
         return 0 if self.q_omega is None else self.q_omega.shape[0]
 
 
-def _scale(block: np.ndarray) -> float:
-    return max(1.0, float(block.max(initial=0.0)), -float(block.min(initial=0.0)))
+def _scale(block: np.ndarray, name: str) -> float:
+    """max(1, largest |entry|); raises InternalInvariantError on a non-finite entry."""
+    top, bottom = float(block.max(initial=0.0)), float(block.min(initial=0.0))
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise InternalInvariantError(f"{name} block has non-finite entries")
+    return max(1.0, top, -bottom)
 
 
 def _congruence(lines: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -109,7 +117,7 @@ def _congruence(lines: np.ndarray, core: np.ndarray) -> np.ndarray:
 
 
 def _checked_symmetric(block: Block, name: str) -> np.ndarray:
-    """The block, exactly symmetric, after its symmetry and PSD checks.
+    """The block, exactly symmetric, after its finiteness, symmetry and PSD checks.
 
     A pair (L, X) stands for L X L^T.  Symmetry is decided on X, which is
     then replaced by (X + X^T) / 2, and positive semi-definiteness on
@@ -118,16 +126,15 @@ def _checked_symmetric(block: Block, name: str) -> np.ndarray:
     """
     lines, core = block if isinstance(block, tuple) else (None, block)
     core = np.asarray(core, dtype=float)
-    if np.abs(core - core.T).max(initial=0.0) > SYMMETRY_TOL * _scale(core):
+    if SYMMETRY_TOL * _scale(core, name) < np.abs(core - core.T).max(initial=0.0):
         raise InternalInvariantError(f"{name} block lost symmetry beyond tolerance")
     core = 0.5 * (core + core.T)
-    if lines is None:
-        block = spectrum_of = core
-    else:
-        block = _congruence(lines, core)
+    block = core if lines is None else _congruence(lines, core)
+    floor = PSD_FLOOR * _scale(block, name)
+    if lines is not None:
         r = np.linalg.qr(lines, mode="r")
-        spectrum_of = r @ core @ r.T
-    if spectrum_of.size and np.linalg.eigvalsh(spectrum_of).min() < PSD_FLOOR * _scale(block):
+        core = r @ core @ r.T
+    if core.size and np.linalg.eigvalsh(core).min() < floor:
         raise InternalInvariantError(f"{name} block is not positive semi-definite")
     return block
 
@@ -149,13 +156,16 @@ def make_report(
     block is checked as given and returned as (B + B^T) / 2.  The PSD
     floor scales with the built block's largest |entry|.
 
-    Raises InternalInvariantError when a block breaks either invariant.
+    Raises InternalInvariantError when a block has a non-finite entry or a
+    symmetric block breaks either invariant.
     """
     q_delta = _checked_symmetric(q_delta, "angle-difference")
     if q_omega is not None:
         q_omega = _checked_symmetric(q_omega, "frequency")
     if q_delta_omega is not None:
         q_delta_omega = np.asarray(q_delta_omega, dtype=float)
+        if not np.isfinite(q_delta_omega).all():
+            raise InternalInvariantError("cross block has non-finite entries")
     return CovarianceReport(q_delta, q_omega, q_delta_omega, method, dict(diagnostics or {}))
 
 
@@ -178,24 +188,19 @@ class ReducedSystem:
     spectral: SpectralDecomposition
 
 
-def _require_connected_spectrum(spectral: SpectralDecomposition) -> None:
+def _connected_spectrum(lin: LinearizedSystem, scaling: np.ndarray) -> SpectralDecomposition:
+    """The Laplacian whitened by ``scaling``; DisconnectedGraphError unless 0 is simple."""
+    spectral = whitened_spectrum(lin.laplacian, scaling)
     eigs = spectral.eigenvalues
     if len(eigs) > 1 and eigs[1] <= 1e-9 * max(1.0, eigs[-1]):
         raise DisconnectedGraphError("zero eigenvalue is not simple: graph is disconnected")
+    return spectral
 
 
-def reduce_system(
-    lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
-) -> ReducedSystem:
-    """Build the reduced system for a connected linearized network.
-
-    ``spectral`` overrides the inertia-whitened Laplacian decomposition
-    (used by basis-invariance tests); by default it is computed here.
-    """
-    if spectral is None:
-        spectral = whitened_spectrum(lin.laplacian, lin.inertia)
-    _require_connected_spectrum(spectral)
-
+def reduce_system(lin: LinearizedSystem) -> ReducedSystem:
+    """Build the reduced system for a connected linearized network, in the
+    eigenbasis of its inertia-whitened Laplacian."""
+    spectral = _connected_spectrum(lin, lin.inertia)
     n = lin.node_count
     u = spectral.vectors
     a_full = np.zeros((2 * n, 2 * n))
@@ -218,10 +223,11 @@ def _modal_report(
     ``spectral`` is the Laplacian whitened by ``scaling`` (inertia, or damping
     for the first-order model).  With node map N = scaling^{-1/2} U and line
     map L = C^T N[:, 1:], the blocks are L G L^T, N R N^T and N S^T L^T; with
-    R and S None, only the angle block.
+    R and S None, only the angle block.  L is gathered: N's tail row minus its head row.
     """
     nodes_from_modes = (1.0 / np.sqrt(scaling))[:, None] * spectral.vectors
-    lines_from_modes = lin.incidence.T @ nodes_from_modes[:, 1:]
+    modes = nodes_from_modes[:, 1:]
+    lines_from_modes = modes[lin.graph.tails] - modes[lin.graph.heads]
     q_omega = q_cross = None
     if r is not None:
         q_omega = (nodes_from_modes, r)
@@ -229,11 +235,9 @@ def _modal_report(
     return make_report((lines_from_modes, g), q_omega, q_cross, method, diagnostics)
 
 
-def asymptotic_variance_numeric(
-    lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
-) -> CovarianceReport:
+def asymptotic_variance_numeric(lin: LinearizedSystem) -> CovarianceReport:
     """Stationary output covariance via the reduced Lyapunov equation."""
-    reduced = reduce_system(lin, spectral)
+    reduced = reduce_system(lin)
     w = reduced.b2 @ reduced.b2.T
     q_x, abscissa = lyapunov_solve_with_abscissa(reduced.a2, w)
     diagnostics = {
@@ -280,7 +284,8 @@ class UniformRatioBlocks:
     rho_i = 2 a^2 + lambda_i and chi_ij = (lambda_i - lambda_j)^2
     + 2 a^2 (lambda_i + lambda_j).  chi is positive whenever (i, j) != (1, 1),
     including repeated eigenvalues, so no degenerate branch is needed.
-    ``spectral`` is the decomposition (Lambda, U) the blocks are written in.
+    ``spectral`` is the decomposition (Lambda, U) the blocks are written in,
+    the inertia-whitened one that :func:`uniform_ratio_blocks` computed.
     """
 
     g: np.ndarray
@@ -290,9 +295,7 @@ class UniformRatioBlocks:
     spectral: SpectralDecomposition
 
 
-def uniform_ratio_blocks(
-    lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
-) -> UniformRatioBlocks:
+def uniform_ratio_blocks(lin: LinearizedSystem) -> UniformRatioBlocks:
     """Explicit spectral-coordinate covariance blocks for a uniform ratio.
 
     Requires max_i |d_i/m_i - alpha| <= 1e-9 alpha; raises
@@ -300,9 +303,7 @@ def uniform_ratio_blocks(
     any spectrum is computed.
     """
     alpha = uniform_value(lin.damping / lin.inertia, "damping-inertia ratios")
-    if spectral is None:
-        spectral = whitened_spectrum(lin.laplacian, lin.inertia)
-    _require_connected_spectrum(spectral)
+    spectral = _connected_spectrum(lin, lin.inertia)
     lam = spectral.eigenvalues
     u = spectral.vectors
     xi = lin.noise**2 / lin.inertia
@@ -319,21 +320,17 @@ def uniform_ratio_blocks(
     return UniformRatioBlocks(g, s, r, alpha, spectral)
 
 
-def asymptotic_variance_uniform_ratio(
-    lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
-) -> CovarianceReport:
+def asymptotic_variance_uniform_ratio(lin: LinearizedSystem) -> CovarianceReport:
     """Stationary output covariance from the explicit uniform-ratio solution
     (see :func:`uniform_ratio_blocks` for the uniformity requirement)."""
-    blocks = uniform_ratio_blocks(lin, spectral)
+    blocks = uniform_ratio_blocks(lin)
     return _modal_report(
         lin, blocks.spectral, lin.inertia, blocks.g, blocks.r, blocks.s, METHOD_UNIFORM,
         {"alpha": blocks.alpha},
     )
 
 
-def first_order_variance(
-    lin: LinearizedSystem, spectral: SpectralDecomposition | None = None
-) -> CovarianceReport:
+def first_order_variance(lin: LinearizedSystem) -> CovarianceReport:
     """Stationary angle-difference covariance with inertia set to zero.
 
     Uses the damping-whitened Laplacian spectrum: with eigenpairs
@@ -345,10 +342,7 @@ def first_order_variance(
     and the angle block is its image under the incidence map.  The report
     has no frequency blocks.
     """
-    if spectral is None:
-        spectral = whitened_spectrum(lin.laplacian, lin.damping)
-    _require_connected_spectrum(spectral)
-
+    spectral = _connected_spectrum(lin, lin.damping)
     lam = spectral.eigenvalues
     u2 = spectral.vectors[:, 1:]
     xi = lin.noise**2 / lin.damping

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -21,6 +22,7 @@ from gridfluct.netfile import (
     sweep_from_dict,
 )
 from gridfluct.pipeline import (
+    ROUTES,
     compare_variance,
     relative_discrepancy,
     run_sweep,
@@ -680,7 +682,76 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         mc_path = tmp_path / "mc.json"
         mc_path.write_text(json.dumps(config))
         assert main(["simulate", str(net_path), "--mc-config", str(mc_path), *options]) == 2
-        assert capsys.readouterr().err == f"gridfluct: {message}\n"
+        # A value read from the file is named after the file.
+        named = f"{mc_path}: " if config else ""
+        assert capsys.readouterr().err == f"gridfluct: {named}{message}\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("inertia", 1e300), ("inertia", 1e-300), ("damping", 1e300), ("damping", 1e-320),
+        ("capacity", 1e308), ("capacity", 1e-320), ("noise", 1e200),
+    ])
+    def test_extreme_network_ends_in_an_exit_code(self, tmp_path, capsys, field, value):
+        # Every route ends in exit 0 with finite values, exit 2, or exit 1
+        # with an internal error, never in a traceback.
+        doc = network_doc(2, [(1, 2)], inertia=1.0, damping=1.0, noise={1: 0.1, 2: 0.1},
+                          capacity=1.0)
+        for entry in doc["nodes"] + doc["lines"]:
+            if field in entry:
+                entry[field] = value
+        path = write_doc(tmp_path, doc)
+        config = write_doc(tmp_path, {"trajectories": 4}, "mc.json")
+        out = tmp_path / "out.csv"
+        for method in ROUTES:
+            out.unlink(missing_ok=True)
+            code = main(["variance", str(path), "--method", method, "--mc-config", str(config),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            if code == 0:
+                # Each row's value and, for Monte Carlo, its standard error.
+                cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
+                assert cells and all(math.isfinite(float(c[3])) for c in cells), method
+                assert all(math.isfinite(float(c[5] or 0)) for c in cells), method
+            else:
+                assert code in (1, 2) and err.startswith("gridfluct: "), (method, code, err)
+                assert err.count("\n") == 1 and ("internal error: " in err) == (code == 1)
+
+    def test_overflowing_sweep_cell_exits_one_with_any_thread_count(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # Worker threads run under the command line's numpy error state.
+        write_doc(tmp_path, network_doc(3, complete_lines(3), noise={1: 0.1}))
+        spec = write_doc(tmp_path, {
+            "schema_version": 1,
+            "base": {"kind": "network", "path": "net.json"},
+            "axes": [{"parameter": "noise_scale", "grid": [1.0, 1e200]}],
+            "methods": ["numeric", "uniform"],
+            "quantities": [{"block": "omega", "i": 1, "j": 1}],
+        }, "sweep.json")
+        outcomes = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("GRIDFLUCT_THREADS", threads)
+            outcomes.append((main(["sweep", "--spec", str(spec)]), capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 1 and "floating-point range exceeded: overflow" in outcomes[0][1]
+
+    def test_deep_monte_carlo_value_names_file_and_is_bounded(self, tmp_path, capsys, monkeypatch):
+        # A value nested 900 deep is echoed cut short, after the file and the
+        # field, in an --mc-config file and in a sweep file's mc block alike.
+        monkeypatch.chdir(tmp_path)
+        deep = json.loads("[" * 900 + "]" * 900)
+        write_doc(tmp_path, network_doc(2, [(1, 2)], noise={1: 0.1}))
+        write_doc(tmp_path, {"trajectories": deep}, "mc.json")
+        write_doc(tmp_path, {**sweep_doc(), "mc": {"dt": deep}}, "sweep.json")
+        cases = [
+            (["simulate", "net.json", "--mc-config", "mc.json"],
+             "gridfluct: mc.json: trajectories: expected an integer, got [[[["),
+            (["sweep", "--spec", "sweep.json"],
+             "gridfluct: sweep.json.mc: dt: expected a number, got [[[["),
+        ]
+        for argv, start in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(start) and "..." in err, err
+            assert len(err.encode()) < 200, err
 
     def test_null_monte_carlo_setting_means_default(self, tmp_path, capsys):
         doc = network_doc(2, [(1, 2)], inertia=1.0, damping=5.0, noise={1: 1.0}, capacity=1.0)

@@ -20,7 +20,7 @@ from gridfluct import (
     laplacian,
     whitened_spectrum,
 )
-from gridfluct.graphs import _fix_eigenvector_signs, degeneracy_groups
+from gridfluct.graphs import DEGENERACY_GAP, _fix_eigenvector_signs
 
 from conftest import random_connected_graph
 
@@ -74,6 +74,19 @@ def loop_fix_signs(vectors):
         if lead < 0:
             out[:, k] = -col
     return out
+
+
+def loop_degeneracy_groups(eigenvalues):
+    """Ascending eigenvalues clustered where the step from the previous one is
+    at most DEGENERACY_GAP times max(1, max |eigenvalue|)."""
+    scale = max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
+    groups = [[0]]
+    for i in range(1, len(eigenvalues)):
+        if eigenvalues[i] - eigenvalues[i - 1] <= DEGENERACY_GAP * scale:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def random_edges(rng, n, prob):
@@ -308,9 +321,19 @@ class TestWhitenedSpectrum:
         with pytest.raises(ShapeError):
             whitened_spectrum(lap, np.array([1.0, -1.0, 1.0]))
 
-    def test_degeneracy_groups_cluster_equal_eigenvalues(self):
-        spec = whitened_spectrum(laplacian(canonical_star(5, 1.0)), np.ones(5))
-        assert spec.degeneracy_groups == ((0,), (1, 2, 3), (4,))
+    @given(st.integers(3, 8), st.floats(0.0, 2.0), st.floats(1.0, 1e6), st.floats(-1e-10, 1e-10))
+    @settings(max_examples=200, deadline=None)
+    def test_simple_zero_rule_matches_degeneracy_groups(self, n, ratio, top, zero):
+        # The first gap is `ratio` times DEGENERACY_GAP at the spectrum's own
+        # scale; the null direction replaces the first eigenvector exactly
+        # when the reference puts the zero eigenvalue in a cluster of its own.
+        second = zero + ratio * DEGENERACY_GAP * top
+        eigenvalues = np.concatenate(([zero], np.linspace(second, top, n - 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", lambda a: (eigenvalues.copy(), np.eye(n)))
+            spec = whitened_spectrum(laplacian(canonical_complete(n, 1.0)), np.ones(n))
+        replaced = not np.array_equal(spec.vectors[:, 0], np.eye(n)[:, 0])
+        assert replaced == (len(loop_degeneracy_groups(eigenvalues)[0]) == 1)
 
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -319,7 +342,3 @@ class TestWhitenedSpectrum:
         vectors = np.linalg.qr(rng.standard_normal((n, n)))[0]
         vectors[0, : n // 2] = 1e-12  # leading entries below the threshold
         assert np.array_equal(_fix_eigenvector_signs(vectors), loop_fix_signs(vectors))
-
-    def test_degeneracy_groups_all_distinct(self):
-        groups = degeneracy_groups(np.array([0.0, 1.0, 2.0, 5.0]))
-        assert groups == ((0,), (1,), (2,), (3,))

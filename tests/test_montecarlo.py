@@ -9,6 +9,7 @@ from gridfluct import (
     StepSizeError,
     ValidationError,
     asymptotic_variance_numeric,
+    incidence,
     reduce_system,
     simulate_covariance,
     trajectory_seed,
@@ -64,7 +65,7 @@ def _full_system(lin):
     noise_input = np.zeros((2 * n, n))
     noise_input[n:, :] = np.diag(lin.noise / lin.inertia)
     output = np.zeros((m + n, 2 * n))
-    output[:m, :n] = lin.incidence.T
+    output[:m, :n] = incidence(lin.graph).T
     output[m:, n:] = np.eye(n)
     return drift, noise_input, output
 

@@ -25,7 +25,7 @@ from gridfluct import (
     uniform_ratio_blocks,
     whitened_spectrum,
 )
-from gridfluct import closedforms, lyapunov, variance
+from gridfluct import closedforms, lyapunov, pipeline, variance
 from gridfluct.graphs import SpectralDecomposition
 from gridfluct.variance import PSD_FLOOR, make_report
 
@@ -86,6 +86,25 @@ class TestMakeReport:
         lines = np.random.default_rng(3).standard_normal((5, 2))
         with pytest.raises(InternalInvariantError, match="angle-difference block lost symmetry"):
             make_report((lines, np.array([[1.0, 1.0], [0.0, 1.0]])), None, None, "test")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_blocks_are_internal_errors(self, bad):
+        lines = np.random.default_rng(3).standard_normal((5, 2))
+        core, finite = np.diag([1.0, bad]), np.eye(2)
+        cases = [
+            ((core, None, None), "angle-difference"),
+            (((lines, core), None, None), "angle-difference"),
+            ((finite, core, None), "frequency"),
+            ((finite, (lines, core), None), "frequency"),
+            ((finite, finite, np.full((2, 2), bad)), "cross"),
+        ]
+        for blocks, name in cases:
+            with pytest.raises(InternalInvariantError, match=f"^{name} block has non-finite"):
+                make_report(*blocks, "test")
+        # Finite factors whose product overflows, as built without numpy's
+        # overflow error.
+        with np.errstate(over="ignore"), pytest.raises(InternalInvariantError, match="non-finite"):
+            make_report((np.full((3, 1), 1e200), np.ones((1, 1))), None, None, "test")
 
     def test_factored_psd_verdict_matches_dense(self):
         """The k x k core check raises exactly when the dense block's
@@ -289,7 +308,7 @@ class TestNumericRoute:
             n, m = lin.node_count, lin.line_count
             nodes_from_modes = reduced.spectral.vectors / np.sqrt(lin.inertia)[:, None]
             c2 = np.zeros((m + n, 2 * n - 1))
-            c2[:m, : n - 1] = lin.incidence.T @ nodes_from_modes[:, 1:]
+            c2[:m, : n - 1] = incidence(lin.graph).T @ nodes_from_modes[:, 1:]
             c2[m:, n - 1:] = nodes_from_modes
             q_y = c2 @ q_x @ c2.T
             report = asymptotic_variance_numeric(lin)
@@ -402,26 +421,80 @@ class TestUniformRatioRoute:
 
 
 def rotate_degenerate_clusters(spectral: SpectralDecomposition, rng) -> SpectralDecomposition:
+    """Random orthonormal change of basis within each run of eigenvalues whose
+    steps are at most 1e-9 times max(1, max |eigenvalue|)."""
+    eigs = spectral.eigenvalues
+    starts = np.flatnonzero(np.diff(eigs) > 1e-9 * max(1.0, float(np.abs(eigs).max()))) + 1
     vectors = spectral.vectors.copy()
-    for group in spectral.degeneracy_groups:
-        if len(group) > 1:
-            block = scipy.linalg.qr(rng.standard_normal((len(group), len(group))))[0]
-            idx = list(group)
+    for idx in np.split(np.arange(len(eigs)), starts):
+        if len(idx) > 1:
+            block = scipy.linalg.qr(rng.standard_normal((len(idx), len(idx))))[0]
             vectors[:, idx] = vectors[:, idx] @ block
-    return SpectralDecomposition(spectral.eigenvalues, vectors, spectral.degeneracy_groups)
+    return SpectralDecomposition(eigs, vectors)
 
 
 class TestBasisInvariance:
     @pytest.mark.parametrize("route", [asymptotic_variance_numeric, asymptotic_variance_uniform_ratio])
-    def test_cluster_rotation_leaves_blocks(self, route):
+    def test_cluster_rotation_leaves_blocks(self, route, monkeypatch):
         rng = np.random.default_rng(8)
         lin = table1_complete_system(7)
         spectral = whitened_spectrum(lin.laplacian, lin.inertia)
-        base = route(lin, spectral)
+        base = route(lin)
         for _ in range(3):
             rotated = rotate_degenerate_clusters(spectral, rng)
-            other = route(lin, rotated)
+            assert not np.array_equal(rotated.vectors, spectral.vectors)
+            monkeypatch.setattr(variance, "whitened_spectrum", lambda lap, scaling: rotated)
+            other = route(lin)
             assert np.abs(full_output_matrix(other) - full_output_matrix(base)).max() <= 1e-9
+
+
+class TestOneSpectrum:
+    def test_each_route_computes_one_whitened_spectrum(self, monkeypatch):
+        calls = []
+        real = variance.whitened_spectrum
+
+        def spy(lap, scaling):
+            calls.append(scaling)
+            return real(lap, scaling)
+
+        monkeypatch.setattr(variance, "whitened_spectrum", spy)
+        lin = homogeneous_system("complete", 5, 10.0, 0.5, 0.3, np.array([0.0, 0.04, 0, 0, 0]))
+        expected = {"numeric": 1, "uniform": 1, "first-order": 1, "closed": 0, "mc": 1}
+        assert set(expected) == set(pipeline.ROUTES)
+        for name, count in expected.items():
+            calls.clear()
+            pipeline.ROUTES[name].run(lin, {"trajectories": 2})
+            assert len(calls) == count, name
+
+    @pytest.mark.parametrize("system", ["complete-shuffled", "heterogeneous-flipped"])
+    def test_gathered_line_map_equals_incidence_product(self, monkeypatch, system):
+        rng = np.random.default_rng(17)
+        if system == "complete-shuffled":
+            lin = shuffled_complete_system(rng, 12)
+            routes = {"numeric": "inertia", "uniform": "inertia", "first-order": "damping"}
+        else:
+            lin = random_heterogeneous_system(rng, 15)
+            edges = [lin.graph.edges[k] for k in rng.permutation(lin.line_count)]
+            edges = [(j, i, w) if rng.random() < 0.5 else (i, j, w) for i, j, w in edges]
+            lin = LinearizedSystem(WeightedGraph(15, tuple(edges)), lin.inertia, lin.damping,
+                                   lin.noise)
+            routes = {"numeric": "inertia", "first-order": "damping"}
+        assert np.any(lin.graph.tails > lin.graph.heads)
+        captured = []
+        real_make_report = variance.make_report
+
+        def spy(*args, **kwargs):
+            captured.append(args[0][0])
+            return real_make_report(*args, **kwargs)
+
+        monkeypatch.setattr(variance, "make_report", spy)
+        for route, field in routes.items():
+            captured.clear()
+            pipeline.ROUTES[route].run(lin, None)
+            scaling = getattr(lin, field)
+            vectors = whitened_spectrum(lin.laplacian, scaling).vectors
+            nodes = (1.0 / np.sqrt(scaling))[:, None] * vectors
+            assert np.array_equal(captured[0], incidence(lin.graph).T @ nodes[:, 1:]), route
 
 
 class TestOrientationInvariance:
