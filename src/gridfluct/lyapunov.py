@@ -58,7 +58,8 @@ def lyapunov_solve_with_abscissa(a, w) -> tuple[np.ndarray, float]:
     Raises:
         InstabilityError: if A has an eigenvalue with real part >= -1e-12.
         InternalInvariantError: if ``trsyl`` had to perturb the equation
-            (an eigenvalue pair of A sums to nearly zero).
+            (an eigenvalue pair of A sums to nearly zero), or had to scale
+            its solution down because Q would overflow.
         ShapeError: on dimension mismatch or non-symmetric W.
     """
     import scipy.linalg  # on first use: routes that solve no Lyapunov equation start faster
@@ -73,7 +74,12 @@ def lyapunov_solve_with_abscissa(a, w) -> tuple[np.ndarray, float]:
             f"Lyapunov solve perturbed the equation (trsyl info {info}): "
             "A has an eigenvalue pair whose sum is nearly zero"
         )
-    y *= scale
+    if scale != 1.0:
+        # LAPACK scales Y down only when the solution Y / scale would overflow.
+        raise InternalInvariantError(
+            f"Lyapunov solution overflows (trsyl scale {scale:.3e}): "
+            "Q exceeds floating-point range"
+        )
     q = z.dot(y).dot(z.T)
     return 0.5 * (q + q.T), spectral_abscissa
 

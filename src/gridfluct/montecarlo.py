@@ -46,7 +46,9 @@ class SimConfig:
     Samples are taken every ``dt * sample_stride`` seconds, the interval of
     one exact transition.  ``burn_in`` seconds (rounded up to whole
     intervals) are discarded first; ``horizon`` seconds are then sampled,
-    one sample per interval.  ``master_seed`` fixes all randomness.
+    one sample per interval.  ``master_seed`` fixes all randomness.  At
+    least two ``trajectories`` are needed: their spread gives the standard
+    errors.
     """
 
     dt: float
@@ -69,8 +71,6 @@ class SimConfig:
             raise ValidationError(
                 f"horizon {self.horizon} too short: need at least 100 steps of dt={self.dt}"
             )
-        if self.trajectories < 1:
-            raise ValidationError("at least one trajectory is required")
         if self.sample_stride < 1:
             raise ValidationError("sample_stride must be a positive integer")
 
@@ -237,10 +237,7 @@ def simulate_stationary_covariance(
                 mean_acc += y
 
     def batch_means(per_trajectory: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pooled = per_trajectory.mean(axis=0)
-        if n_traj > 1:
-            return pooled, per_trajectory.std(axis=0, ddof=1) / np.sqrt(n_traj)
-        return pooled, np.full_like(pooled, np.nan)
+        return per_trajectory.mean(axis=0), per_trajectory.std(axis=0, ddof=1) / np.sqrt(n_traj)
 
     trajectory_moments = (first_moments + second_moments) / n_samples
     pooled_moment, stderr = batch_means(trajectory_moments)
@@ -248,10 +245,7 @@ def simulate_stationary_covariance(
     second, second_se = batch_means(second_moments / max(n_samples - half_split, 1))
     mean_per_traj = mean_acc / n_samples
     mean_out = mean_per_traj.mean(axis=1)
-    if n_traj > 1:
-        mean_se = mean_per_traj.std(axis=1, ddof=1) / np.sqrt(n_traj)
-    else:
-        mean_se = np.full(n_out, np.nan)
+    mean_se = mean_per_traj.std(axis=1, ddof=1) / np.sqrt(n_traj)
     return MomentEstimate(
         pooled_moment, stderr, trajectory_moments,
         first, first_se, second, second_se, mean_out, mean_se, n_samples,

@@ -42,11 +42,14 @@ MC_NULLABLE_KEYS = ("dt", "burn_in", "horizon", "sample_stride")  # null: the de
 
 def _check_mc_setting(key: str, value: Any, context: str) -> None:
     """Raise ValidationError naming ``context`` unless ``value`` suits Monte Carlo
-    setting ``key``: a finite number for a time, otherwise an int (not a bool)."""
+    setting ``key``: a finite number for a time, otherwise an int (not a bool),
+    and at least 2 trajectories, the fewest that give a standard error."""
     if key in ("dt", "burn_in", "horizon"):
         _number(value, context)
     elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{context}: expected an integer, got {reprlib.repr(value)}")
+    elif key == "trajectories" and value < 2:
+        raise ValidationError(f"{context}: expected at least 2, got {value}")
 
 
 def validate_mc_overrides(overrides: Any, context: str) -> dict:

@@ -270,7 +270,10 @@ def _apply_point(spec: SweepSpec, point: dict[str, float]) -> PowerNetwork:
 
 
 def _quantity_value(report: CovarianceReport, block: str, i: int, j: int) -> tuple[float | None, float | None]:
-    values, stderr = _blocks(report)[block]
+    """Entry (i, j), 1-based, of a block and its Monte Carlo stderr, read
+    from the block as the report holds it: a factored block is not built."""
+    values = {"delta": report.delta, "omega": report.omega, "cross": report.q_delta_omega}[block]
+    stderr = report.diagnostics.get(f"stderr_{block}")
     if values is None:
         return None, None
     if not (1 <= i <= values.shape[0] and 1 <= j <= values.shape[1]):
@@ -278,20 +281,25 @@ def _quantity_value(report: CovarianceReport, block: str, i: int, j: int) -> tup
     return float(values[i - 1, j - 1]), (None if stderr is None else float(stderr[i - 1, j - 1]))
 
 
-def _sweep_cell(spec: SweepSpec, point: dict[str, float], method: str, seed: int | None) -> dict:
+def _sweep_point(spec: SweepSpec, point: dict[str, float], seed: int | None) -> list[dict]:
+    """The rows of every method at one grid point, all on one linearization."""
     overrides = dict(spec.mc_overrides)
     if seed is not None:
         overrides["master_seed"] = seed
-    # run_sweep has checked every method against ROUTES already.
-    report = ROUTES[method].run(linearized(_apply_point(spec, point)), overrides)
-    row: dict[str, Any] = dict(point)
-    row["method"] = method
-    for block, i, j in spec.quantities:
-        value, stderr = _quantity_value(report, block, i, j)
-        row[f"{block}_{i}_{j}"] = value
-        if method == "mc":
-            row[f"{block}_{i}_{j}_stderr"] = stderr
-    return row
+    lin = linearized(_apply_point(spec, point))
+    rows = []
+    for method in spec.methods:
+        # run_sweep has checked every method against ROUTES already.
+        report = ROUTES[method].run(lin, overrides)
+        row: dict[str, Any] = dict(point)
+        row["method"] = method
+        for block, i, j in spec.quantities:
+            value, stderr = _quantity_value(report, block, i, j)
+            row[f"{block}_{i}_{j}"] = value
+            if method == "mc":
+                row[f"{block}_{i}_{j}_stderr"] = stderr
+        rows.append(row)
+    return rows
 
 
 def thread_count() -> int:
@@ -306,21 +314,26 @@ def thread_count() -> int:
 def run_sweep(spec: SweepSpec, seed: int | None = None) -> list[dict]:
     """One row per grid point per method, in deterministic order.
 
-    Grid points enumerate the axes in file order (last axis fastest);
-    independent cells may evaluate on up to GRIDFLUCT_THREADS workers, each in
-    a copy of the caller's context (numpy's error state included), but the
-    output order is fixed.  Every method is checked against ``ROUTES`` first.
+    Grid points enumerate the axes in file order (last axis fastest), and
+    each point's rows follow ``spec.methods``.  A grid point's network is
+    built and linearized once, and every method runs on that one
+    linearization.  Points are independent: they may evaluate on up to
+    GRIDFLUCT_THREADS workers, each taking whole points in a copy of the
+    caller's context (numpy's error state included), but the output order,
+    and the error raised first, are those of the serial loop.  Every method
+    is checked against ``ROUTES`` first.
     """
     _require_methods(spec.methods, ROUTES, "sweep")
     points = _grid_points(spec)
-    cells = [(point, method) for point in points for method in spec.methods]
     workers = thread_count()
     if workers == 1:
-        return [_sweep_cell(spec, point, method, seed) for point, method in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _sweep_cell, spec, point, method, seed)
-                   for point, method in cells]
-        return [future.result() for future in futures]
+        groups = [_sweep_point(spec, point, seed) for point in points]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, _sweep_point, spec, point, seed)
+                       for point in points]
+            groups = [future.result() for future in futures]
+    return [row for rows in groups for row in rows]
 
 
 def sweep_fieldnames(spec: SweepSpec) -> list[str]:

@@ -25,9 +25,11 @@ uniform-ratio and first-order routes map their modal state covariance
 L G L^T with an m x (n-1) line map L and the frequency block N R N^T with
 an n x n node map N.  Each reaches :func:`make_report` as the pair (L, G)
 or (N, R), whose symmetry and positive semi-definiteness are decided on
-the small core, and is then built once, exactly symmetric, by a row-panel
-product.  Monte Carlo blocks and the closed star angle and frequency
-blocks arrive dense and are checked as given.
+the small core, and is kept as a :class:`Congruence`: single entries are
+read from the factors, and the whole block is built, exactly symmetric,
+by a row-panel product when it is first read.  Monte Carlo blocks and the
+closed star angle and frequency blocks arrive dense and are checked as
+given.
 
 Each route takes only the :class:`LinearizedSystem`; its one whitened
 spectrum comes from :func:`_connected_spectrum`.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -63,6 +66,36 @@ Block = np.ndarray | tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
+class Congruence:
+    """A checked symmetric block L X L^T, kept as its factors.
+
+    ``core`` X is exactly symmetric.  Indexing reads one entry, (i, j) with
+    i <= j as (L[i] X) . L[j], in O(k^2) for an m x k map L, in the order
+    the built block's row panels compute it; ``array`` builds the whole
+    block by :func:`_congruence` on first read and keeps it.
+    """
+
+    lines: np.ndarray
+    core: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.lines.shape[0], self.lines.shape[0]
+
+    def __getitem__(self, index: tuple[int, int]) -> float:
+        i, j = sorted(index)
+        return float(self.lines[i] @ self.core @ self.lines[j])
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return _congruence(self.lines, self.core)
+
+
+def _array(block: np.ndarray | Congruence | None) -> np.ndarray | None:
+    return block.array if isinstance(block, Congruence) else block
+
+
+@dataclass(frozen=True)
 class CovarianceReport:
     """Covariance blocks of the stationary output distribution.
 
@@ -71,21 +104,34 @@ class CovarianceReport:
     no frequency output, so the omega blocks are ``None`` there.
     ``diagnostics`` carries route-specific data (Lyapunov residual,
     Monte Carlo standard errors, ...).
+
+    ``delta`` and ``omega`` hold the symmetric blocks as :func:`make_report`
+    checked them: dense, or a :class:`Congruence` whose entries can be read
+    without building it.  ``q_delta`` and ``q_omega`` build a factored block
+    on first access and keep it, so every reader sees the same array.
     """
 
-    q_delta: np.ndarray
-    q_omega: np.ndarray | None
+    delta: np.ndarray | Congruence
+    omega: np.ndarray | Congruence | None
     q_delta_omega: np.ndarray | None
     method: str
     diagnostics: Mapping[str, Any] = field(default_factory=dict)
 
     @property
+    def q_delta(self) -> np.ndarray:
+        return _array(self.delta)
+
+    @property
+    def q_omega(self) -> np.ndarray | None:
+        return _array(self.omega)
+
+    @property
     def line_count(self) -> int:
-        return self.q_delta.shape[0]
+        return self.delta.shape[0]
 
     @property
     def node_count(self) -> int:
-        return 0 if self.q_omega is None else self.q_omega.shape[0]
+        return 0 if self.omega is None else self.omega.shape[0]
 
 
 def _scale(block: np.ndarray, name: str) -> float:
@@ -116,27 +162,57 @@ def _congruence(lines: np.ndarray, core: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_symmetric(block: Block, name: str) -> np.ndarray:
-    """The block, exactly symmetric, after its finiteness, symmetry and PSD checks.
+def _diagonal_scale(block: Congruence, name: str) -> float:
+    """max(1, largest diagonal entry) of L X L^T, in O(mk) once L X is formed.
+
+    Raises InternalInvariantError when the block has a non-finite entry.
+    An entry, built or read, is a sum of k products (L X)[i, t] L[j, t], and
+    a diagonal tile of the build adds two such sums.  While
+    4 k max(1, |L X|) max(1, |L|) is finite, none of these sums overflows
+    (one factor 2 is room for rounding), so with finite factors every entry
+    is finite.  Otherwise the block is built and scanned, as a dense block is.
+    """
+    lines = block.lines
+    left = lines @ block.core
+    if math.isfinite(4.0 * lines.shape[1] * _scale(left, name) * _scale(lines, name)):
+        diagonal = np.einsum("ij,ij->i", left, lines)
+    else:
+        _scale(block.array, name)
+        diagonal = block.array.diagonal()
+    return max(1.0, float(diagonal.max(initial=0.0)))
+
+
+def _checked_symmetric(block: Block, name: str) -> np.ndarray | Congruence:
+    """The block after its finiteness, symmetry and PSD checks: a dense
+    block exactly symmetric, a pair (L, X) as an unbuilt :class:`Congruence`.
 
     A pair (L, X) stands for L X L^T.  Symmetry is decided on X, which is
     then replaced by (X + X^T) / 2, and positive semi-definiteness on
     R X R^T with R from the QR factorization of L: L X L^T = Q (R X R^T) Q^T,
     so its eigenvalues are the block's own, apart from zeros.
+
+    The PSD floor scales with max(1, s): s is a dense block's largest
+    |entry|, and a pair's largest diagonal entry (:func:`_diagonal_scale`),
+    which is never above its largest |entry|, so the floor is never lower.
+    Finiteness of a pair is decided on X, L X and L: once they pass, every
+    entry is a finite sum (see :func:`_diagonal_scale`), and for a block
+    that passed the PSD check it is bounded by sqrt(a_ii a_jj) besides.
     """
     lines, core = block if isinstance(block, tuple) else (None, block)
     core = np.asarray(core, dtype=float)
     if SYMMETRY_TOL * _scale(core, name) < np.abs(core - core.T).max(initial=0.0):
         raise InternalInvariantError(f"{name} block lost symmetry beyond tolerance")
     core = 0.5 * (core + core.T)
-    block = core if lines is None else _congruence(lines, core)
-    floor = PSD_FLOOR * _scale(block, name)
-    if lines is not None:
+    if lines is None:
+        checked, scale = core, _scale(core, name)
+    else:
+        checked = Congruence(lines, core)
+        scale = _diagonal_scale(checked, name)
         r = np.linalg.qr(lines, mode="r")
         core = r @ core @ r.T
-    if core.size and np.linalg.eigvalsh(core).min() < floor:
+    if core.size and np.linalg.eigvalsh(core).min() < PSD_FLOOR * scale:
         raise InternalInvariantError(f"{name} block is not positive semi-definite")
-    return block
+    return checked
 
 
 def make_report(
@@ -146,15 +222,18 @@ def make_report(
     method: str,
     diagnostics: Mapping[str, Any] | None = None,
 ) -> CovarianceReport:
-    """Assemble a report, enforcing symmetry/PSD invariants on the blocks.
+    """Assemble a report, enforcing finiteness and symmetry/PSD invariants.
 
     ``q_delta`` and ``q_omega`` are each a dense block or a pair (L, X)
     meaning L X L^T, with L of any shape.  A pair's symmetry is decided on
     X and its positive semi-definiteness on the small matrix R X R^T (see
     :func:`_checked_symmetric`), at O(m k^2) instead of O(m^3) cost for an
-    m x k map L; the block is then built once, exactly symmetric.  A dense
-    block is checked as given and returned as (B + B^T) / 2.  The PSD
-    floor scales with the built block's largest |entry|.
+    m x k map L, with a PSD floor scaled by the block's largest diagonal
+    entry, read from L X in O(mk).  The pair is kept unbuilt: the report
+    builds it, exactly symmetric, when ``q_delta`` or ``q_omega`` is first
+    read, so a caller that reads single entries never holds the m x m
+    array.  A dense block is checked as given and kept as (B + B^T) / 2,
+    with a PSD floor scaled by its largest |entry|.
 
     Raises InternalInvariantError when a block has a non-finite entry or a
     symmetric block breaks either invariant.

@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridfluct import ValidationError, graphs, load_network, variance
+from gridfluct import InternalInvariantError, ValidationError, graphs, load_network, pipeline, variance
 from gridfluct.cli import main
 from gridfluct.netfile import (
     emit_network,
@@ -332,6 +333,10 @@ def sweep_doc(noise=None, axes=None, methods=None, quantities=None, kind="comple
     }
 
 
+TREND_QUANTITIES = [{"block": "omega", "i": 2, "j": 2}, {"block": "delta", "i": 1, "j": 1},
+                    {"block": "delta", "i": 2, "j": 2}]
+
+
 def two_node_mc_sweep_spec():
     doc = sweep_doc(
         noise={"1": 1.0},
@@ -464,8 +469,46 @@ class TestSweeps:
             quantities=[{"block": "omega", "i": 2, "j": 2}, {"block": "delta", "i": 1, "j": 1}],
         ))
         assert len(run_sweep(spec)) == 32
-        # One per cell: the closed route reads the network's own incidence.
-        assert len(builds) == 32
+        # One per grid point: its four cells share one linearization, whose
+        # graph's incidence the closed route reads.
+        assert len(builds) == 8
+
+    def test_each_grid_point_is_linearized_once_and_no_block_is_built(self, monkeypatch):
+        calls, builds = [], []
+        real_linearized = pipeline.linearized
+        monkeypatch.setattr(pipeline, "linearized",
+                            lambda net: calls.append(net) or real_linearized(net))
+        build = variance._congruence
+        monkeypatch.setattr(variance, "_congruence", lambda *args: builds.append(args) or build(*args))
+        spec = sweep_from_dict(sweep_doc(
+            axes=[{"parameter": "damping", "grid": [0.1, 0.3, 0.8]}],
+            methods=["closed", "numeric", "uniform", "first-order"],
+            quantities=TREND_QUANTITIES,
+        ))
+        rows = {}
+        for threads in ("1", "3"):
+            monkeypatch.setenv("GRIDFLUCT_THREADS", threads)
+            calls.clear()
+            rows[threads] = run_sweep(spec)
+            assert len(calls) == 3, threads
+        assert len(rows["1"]) == 12 and rows["1"] == rows["3"]
+        # Sweeps read entries from the factors; no m x m block is built.
+        assert builds == []
+
+    @pytest.mark.parametrize("method", ["closed", "numeric", "uniform", "first-order"])
+    def test_complete_n100_cell_peaks_below_25_mb(self, method):
+        def spec(n):
+            axes = [{"parameter": "n", "grid": [n]}]
+            return sweep_from_dict(sweep_doc(axes=axes, methods=[method], quantities=TREND_QUANTITIES))
+
+        run_sweep(spec(4))  # imports and first-use set-up are not the cell's
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec(100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 1 and peak <= 25e6, peak
 
     def test_mc_sweep_deterministic_with_stderr_column(self):
         doc = sweep_doc(
@@ -519,6 +562,20 @@ class TestCommandLine:
         path = write_doc(tmp_path, doc)
         assert main(["variance", str(path), "--method", "numeric"]) == 1
         assert "internal error: Lyapunov solve perturbed the equation" in capsys.readouterr().err
+
+    def test_overflowing_lyapunov_solution_exits_one(self, tmp_path, capsys):
+        # The frequency variance is about 2.5e302, so the reduced state
+        # covariance exceeds float range and trsyl scales it down.
+        doc = network_doc(2, [(1, 2)], inertia=1.0, damping=1e-3, noise={1: 1e150}, capacity=1.0)
+        net = network_from_dict(doc)
+        for method in ("uniform", "closed"):
+            assert run_variance(net, method).q_omega[0, 0] == pytest.approx(2.5e302, rel=1e-3)
+        with pytest.raises(InternalInvariantError, match="trsyl scale"):
+            run_variance(net, "numeric")
+        path = write_doc(tmp_path, doc)
+        assert main(["variance", str(path), "--method", "numeric"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gridfluct: internal error: Lyapunov solution overflows (trsyl scale")
 
     def test_angle_block_invariant_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         # A solver returning a negated (negative definite) state covariance
@@ -674,6 +731,7 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
             ([], {"master_seed": None}, "master_seed: expected an integer, got None"),
             ([], {"dt": "fast"}, "dt: expected a number, got 'fast'"),
             ([], {"horizon": float("inf")}, "horizon: expected a finite number, got inf"),
+            ([], {"trajectories": 1}, "trajectories: expected at least 2, got 1"),
         ],
     )
     def test_bad_monte_carlo_setting_exits_two(self, tmp_path, capsys, options, config, message):
@@ -752,6 +810,12 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
             err = capsys.readouterr().err
             assert err.startswith(start) and "..." in err, err
             assert len(err.encode()) < 200, err
+
+    def test_sweep_with_one_trajectory_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_doc(tmp_path, {**sweep_doc(methods=["mc"]), "mc": {"trajectories": 1}}, "sweep.json")
+        assert main(["sweep", "--spec", "sweep.json"]) == 2
+        assert capsys.readouterr().err == "gridfluct: sweep.json.mc: trajectories: expected at least 2, got 1\n"
 
     def test_null_monte_carlo_setting_means_default(self, tmp_path, capsys):
         doc = network_doc(2, [(1, 2)], inertia=1.0, damping=5.0, noise={1: 1.0}, capacity=1.0)

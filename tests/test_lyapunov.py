@@ -6,6 +6,7 @@ import scipy.linalg
 
 from gridfluct import (
     InstabilityError,
+    InternalInvariantError,
     ShapeError,
     lyapunov_residual,
     lyapunov_solve,
@@ -103,6 +104,12 @@ class TestSchurAbscissa:
     def test_non_hurwitz_rejected(self, a):
         with pytest.raises(InstabilityError, match="not Hurwitz"):
             lyapunov_solve_with_abscissa(a, np.eye(a.shape[0]))
+
+    def test_overflowing_solution_is_reported(self):
+        # Q = 5e309 is beyond float range; trsyl returns Y = Q * scale with
+        # scale = 1e-305, which is neither the answer nor divisible back.
+        with pytest.raises(InternalInvariantError, match=r"trsyl scale 1\.000e-305"):
+            lyapunov_solve_with_abscissa([[-1e-5]], [[1e305]])
 
     def test_solution_is_scipys_bit_for_bit(self):
         rng = np.random.default_rng(7)

@@ -174,6 +174,13 @@ class TestSimulateCovariance:
                 SimConfig(good.dt, good.burn_in / 100, good.horizon, 4, 0, good.sample_stride),
             )
 
+    def test_one_trajectory_is_refused(self):
+        # One trajectory gives no standard error.
+        with pytest.raises(ValidationError, match="^trajectories: expected at least 2, got 1$"):
+            SimConfig(dt=0.01, burn_in=1.0, horizon=2.0, trajectories=1, master_seed=0)
+        with pytest.raises(ValidationError, match="^trajectories: expected at least 2, got 1$"):
+            default_sim_config(fast_test_system(), trajectories=1)
+
     def test_explicit_overrides_respected(self):
         lin = fast_test_system()
         cfg = default_sim_config(

@@ -227,6 +227,51 @@ class TestMakeReport:
         assert reports[4].diagnostics["canonical_kind"] == "star"
 
 
+class TestFactoredReport:
+    """A pair (L, X) stays unbuilt in the report until its block is read."""
+
+    @pytest.mark.parametrize(
+        "network, fewer_lines, routes",
+        [
+            (lambda rng: shuffled_complete_system(rng, 24), variance.PANEL_ROWS,
+             ("numeric", "uniform", "first-order", "closed")),
+            (lambda rng: sparse_uniform_ratio_system(rng, 30), 30, ("numeric", "uniform", "first-order")),
+        ],
+        ids=["complete-shuffled", "sparse"],
+    )
+    def test_factor_entries_equal_built_entries(self, network, fewer_lines, routes):
+        lin = network(np.random.default_rng(24))
+        assert lin.line_count > fewer_lines
+        for route in routes:
+            report = pipeline.ROUTES[route].run(lin, None)
+            assert isinstance(report.delta, variance.Congruence), route
+            for quantity, built in (("delta", report.q_delta), ("omega", report.q_omega)):
+                if built is None:
+                    continue
+                size = built.shape[0]
+                read = np.array([[pipeline._quantity_value(report, quantity, i, j)[0]
+                                  for j in range(1, size + 1)] for i in range(1, size + 1)])
+                assert np.abs(read - built).max() <= 1e-15 * np.abs(built).max(), (route, quantity)
+
+    def test_blocks_are_built_once_and_only_when_read(self, monkeypatch):
+        builds = []
+        build = variance._congruence
+        monkeypatch.setattr(variance, "_congruence",
+                            lambda lines, core: builds.append(lines.shape) or build(lines, core))
+        lin = shuffled_complete_system(np.random.default_rng(5), 12)
+        n, m = lin.node_count, lin.line_count
+        report = variance.asymptotic_variance_numeric(lin)
+        assert report.line_count == m and report.node_count == n
+        pipeline._quantity_value(report, "delta", 3, 7)
+        pipeline._quantity_value(report, "omega", 2, 2)
+        assert builds == []
+        q_delta = report.q_delta
+        assert report.q_delta is q_delta
+        assert builds == [(m, n - 1)]
+        assert report.q_omega is report.q_omega
+        assert builds == [(m, n - 1), (n, n)]
+
+
 class TestReduceSystem:
     def test_two_node_dimensions(self):
         lin = homogeneous_system("complete", 2, 1.0, 1.0, 1.0, np.ones(2))
