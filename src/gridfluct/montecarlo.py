@@ -4,11 +4,14 @@ The full linear stochastic system dx = A x dt + B dW is an Ornstein-Uhlenbeck
 process, so it is advanced by its exact Gaussian transition over each sample
 interval h, x <- e^{Ah} x + N(0, Sigma_h), and run as a statistics-level
 oracle for the analytic routes.  The transition comes from the matrix
-exponential (Van Loan 1978), not from a Lyapunov solver, so the oracle stays
-independent of the routes it checks.  The outputs (line angle differences
-and node frequencies) are invariant to the marginally stable mean-angle
-mode, so the full system is simulated and the angles are recentred after
-every step to keep the raw state bounded.
+exponential of Van Loan's block (Van Loan 1978), not from a Lyapunov solver,
+so the oracle stays independent of the routes it checks.  That exponential
+is one [13/13] Pade approximant in numpy, taken on a sub-step where the
+block's 1-norm is at most 1, inside the approximant's double-precision
+range theta_13 ~ 5.37 (Higham 2005), so it needs no squaring of its own.
+The outputs (line angle differences and node frequencies) are invariant to
+the marginally stable mean-angle mode, so the full system is simulated and
+the angles are recentred after every step to keep the raw state bounded.
 
 Trajectories use independent, collision-free counter-based streams
 (Philox keyed by ``trajectory_seed``), are reduced in fixed index order,
@@ -33,8 +36,15 @@ from .variance import METHOD_MC, CovarianceReport, make_report, reduce_system
 STATE_NORM_GUARD = 1e12
 # Normals held in the noise buffer at once (about 32 MB of float64).
 NOISE_BUFFER = 4_000_000
-# Largest ||A||_1 h0 of the sub-step whose block exponential is taken directly.
-SUBSTEP_NORM = 0.5
+# Largest 1-norm of the Van Loan block times the sub-step h0 that is
+# exponentiated directly; below theta_13 ~ 5.37 of the [13/13] Pade approximant.
+SUBSTEP_NORM = 1.0
+# Coefficients b_0..b_13 of the [13/13] Pade approximant to exp (Higham 2005).
+PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
 # Sigma_h is rejected when its smallest eigenvalue is below -PSD_TOL times its largest.
 PSD_TOL = 1e-10
 
@@ -91,6 +101,20 @@ def _trajectory_generators(master_seed: int, count: int) -> list[np.random.Gener
     ]
 
 
+def _pade13_expm(block: np.ndarray) -> np.ndarray:
+    """e^block by the [13/13] Pade approximant (V - U)^{-1} (V + U), for a
+    block whose 1-norm is at most theta_13 (no scaling and squaring)."""
+    b = PADE13
+    ident = np.eye(block.shape[0])
+    b2 = block @ block
+    b4 = b2 @ b2
+    b6 = b4 @ b2
+    u = block @ (b6 @ (b[13] * b6 + b[11] * b4 + b[9] * b2)
+                 + b[7] * b6 + b[5] * b4 + b[3] * b2 + b[1] * ident)
+    v = b6 @ (b[12] * b6 + b[10] * b4 + b[8] * b2) + b[6] * b6 + b[4] * b4 + b[2] * b2 + b[0] * ident
+    return np.linalg.solve(v - u, v + u)
+
+
 def ou_transition(
     drift: np.ndarray, diffusion: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,27 +122,36 @@ def ou_transition(
 
     Over a step h, x(t + h) = F x(t) + N(0, Sigma_h) with F = e^{drift h}
     and Sigma_h = int_0^h e^{drift s} diffusion e^{drift^T s} ds.  Van Loan's
-    block exponential of [[-drift, diffusion], [0, drift^T]] h0 gives both on
-    a sub-step h0 = h / 2^k with ||drift||_1 h0 <= 1/2, where its blocks stay
-    of order one; k doublings, Sigma <- Sigma + F Sigma F^T and F <- F^2,
-    then extend them to h, so stiff steps lose no accuracy.
+    block exponential of [[-drift, c diffusion], [0, drift^T]] h0 gives F and
+    c Sigma_{h0}.  The power of two c brings the diffusion's 1-norm within a
+    factor two of the larger of the drift's 1- and inf-norms, so both blocks
+    carry their digits at one scale; Sigma is linear in the diffusion and a
+    power of two scales exactly, and a zero diffusion gives Sigma exactly 0.
+    The sub-step h0 = h / 2^k is the longest whose block 1-norm times h0 is
+    at most 1, where one [13/13] Pade evaluation is accurate to rounding
+    (theta_13 ~ 5.37); k doublings, Sigma <- Sigma + F Sigma F^T and
+    F <- F^2, then extend both to h, so stiff steps lose no accuracy.
     """
-    from scipy.linalg import expm  # on first use: other routes start without scipy
-
     n = drift.shape[0]
-    reach = float(np.abs(drift).sum(axis=0).max()) * h
-    doublings = math.ceil(math.log2(reach / SUBSTEP_NORM)) if reach > SUBSTEP_NORM else 0
+    size = np.abs(drift)
+    drift_norm = float(max(size.sum(axis=0).max(), size.sum(axis=1).max()))
+    diffusion_norm = float(np.abs(diffusion).sum(axis=0).max())
+    shift = 0
+    if drift_norm > 0 and diffusion_norm > 0:
+        shift = math.frexp(drift_norm)[1] - math.frexp(diffusion_norm)[1]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -drift
-    block[:n, n:] = diffusion
+    block[:n, n:] = np.ldexp(diffusion, shift)
     block[n:, n:] = drift.T
-    exp_block = expm(block * (h / 2**doublings))
+    reach = float(np.abs(block).sum(axis=0).max()) * h
+    doublings = math.ceil(math.log2(reach / SUBSTEP_NORM)) if reach > SUBSTEP_NORM else 0
+    exp_block = _pade13_expm(block * (h / 2**doublings))
     transition = exp_block[n:, n:].T
     sigma = transition @ exp_block[:n, n:]
     for _ in range(doublings):
         sigma = sigma + transition @ sigma @ transition.T
         transition = transition @ transition
-    return transition, 0.5 * (sigma + sigma.T)
+    return transition, np.ldexp(0.5 * (sigma + sigma.T), -shift)
 
 
 def transition_factor(sigma: np.ndarray) -> np.ndarray:

@@ -219,13 +219,13 @@ cross,2,1,0.0096153846153846124,numeric,
 
 GOLDEN_SIMULATE_CSV = """\
 quantity,index_i,index_j,value,method,stderr
-delta,1,1,0.033625403909708501,monte-carlo,0.013722759261891874
-omega,1,1,0.084559471080437404,monte-carlo,0.0067002441038617345
-omega,1,2,-0.00044285649843274765,monte-carlo,0.00058972727948400285
-omega,2,1,-0.00044285649843274765,monte-carlo,0.00058972727948400285
-omega,2,2,0.0012903991979391629,monte-carlo,0.00055314394465111403
-cross,1,1,0.004795639368747431,monte-carlo,0.0031247083547353998
-cross,2,1,0.0064478311748362811,monte-carlo,0.0027554553696398356
+delta,1,1,0.033625403909128222,monte-carlo,0.013722759261516676
+omega,1,1,0.084559471080406193,monte-carlo,0.0067002441038577863
+omega,1,2,-0.00044285649840527413,monte-carlo,0.00058972727948219906
+omega,2,1,-0.00044285649840527413,monte-carlo,0.00058972727948219906
+omega,2,2,0.0012903991979168975,monte-carlo,0.00055314394463485067
+cross,1,1,0.0047956393688963119,monte-carlo,0.0031247083547473798
+cross,2,1,0.0064478311747220443,monte-carlo,0.0027554553695618433
 """
 
 GOLDEN_COMPARE_CSV = """\
@@ -255,9 +255,9 @@ cross,2,1,0.0096153846153846124,uniform-ratio,,6.608470384673552e-17
 
 GOLDEN_SWEEP_CSV = """\
 eta,method,delta_1_1,delta_1_1_stderr,omega_1_1,omega_1_1_stderr
-1,mc,0.033625403909708501,0.013722759261891874,0.084559471080437404,0.0067002441038617345
+1,mc,0.033625403909128222,0.013722759261516676,0.084559471080406193,0.0067002441038577863
 1,first-order,0.049999999999999982,,,
-2,mc,0.033544852959535958,0.014661431649105107,0.037291421974911677,0.0044874605796318967
+2,mc,0.033544852959535909,0.014661431649105088,0.037291421974911677,0.0044874605796318924
 2,first-order,0.049999999999999982,,,
 """
 
@@ -633,13 +633,16 @@ class TestCommandLine:
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith(f"gridfluct: {bad}: "), argv
 
-    def test_routes_without_lyapunov_solve_do_not_import_scipy(self):
+    def test_routes_without_lyapunov_solve_do_not_import_scipy(self, tmp_path):
         script = """
 import contextlib, io, sys
 from gridfluct.cli import main
-star = sys.argv[1]
+star, mc, sweep = sys.argv[1:]
 commands = [["solve", star]]
 commands += [["variance", star, "--method", m] for m in ("closed", "uniform", "first-order")]
+commands += [["simulate", star, "--mc-config", mc],
+             ["variance", star, "--method", "mc", "--mc-config", mc],
+             ["sweep", "--spec", sweep]]
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in commands:
         assert main(argv) == 0, argv
@@ -648,8 +651,15 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         root = Path(__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
         star = str(root / "scripts" / "specs" / "star6.json")
-        result = subprocess.run([sys.executable, "-c", script, star], env=env,
-                                capture_output=True, text=True, timeout=120)
+        mc, sweep = tmp_path / "mc.json", tmp_path / "sweep.json"
+        mc.write_text(json.dumps({"trajectories": 4}))
+        sweep.write_text(json.dumps({
+            "schema_version": 1, "base": {"kind": "network", "path": star},
+            "axes": [{"parameter": "noise_scale", "grid": [1.0, 2.0]}], "methods": ["mc"],
+            "quantities": [{"block": "omega", "i": 2, "j": 2}], "mc": {"trajectories": 4},
+        }))
+        result = subprocess.run([sys.executable, "-c", script, star, str(mc), str(sweep)],
+                                env=env, capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
 
     def test_numerically_disconnected_network(self, tmp_path, capsys):

@@ -97,6 +97,16 @@ def random_edges(rng, n, prob):
     return [edges[k] for k in rng.permutation(len(edges))]
 
 
+def random_tree_edges(rng, n, shape):
+    """Spanning path or random recursive tree on randomly labelled nodes, its
+    lines in random order and orientation."""
+    label = rng.permutation(n) + 1
+    parents = range(n - 1) if shape == "path" else (int(rng.integers(0, k)) for k in range(1, n))
+    edges = [(int(label[k + 1]), int(label[p]), 1.0) for k, p in enumerate(parents)]
+    edges = [(j, i, w) if rng.random() < 0.5 else (i, j, w) for i, j, w in edges]
+    return [edges[k] for k in rng.permutation(len(edges))]
+
+
 def inject_defect(rng, n, edges, defect):
     """Insert a defective edge at a random position of an edge list (a weight
     defect replaces an edge instead)."""
@@ -260,10 +270,16 @@ class TestIsConnected:
     def test_path(self):
         assert is_connected(WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1.0))))
 
-    @given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.floats(0.0, 0.6))
+    @given(st.one_of(st.tuples(st.just("random"), st.integers(1, 16)),
+                     st.tuples(st.sampled_from(["path", "tree"]), st.integers(1, 2000))),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 0.6))
     @settings(max_examples=80, deadline=None)
-    def test_agrees_with_search(self, n, seed, prob):
-        edges = random_edges(np.random.default_rng(seed), n, prob)
+    def test_agrees_with_search(self, shape_n, seed, prob):
+        shape, n = shape_n
+        rng = np.random.default_rng(seed)
+        edges = random_edges(rng, n, prob) if shape == "random" else random_tree_edges(rng, n, shape)
+        if shape != "random":  # cut about prob lines, so some forests are disconnected
+            edges = [edge for edge in edges if rng.random() >= prob / n]
         assert is_connected(WeightedGraph(n, edges)) == loop_is_connected(n, edges)
 
     def test_very_unequal_weights_still_connected(self):

@@ -1,7 +1,10 @@
 """Monte Carlo oracle: determinism, statistics, and agreement diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gridfluct import (
     InternalInvariantError,
@@ -75,7 +78,61 @@ def _raw_estimate(lin, cfg):
     return simulate_stationary_covariance(drift, noise_input, cfg, output)
 
 
+def van_loan_reference(drift, diffusion, h):
+    """(F, Sigma_h) from scipy's expm of Van Loan's block, with the diffusion
+    scaled to the drift's 1-norm and sub-steps of block 1-norm times h0 <= 1/2."""
+    n = drift.shape[0]
+    size = np.abs(diffusion).sum(axis=0).max()
+    scale = np.abs(drift).sum(axis=0).max() / size if size > 0 else 1.0
+    block = np.block([[-drift, scale * diffusion], [np.zeros((n, n)), drift.T]])
+    doublings = max(0, math.ceil(math.log2(2 * np.abs(block).sum(axis=0).max() * h)))
+    exp_block = scipy.linalg.expm(block * (h / 2**doublings))
+    transition = exp_block[n:, n:].T
+    sigma = transition @ exp_block[:n, n:]
+    for _ in range(doublings):
+        sigma = sigma + transition @ sigma @ transition.T
+        transition = transition @ transition
+    return transition, sigma / scale
+
+
+def random_drift(rng, n, kind):
+    """Stable (shifted Gaussian), stiff (symmetric, rates over six decades)
+    or non-normal (shifted triangular) drift, times a scale in 1e-3..1e3."""
+    scale = 10 ** rng.uniform(-3, 3)
+    if kind == "stiff":
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return scale * (basis * -(10 ** rng.uniform(-3, 3, n))) @ basis.T
+    a = rng.standard_normal((n, n))
+    if kind == "non-normal":
+        a = 5 * np.triu(a)
+    shift = np.linalg.eigvals(a).real.max() + rng.uniform(0.1, 2.0)
+    return scale * (a - shift * np.eye(n))
+
+
 class TestExactTransition:
+    @pytest.mark.parametrize("kind", ["stable", "stiff", "non-normal"])
+    def test_agrees_with_scipy_van_loan(self, kind):
+        # Steps up to 30 / ||drift||_1 keep the doublings that amplify both
+        # computations' rounding to a few; diffusions span 24 decades.
+        rng = np.random.default_rng(["stable", "stiff", "non-normal"].index(kind))
+        cases = []
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            drift = random_drift(rng, n, kind)
+            root = rng.standard_normal((n, n))
+            h = 10 ** rng.uniform(-3, 1.5) / np.abs(drift).sum(axis=0).max()
+            cases.append((drift, 10 ** rng.uniform(-12, 12) * root @ root.T, h))
+        cases.append((np.array([[2.0]]), np.array([[1.0]]), 2.0))  # unstable, as in the guard test
+        for drift, diffusion, h in cases:
+            transition, sigma = ou_transition(drift, diffusion, h)
+            ref_transition, ref_sigma = van_loan_reference(drift, diffusion, h)
+            assert np.abs(transition - ref_transition).max() <= 1e-13 * np.abs(ref_transition).max()
+            assert np.abs(sigma - ref_sigma).max() <= 1e-13 * np.abs(ref_sigma).max()
+            # A zero diffusion changes the sub-step, not the transition's accuracy.
+            transition, sigma = ou_transition(drift, np.zeros_like(diffusion), h)
+            assert np.abs(transition - ref_transition).max() <= 1e-13 * np.abs(ref_transition).max()
+            assert not sigma.any()
+
     @pytest.mark.parametrize("rate", [2.0, 2000.0])
     @pytest.mark.parametrize("h", [1e-3, 0.17, 2.0, 50.0])
     def test_scalar_closed_form(self, rate, h):
