@@ -37,7 +37,7 @@ def main() -> int:
 
     cfg = default_sim_config(lin, trajectories=args.trajectories, master_seed=args.seed)
     print(f"dt={cfg.dt:.3g}  burn_in={cfg.burn_in:.3g}s  horizon={cfg.horizon:.3g}s  "
-          f"stride={cfg.sample_stride}  trajectories={cfg.trajectories}")
+          f"trajectories={cfg.trajectories}")
     start = time.perf_counter()
     report = simulate_covariance(lin, cfg)
     elapsed = time.perf_counter() - start

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -163,7 +164,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Overflow, invalid operations and division by zero raise, never leave inf or nan.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return handlers[args.command](args)
+            code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, during a write or the flush above; pointing
+        # stdout at devnull keeps the flush at exit silent.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("gridfluct: output closed before it was complete", file=sys.stderr)
+        return 1
     except USER_ERRORS as exc:
         print(f"gridfluct: {exc}", file=sys.stderr)
         return 2

@@ -53,12 +53,13 @@ PSD_TOL = 1e-10
 class SimConfig:
     """Sampling plan for the Monte Carlo estimator.
 
-    Samples are taken every ``dt * sample_stride`` seconds, the interval of
-    one exact transition.  ``burn_in`` seconds (rounded up to whole
-    intervals) are discarded first; ``horizon`` seconds are then sampled,
-    one sample per interval.  ``master_seed`` fixes all randomness.  At
-    least two ``trajectories`` are needed: their spread gives the standard
-    errors.
+    Samples are taken every ``dt`` seconds, the interval of one exact
+    transition.  ``burn_in`` seconds (rounded up to whole intervals) are
+    discarded first; ``horizon`` seconds are then sampled, one sample per
+    interval.  ``master_seed`` fixes all randomness.  At least two
+    ``trajectories`` are needed: their spread gives the standard errors.
+    Each setting is checked on its own by ``netfile._check_mc_setting``;
+    only the rule that joins two of them is checked here.
     """
 
     dt: float
@@ -66,23 +67,14 @@ class SimConfig:
     horizon: float
     trajectories: int
     master_seed: int
-    sample_stride: int = 1
 
     def __post_init__(self) -> None:
         for setting in fields(self):
             _check_mc_setting(setting.name, getattr(self, setting.name), setting.name)
-        if self.master_seed < 0:
-            raise ValidationError(f"master_seed must be non-negative, got {self.master_seed}")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.burn_in < 0:
-            raise ValidationError(f"burn_in must be non-negative, got {self.burn_in}")
         if self.horizon < 100 * self.dt:
             raise ValidationError(
                 f"horizon {self.horizon} too short: need at least 100 steps of dt={self.dt}"
             )
-        if self.sample_stride < 1:
-            raise ValidationError("sample_stride must be a positive integer")
 
 
 def trajectory_seed(master_seed: int, trajectory_index: int) -> np.random.SeedSequence:
@@ -205,17 +197,17 @@ def simulate_stationary_covariance(
     """Second moments of y = output @ x for dx = drift x dt + noise dW, by exact steps.
 
     Every step advances all trajectories (state array of shape (states,
-    trajectories)) by one exact transition over h = dt * sample_stride:
-    ceil(burn_in / h) steps of burn-in, then one sample after each of the
-    ceil(round(horizon / dt) / sample_stride) sampling steps.  The
-    estimator pools per-trajectory time averages, one batch per
-    trajectory, and reduces them in trajectory index order.  Each
+    trajectories)) by one exact transition over dt: ceil(burn_in / dt)
+    steps of burn-in, then one sample after each of the round(horizon / dt)
+    sampling steps.  The estimator pools per-trajectory time averages, one
+    batch per trajectory, and reduces them in trajectory index order.  Each
     trajectory consumes its own counter-based stream sequentially, one
     normal per state and step, so results are bit-identical for identical
     inputs and do not depend on how many trajectories run.
 
     Raises:
-        StepSizeError: if the state norm exceeds 1e12 after a step.
+        StepSizeError: if a state entry exceeds 1e12 times the noise scale,
+            the square root of the largest diagonal entry of Sigma_dt.
         InternalInvariantError: if the transition covariance is not PSD.
     """
     drift = np.asarray(drift, dtype=float)
@@ -225,12 +217,14 @@ def simulate_stationary_covariance(
     n_out = output.shape[0]
     n_traj = cfg.trajectories
 
-    interval = cfg.dt * cfg.sample_stride
-    transition, sigma = ou_transition(drift, noise_input @ noise_input.T, interval)
+    transition, sigma = ou_transition(drift, noise_input @ noise_input.T, cfg.dt)
     factor = transition_factor(sigma)
+    # Relative to the noise one step injects, so scaling every noise amplitude
+    # changes no verdict; with no noise the state stays exactly 0.
+    state_limit = STATE_NORM_GUARD * math.sqrt(sigma.diagonal().max())
 
-    burn_steps = math.ceil(cfg.burn_in / interval)
-    n_samples = len(range(0, round(cfg.horizon / cfg.dt), cfg.sample_stride))
+    burn_steps = math.ceil(cfg.burn_in / cfg.dt)
+    n_samples = round(cfg.horizon / cfg.dt)
     total_steps = burn_steps + n_samples
 
     generators = _trajectory_generators(cfg.master_seed, n_traj)
@@ -254,9 +248,9 @@ def simulate_stationary_covariance(
             state = transition @ state + factor @ noise[:, local].T
             if recenter is not None:
                 recenter(state)
-            if np.abs(state).max() > STATE_NORM_GUARD:
+            if np.abs(state).max() > state_limit:
                 raise StepSizeError(
-                    f"state norm exceeded {STATE_NORM_GUARD:g} at step {step + 1}; "
+                    f"state norm exceeded {STATE_NORM_GUARD:g} noise scales at step {step + 1}; "
                     "the drift is not stable"
                 )
             sample_idx = step - burn_steps
@@ -312,15 +306,13 @@ def default_sim_config(
     dt: float | None = None,
     burn_in: float | None = None,
     horizon: float | None = None,
-    sample_stride: int | None = None,
 ) -> SimConfig:
     """Config sampling every twentieth of the slowest decay time.
 
     With tau = 1 / decay the slowest decay time of the reduced system, the
-    defaults are dt = 0.05 tau with ``sample_stride`` 1 (the exact
-    transition has no step-size bias, so dt is only the sample interval),
-    a 10 tau burn-in and a horizon of max(2.5 tau, 100 dt).  Every field
-    can be overridden.
+    defaults are dt = 0.05 tau (the exact transition has no step-size bias,
+    so dt is only the sample interval), a 10 tau burn-in and a horizon of
+    max(2.5 tau, 100 dt).  Every field can be overridden.
     """
     decay = _decay(lin)
     if dt is None:
@@ -329,12 +321,10 @@ def default_sim_config(
         burn_in = 10.0 / decay
     if horizon is None:
         horizon = max(2.5 / decay, 100 * _number(dt, "dt"))
-    if sample_stride is None:
-        sample_stride = 1
-    return SimConfig(dt, burn_in, horizon, trajectories, master_seed, sample_stride)
+    return SimConfig(dt, burn_in, horizon, trajectories, master_seed)
 
 
-def simulate_covariance(lin: LinearizedSystem, cfg: SimConfig | None = None) -> CovarianceReport:
+def simulate_covariance(lin: LinearizedSystem, cfg: SimConfig) -> CovarianceReport:
     """Monte Carlo estimate of the stationary output covariance.
 
     The reduced system must be Hurwitz (checked) and ``cfg.burn_in`` must
@@ -343,12 +333,10 @@ def simulate_covariance(lin: LinearizedSystem, cfg: SimConfig | None = None) -> 
     stationarity diagnostics are attached to the report.
     """
     decay = _decay(lin)
-    if cfg is None:
-        cfg = default_sim_config(lin)
     if cfg.burn_in < 10.0 / decay * (1.0 - 1e-9):
         raise ValidationError(
             f"burn_in {cfg.burn_in:g} shorter than ten decay times ({10.0 / decay:g}); "
-            "use default_sim_config or increase burn_in"
+            "increase burn_in or leave it unset"
         )
 
     n, m = lin.node_count, lin.line_count

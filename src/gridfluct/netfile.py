@@ -36,20 +36,24 @@ SCHEMA_VERSION = 1
 HOMOGENEOUS_AXES = ("gamma", "eta", "damping", "n")
 NETWORK_AXES = ("capacity_scale", "inertia_scale", "damping_scale", "noise_scale")
 QUANTITY_BLOCKS = ("delta", "omega", "cross")
-MC_OVERRIDE_KEYS = ("trajectories", "master_seed", "dt", "burn_in", "horizon", "sample_stride")
-MC_NULLABLE_KEYS = ("dt", "burn_in", "horizon", "sample_stride")  # null: the default
+MC_OVERRIDE_KEYS = ("trajectories", "master_seed", "dt", "burn_in", "horizon")
+MC_NULLABLE_KEYS = ("dt", "burn_in", "horizon")  # null: the default
 
 
 def _check_mc_setting(key: str, value: Any, context: str) -> None:
     """Raise ValidationError naming ``context`` unless ``value`` suits Monte Carlo
-    setting ``key``: a finite number for a time, otherwise an int (not a bool),
-    and at least 2 trajectories, the fewest that give a standard error."""
+    setting ``key``: ``dt`` and ``horizon`` positive finite numbers, ``burn_in``
+    a non-negative one, ``master_seed`` an int (not a bool) of at least 0 and
+    ``trajectories`` one of at least 2, the fewest that give a standard error."""
     if key in ("dt", "burn_in", "horizon"):
-        _number(value, context)
+        number = _number(value, context)
+        if not (number >= 0 if key == "burn_in" else number > 0):
+            sign = "non-negative" if key == "burn_in" else "positive"
+            raise ValidationError(f"{context}: expected a {sign} number, got {reprlib.repr(value)}")
     elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{context}: expected an integer, got {reprlib.repr(value)}")
-    elif key == "trajectories" and value < 2:
-        raise ValidationError(f"{context}: expected at least 2, got {value}")
+    elif value < (least := 2 if key == "trajectories" else 0):
+        raise ValidationError(f"{context}: expected at least {least}, got {value}")
 
 
 def validate_mc_overrides(overrides: Any, context: str) -> dict:

@@ -145,11 +145,7 @@ def _flow_residual(
     return net.power - net.damping * sync_freq - inc @ flows
 
 
-def solve_synchronous_state(
-    net: PowerNetwork,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> SynchronousState:
+def solve_synchronous_state(net: PowerNetwork) -> SynchronousState:
     """Newton solve of the synchronous-state flow equations from a flat start.
 
     Node 1 is the angle reference (pinned to zero) and its equation dropped,
@@ -157,8 +153,8 @@ def solve_synchronous_state(
     (up to 10 times) whenever the residual sup-norm would increase.
 
     Raises:
-        NoSynchronousStateError: when Newton does not reach ``tol`` within
-            ``max_iter`` iterations or hits a singular Jacobian.
+        NoSynchronousStateError: when Newton does not reach ``NEWTON_TOL``
+            within ``NEWTON_MAX_ITER`` iterations or hits a singular Jacobian.
     """
     n = net.node_count
     sync_freq = synchronized_frequency(net)
@@ -169,8 +165,8 @@ def solve_synchronous_state(
     residual = _flow_residual(net, inc, angles, sync_freq)
     res_norm = float(np.abs(residual).max())
 
-    for _ in range(max_iter):
-        if res_norm <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if res_norm <= NEWTON_TOL:
             return SynchronousState(angles, sync_freq, res_norm)
         weights = caps * np.cos(inc.T @ angles)
         jac = -(inc * weights) @ inc.T
@@ -192,10 +188,10 @@ def solve_synchronous_state(
             scale *= 0.5
         angles, residual, res_norm = trial, trial_residual, trial_norm
 
-    if res_norm <= tol:
+    if res_norm <= NEWTON_TOL:
         return SynchronousState(angles, sync_freq, res_norm)
     raise NoSynchronousStateError(
-        f"no synchronous state found: residual {res_norm:.3e} after {max_iter} iterations"
+        f"no synchronous state found: residual {res_norm:.3e} after {NEWTON_MAX_ITER} iterations"
     )
 
 

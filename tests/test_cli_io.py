@@ -733,15 +733,22 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
     @pytest.mark.parametrize(
         "options, config, message",
         [
-            (["--seed", "-1"], {}, "master_seed must be non-negative, got -1"),
+            (["--seed", "-1"], {}, "master_seed: expected at least 0, got -1"),
             ([], {"trajectories": "ten"}, "trajectories: expected an integer, got 'ten'"),
             ([], {"trajectories": 2.5}, "trajectories: expected an integer, got 2.5"),
             ([], {"trajectories": True}, "trajectories: expected an integer, got True"),
-            ([], {"sample_stride": 1.5}, "sample_stride: expected an integer, got 1.5"),
+            ([], {"sample_stride": 1}, "unknown Monte Carlo field 'sample_stride'; "
+                                       "allowed: trajectories, master_seed, dt, burn_in, horizon"),
             ([], {"master_seed": None}, "master_seed: expected an integer, got None"),
             ([], {"dt": "fast"}, "dt: expected a number, got 'fast'"),
             ([], {"horizon": float("inf")}, "horizon: expected a finite number, got inf"),
             ([], {"trajectories": 1}, "trajectories: expected at least 2, got 1"),
+            ([], {"dt": 0}, "dt: expected a positive number, got 0"),
+            ([], {"dt": -1}, "dt: expected a positive number, got -1"),
+            ([], {"burn_in": -5}, "burn_in: expected a non-negative number, got -5"),
+            ([], {"horizon": 0.0}, "horizon: expected a positive number, got 0.0"),
+            ([], {"horizon": -3}, "horizon: expected a positive number, got -3"),
+            ([], {"master_seed": -2}, "master_seed: expected at least 0, got -2"),
         ],
     )
     def test_bad_monte_carlo_setting_exits_two(self, tmp_path, capsys, options, config, message):
@@ -827,12 +834,58 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         assert main(["sweep", "--spec", "sweep.json"]) == 2
         assert capsys.readouterr().err == "gridfluct: sweep.json.mc: trajectories: expected at least 2, got 1\n"
 
+    @pytest.mark.parametrize("methods", [["mc"], ["numeric"]])
+    def test_bad_sweep_monte_carlo_setting_exits_two_before_any_cell(self, tmp_path, capsys,
+                                                                     monkeypatch, methods):
+        # The mc block is checked where the file is read, whether or not an mc cell runs.
+        monkeypatch.chdir(tmp_path)
+        cells = []
+        monkeypatch.setattr(pipeline, "linearized", lambda net: cells.append(net))
+        write_doc(tmp_path, {**sweep_doc(methods=methods), "mc": {"dt": -1}}, "sweep.json")
+        assert main(["sweep", "--spec", "sweep.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "gridfluct: sweep.json.mc: dt: expected a positive number, got -1\n"
+        assert captured.out == "" and cells == []
+
+    def test_huge_noise_simulates_within_four_standard_errors(self, tmp_path, capsys):
+        # The divergence guard is relative to the noise: scaling every noise
+        # amplitude by 2e13 changes no verdict.
+        root = Path(__file__).resolve().parent.parent
+        doc = json.loads((root / "scripts" / "specs" / "star6.json").read_text())
+        doc["nodes"][1]["noise"] = 1e13
+        path = write_doc(tmp_path, doc)
+        config = write_doc(tmp_path, {"trajectories": 200}, "mc.json")
+        assert main(["simulate", str(path), "--mc-config", str(config), "--seed", "3"]) == 0
+        simulated = capsys.readouterr().out.splitlines()[1:]
+        assert main(["variance", str(path), "--method", "numeric"]) == 0
+        numeric = capsys.readouterr().out.splitlines()[1:]
+        assert len(simulated) == len(numeric) > 0
+        for mc_row, exact_row in zip(simulated, numeric):
+            quantity, i, j, value, _, stderr = mc_row.split(",")
+            assert exact_row.split(",")[:3] == [quantity, i, j]
+            exact = float(exact_row.split(",")[3])
+            assert abs(float(value) - exact) <= 4 * float(stderr), mc_row
+
+    def test_closed_stdout_ends_without_traceback(self, tmp_path):
+        # A reader that stops after one line of a multi-megabyte CSV.
+        path = write_doc(tmp_path, network_doc(40, complete_lines(40), noise={1: 0.1}))
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        with subprocess.Popen([sys.executable, "-m", "gridfluct.cli", "variance", str(path),
+                               "--method", "closed"], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"quantity,index_i,index_j,value,method,stderr\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        assert err == "gridfluct: output closed before it was complete\n"
+
     def test_null_monte_carlo_setting_means_default(self, tmp_path, capsys):
         doc = network_doc(2, [(1, 2)], inertia=1.0, damping=5.0, noise={1: 1.0}, capacity=1.0)
         net_path = write_doc(tmp_path, doc)
         outputs = []
-        for config in ({"trajectories": 3}, {"trajectories": 3, "dt": None, "burn_in": None,
-                                             "horizon": None, "sample_stride": None}):
+        for config in ({"trajectories": 3},
+                       {"trajectories": 3, "dt": None, "burn_in": None, "horizon": None}):
             mc_path = tmp_path / "mc.json"
             mc_path.write_text(json.dumps(config))
             assert main(["simulate", str(net_path), "--mc-config", str(mc_path)]) == 0

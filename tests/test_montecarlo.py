@@ -228,7 +228,7 @@ class TestSimulateCovariance:
         with pytest.raises(ValidationError, match="burn_in"):
             simulate_covariance(
                 lin,
-                SimConfig(good.dt, good.burn_in / 100, good.horizon, 4, 0, good.sample_stride),
+                SimConfig(good.dt, good.burn_in / 100, good.horizon, 4, 0),
             )
 
     def test_one_trajectory_is_refused(self):
@@ -240,12 +240,9 @@ class TestSimulateCovariance:
 
     def test_explicit_overrides_respected(self):
         lin = fast_test_system()
-        cfg = default_sim_config(
-            lin, trajectories=5, master_seed=2, dt=0.001, horizon=3.0, sample_stride=7
-        )
-        assert cfg.dt == 0.001
+        cfg = default_sim_config(lin, trajectories=5, master_seed=2, dt=0.007, horizon=3.0)
+        assert cfg.dt == 0.007
         assert cfg.horizon == 3.0
-        assert cfg.sample_stride == 7
 
 
 class TestBenchmarkDiagnostics:
