@@ -22,7 +22,14 @@ from .errors import (
     InvalidGraphError,
     ValidationError,
 )
-from .netfile import _load_json, format_number, load_network, load_sweep, validate_mc_overrides
+from .netfile import (
+    _check_mc_setting,
+    _load_json,
+    format_number,
+    load_network,
+    load_sweep,
+    validate_mc_overrides,
+)
 from .pipeline import (
     EXACT_ROUTES,
     ROUTES,
@@ -145,6 +152,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.seed is not None:
+        _check_mc_setting("master_seed", args.seed, "--seed")
     spec = load_sweep(args.spec)
     rows = run_sweep(spec, seed=args.seed)
     with _output(args.out) as fh:

@@ -109,16 +109,20 @@ def _pade13_expm(block: np.ndarray) -> np.ndarray:
 
 def ou_transition(
     drift: np.ndarray, diffusion: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact transition (F, Sigma_h) of dx = drift x dt + dW, Cov(dW) = diffusion dt.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact transition (F, Sigma_h, G) of dx = drift x dt + dW, Cov(dW) = diffusion dt.
 
     Over a step h, x(t + h) = F x(t) + N(0, Sigma_h) with F = e^{drift h}
-    and Sigma_h = int_0^h e^{drift s} diffusion e^{drift^T s} ds.  Van Loan's
-    block exponential of [[-drift, c diffusion], [0, drift^T]] h0 gives F and
-    c Sigma_{h0}.  The power of two c brings the diffusion's 1-norm within a
-    factor two of the larger of the drift's 1- and inf-norms, so both blocks
-    carry their digits at one scale; Sigma is linear in the diffusion and a
-    power of two scales exactly, and a zero diffusion gives Sigma exactly 0.
+    and Sigma_h = int_0^h e^{drift s} diffusion e^{drift^T s} ds, and
+    G G^T = Sigma_h up to rounding-level directions (:func:`transition_factor`).
+    Van Loan's block exponential of [[-drift, c diffusion], [0, drift^T]] h0
+    gives F and c Sigma_{h0}.  The power of four c brings the diffusion's
+    1-norm within a factor four of the larger of the drift's 1- and
+    inf-norms, so both blocks carry their digits at one scale; Sigma is
+    linear in the diffusion and a power of two scales exactly, and a zero
+    diffusion gives Sigma exactly 0.  G is factored from c Sigma_h, whose
+    entries are normal numbers even when Sigma_h's are subnormal, and scaled
+    by c^{-1/2}.
     The sub-step h0 = h / 2^k is the longest whose block 1-norm times h0 is
     at most 1, where one [13/13] Pade evaluation is accurate to rounding
     (theta_13 ~ 5.37); k doublings, Sigma <- Sigma + F Sigma F^T and
@@ -131,6 +135,7 @@ def ou_transition(
     shift = 0
     if drift_norm > 0 and diffusion_norm > 0:
         shift = math.frexp(drift_norm)[1] - math.frexp(diffusion_norm)[1]
+        shift -= shift % 2
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -drift
     block[:n, n:] = np.ldexp(diffusion, shift)
@@ -143,26 +148,33 @@ def ou_transition(
     for _ in range(doublings):
         sigma = sigma + transition @ sigma @ transition.T
         transition = transition @ transition
-    return transition, np.ldexp(0.5 * (sigma + sigma.T), -shift)
+    sigma = 0.5 * (sigma + sigma.T)
+    factor = np.ldexp(transition_factor(sigma), -shift // 2)
+    return transition, np.ldexp(sigma, -shift), factor
 
 
 def transition_factor(sigma: np.ndarray) -> np.ndarray:
     """Full-width factor G with G G^T = sigma, from ``eigh``.
 
-    Rounding negatives are clipped to zero, so G has as many columns as
-    sigma has rows whatever its rank, and each step draws that many normals.
+    Eigenvalues at or below rows * eps times the largest, rounding negatives
+    included, are set to zero: they are rounding, not noise, and their
+    columns would inject noise along directions the drift cannot reach.  G
+    keeps as many columns as sigma has rows whatever its rank, so each step
+    draws that many normals.
 
     Raises:
         InternalInvariantError: if sigma's smallest eigenvalue is below
             -1e-10 times its largest (a transition covariance is PSD).
     """
     values, vectors = np.linalg.eigh(sigma)
-    if values[0] < -PSD_TOL * max(values[-1], 0.0):
+    top = max(values[-1], 0.0)
+    if values[0] < -PSD_TOL * top:
         raise InternalInvariantError(
             f"transition covariance is not positive semi-definite: "
             f"eigenvalues span [{values[0]:.3e}, {values[-1]:.3e}]"
         )
-    return vectors * np.sqrt(np.clip(values, 0.0, None))
+    values[values <= sigma.shape[0] * np.finfo(float).eps * top] = 0.0
+    return vectors * np.sqrt(values)
 
 
 @dataclass(frozen=True)
@@ -207,7 +219,7 @@ def simulate_stationary_covariance(
 
     Raises:
         StepSizeError: if a state entry exceeds 1e12 times the noise scale,
-            the square root of the largest diagonal entry of Sigma_dt.
+            the largest row norm of Sigma_dt's factor.
         InternalInvariantError: if the transition covariance is not PSD.
     """
     drift = np.asarray(drift, dtype=float)
@@ -217,11 +229,11 @@ def simulate_stationary_covariance(
     n_out = output.shape[0]
     n_traj = cfg.trajectories
 
-    transition, sigma = ou_transition(drift, noise_input @ noise_input.T, cfg.dt)
-    factor = transition_factor(sigma)
+    transition, _, factor = ou_transition(drift, noise_input @ noise_input.T, cfg.dt)
     # Relative to the noise one step injects, so scaling every noise amplitude
-    # changes no verdict; with no noise the state stays exactly 0.
-    state_limit = STATE_NORM_GUARD * math.sqrt(sigma.diagonal().max())
+    # changes no verdict; with no noise the state stays exactly 0.  hypot
+    # neither underflows nor overflows where the factor's squares would.
+    state_limit = STATE_NORM_GUARD * float(np.hypot.reduce(factor, axis=1).max(initial=0.0))
 
     burn_steps = math.ceil(cfg.burn_in / cfg.dt)
     n_samples = round(cfg.horizon / cfg.dt)

@@ -27,7 +27,8 @@ an n x n node map N.  Each reaches :func:`make_report` as the pair (L, G)
 or (N, R), whose symmetry and positive semi-definiteness are decided on
 the small core, and is kept as a :class:`Congruence`: single entries are
 read from the factors, and the whole block is built, exactly symmetric,
-by a row-panel product when it is first read.  Monte Carlo blocks and the
+from the row panels of :func:`upper_panels` when it is first read;
+``pipeline.compare_variance`` reads the same panels without building it.  Monte Carlo blocks and the
 closed star angle and frequency blocks arrive dense and are checked as
 given.
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -71,8 +72,9 @@ class Congruence:
 
     ``core`` X is exactly symmetric.  Indexing reads one entry, (i, j) with
     i <= j as (L[i] X) . L[j], in O(k^2) for an m x k map L, in the order
-    the built block's row panels compute it; ``array`` builds the whole
-    block by :func:`_congruence` on first read and keeps it.
+    the built block's row panels compute it; ``left`` is L X, formed once;
+    ``array`` builds the whole block by :func:`_congruence` on first read
+    and keeps it.
     """
 
     lines: np.ndarray
@@ -85,6 +87,10 @@ class Congruence:
     def __getitem__(self, index: tuple[int, int]) -> float:
         i, j = sorted(index)
         return float(self.lines[i] @ self.core @ self.lines[j])
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        return self.lines @ self.core
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -142,23 +148,36 @@ def _scale(block: np.ndarray, name: str) -> float:
     return max(1.0, top, -bottom)
 
 
-def _congruence(lines: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """L X L^T for a symmetric X, exactly symmetric.
+def upper_panels(block: np.ndarray | Congruence) -> Iterator[tuple[int, np.ndarray]]:
+    """Row panels (i, P) of a symmetric block's upper triangle.
 
-    Row panel [i, i + PANEL_ROWS) of (L X) L^T is taken from column i on;
-    it is written with its mirror, and only its leading square tile, which
-    holds the diagonal, is averaged with its transpose.
+    For i in steps of PANEL_ROWS, P holds rows [i, i + PANEL_ROWS) from
+    column i on.  A :class:`Congruence`'s panel is (L X)[i:end] L[i:]^T, and
+    its leading square tile, which holds the diagonal, is averaged with its
+    transpose; a dense block's panel is a view of the block, which
+    :func:`make_report` keeps exactly symmetric.
     """
-    m = lines.shape[0]
-    left = lines @ core
-    out = np.empty((m, m))
+    m = block.shape[0]
     for i in range(0, m, PANEL_ROWS):
         end = min(i + PANEL_ROWS, m)
-        panel = left[i:end] @ lines[i:].T
-        tile = panel[:, : end - i]
-        out[i:end, i:end] = 0.5 * (tile + tile.T)
-        out[i:end, end:] = panel[:, end - i :]
-        out[end:, i:end] = panel[:, end - i :].T
+        if isinstance(block, Congruence):
+            panel = block.left[i:end] @ block.lines[i:].T
+            tile = panel[:, : end - i]
+            tile[...] = 0.5 * (tile + tile.T)
+        else:
+            panel = block[i:end, i:]
+        yield i, panel
+
+
+def _congruence(lines: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """L X L^T for a symmetric X, exactly symmetric: each of
+    :func:`upper_panels`' panels is written with its mirror."""
+    m = lines.shape[0]
+    out = np.empty((m, m))
+    for i, panel in upper_panels(Congruence(lines, core)):
+        end = i + panel.shape[0]
+        out[i:end, i:] = panel
+        out[i:, i:end] = panel.T
     return out
 
 
@@ -172,8 +191,7 @@ def _diagonal_scale(block: Congruence, name: str) -> float:
     (one factor 2 is room for rounding), so with finite factors every entry
     is finite.  Otherwise the block is built and scanned, as a dense block is.
     """
-    lines = block.lines
-    left = lines @ block.core
+    lines, left = block.lines, block.left
     if math.isfinite(4.0 * lines.shape[1] * _scale(left, name) * _scale(lines, name)):
         diagonal = np.einsum("ij,ij->i", left, lines)
     else:

@@ -204,6 +204,87 @@ class TestRunVariance:
         np.testing.assert_array_equal(closed.q_omega, closed.q_omega.T)
 
 
+def star_doc(n=12, noise=None):
+    """Homogeneous star, root at node 3, lines alternately root -> leaf and leaf -> root."""
+    leaves = [j for j in range(1, n + 1) if j != 3]
+    lines = [(3, j) if k % 2 else (j, 3) for k, j in enumerate(leaves)]
+    return network_doc(n, lines, damping=0.2, noise=noise or {2: 0.5, 7: 0.1})
+
+
+def complete60_doc():
+    """A ``dense-compare``-sized network: complete n=60 (1,770 lines), one source."""
+    return network_doc(60, complete_lines(60), noise={17: 0.04})
+
+
+def sparse_doc(n=40):
+    """Random connected graph, heterogeneous capacities and inertia, common damping ratio."""
+    rng = np.random.default_rng(40)
+    graph = random_connected_graph(rng, n, extra_edge_prob=0.1)
+    doc = network_doc(n, [(i, j) for i, j, _ in graph.edges], noise={1: 0.3, 9: 0.2})
+    for line, (_, _, weight) in zip(doc["lines"], graph.edges):
+        line["capacity"] = 5.0 * weight
+    for node, inertia in zip(doc["nodes"], rng.uniform(0.2, 3.0, n)):
+        node["inertia"], node["damping"] = inertia, 0.6 * inertia
+    return doc
+
+
+class TestCompareByPanels:
+    """``compare_variance`` reads the symmetric blocks by row panels."""
+
+    @pytest.mark.parametrize(
+        "doc, routes",
+        [
+            (network_doc(24, complete_lines(24), noise={2: 0.04, 5: 0.1, 8: 0.02}),
+             {"numeric", "uniform", "closed"}),
+            (complete60_doc(), {"numeric", "uniform", "closed"}),
+            (star_doc(), {"numeric", "uniform", "closed"}),
+            (sparse_doc(), {"numeric", "uniform"}),
+        ],
+        ids=["complete24", "complete60", "star", "sparse"],
+    )
+    def test_discrepancy_has_the_bits_of_the_built_blocks(self, doc, routes):
+        # All routes at once, then each route alone against numeric.
+        net = network_from_dict(doc)
+        for methods in (None, *([route] for route in sorted(routes - {"numeric"}))):
+            comparison = compare_variance(net, methods)
+            assert set(comparison.reports) == (routes if methods is None else {"numeric", *methods})
+            reference = comparison.reports.pop("numeric")
+            built = max(
+                relative_discrepancy(getattr(report, block), getattr(reference, block))
+                for report in comparison.reports.values()
+                for block in ("q_delta", "q_omega", "q_delta_omega")
+            )
+            assert comparison.max_relative_discrepancy.hex() == built.hex(), methods
+
+    def test_two_panels_and_a_dense_angle_block_are_covered(self):
+        complete = compare_variance(network_from_dict(network_doc(24, complete_lines(24))))
+        assert complete.reports["numeric"].line_count > variance.PANEL_ROWS
+        star = compare_variance(network_from_dict(star_doc()))
+        assert isinstance(star.reports["closed"].delta, np.ndarray)
+
+    def test_no_block_is_built(self, monkeypatch):
+        builds = []
+        build = variance._congruence
+        monkeypatch.setattr(variance, "_congruence", lambda *args: builds.append(args) or build(*args))
+        comparison = compare_variance(network_from_dict(complete60_doc()))
+        factored = [block for report in comparison.reports.values()
+                    for block in (report.delta, report.omega)
+                    if isinstance(block, variance.Congruence)]
+        assert len(factored) == 5
+        assert builds == [] and not any("array" in vars(block) for block in factored)
+
+    def test_dense_compare_peaks_below_40_mb(self):
+        net = network_from_dict(complete60_doc())
+        compare_variance(net)  # imports and first-use set-up are not the comparison's
+        tracemalloc.start()
+        try:
+            comparison = compare_variance(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert comparison.max_relative_discrepancy <= 1e-8 and peak <= 40e6, peak
+
+
 # Exact CSV bytes on a complete n=2 graph (gamma=1, eta=1, d=5, noise 1 at
 # node 1), pinned so that a change to the writers cannot change the output.
 GOLDEN_NUMERIC_CSV = """\
@@ -846,6 +927,30 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         captured = capsys.readouterr()
         assert captured.err == "gridfluct: sweep.json.mc: dt: expected a positive number, got -1\n"
         assert captured.out == "" and cells == []
+
+    def test_negative_sweep_seed_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # --seed is checked when the arguments are read, whether or not an mc cell runs.
+        monkeypatch.chdir(tmp_path)
+        cells = []
+        monkeypatch.setattr(pipeline, "linearized", lambda net: cells.append(net))
+        write_doc(tmp_path, sweep_doc(methods=["numeric"]), "sweep.json")
+        assert main(["sweep", "--spec", "sweep.json", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "gridfluct: --seed: expected at least 0, got -1\n"
+        assert captured.out == "" and cells == []
+
+    def test_subnormal_noise_simulates(self, tmp_path, capsys):
+        # A noise of 1e-160 makes the diffusion subnormal; the transition
+        # covariance is factored while it is scaled to normal numbers.
+        root = Path(__file__).resolve().parent.parent
+        doc = json.loads((root / "scripts" / "specs" / "star6.json").read_text())
+        doc["nodes"][1]["noise"] = 1e-160
+        path = write_doc(tmp_path, doc)
+        config = write_doc(tmp_path, {"trajectories": 20}, "mc.json")
+        assert main(["simulate", str(path), "--mc-config", str(config)]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert rows and all(math.isfinite(float(row[3])) and math.isfinite(float(row[5]))
+                            for row in rows)
 
     def test_huge_noise_simulates_within_four_standard_errors(self, tmp_path, capsys):
         # The divergence guard is relative to the noise: scaling every noise

@@ -124,12 +124,12 @@ class TestExactTransition:
             cases.append((drift, 10 ** rng.uniform(-12, 12) * root @ root.T, h))
         cases.append((np.array([[2.0]]), np.array([[1.0]]), 2.0))  # unstable, as in the guard test
         for drift, diffusion, h in cases:
-            transition, sigma = ou_transition(drift, diffusion, h)
+            transition, sigma, _ = ou_transition(drift, diffusion, h)
             ref_transition, ref_sigma = van_loan_reference(drift, diffusion, h)
             assert np.abs(transition - ref_transition).max() <= 1e-13 * np.abs(ref_transition).max()
             assert np.abs(sigma - ref_sigma).max() <= 1e-13 * np.abs(ref_sigma).max()
             # A zero diffusion changes the sub-step, not the transition's accuracy.
-            transition, sigma = ou_transition(drift, np.zeros_like(diffusion), h)
+            transition, sigma, _ = ou_transition(drift, np.zeros_like(diffusion), h)
             assert np.abs(transition - ref_transition).max() <= 1e-13 * np.abs(ref_transition).max()
             assert not sigma.any()
 
@@ -138,7 +138,7 @@ class TestExactTransition:
     def test_scalar_closed_form(self, rate, h):
         # d x = -a x dt + dW: F = exp(-a h), Sigma_h = (1 - exp(-2 a h)) / (2 a).
         # a h ranges from 2e-3 to 1e5, so most cases take the doubling path.
-        transition, sigma = ou_transition(np.array([[-rate]]), np.array([[1.0]]), h)
+        transition, sigma, _ = ou_transition(np.array([[-rate]]), np.array([[1.0]]), h)
         np.testing.assert_allclose(transition[0, 0], np.exp(-rate * h), rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             sigma[0, 0], -np.expm1(-2 * rate * h) / (2 * rate), rtol=1e-12, atol=0
@@ -153,7 +153,7 @@ class TestExactTransition:
         lin = homogeneous_system("complete", n, 10.0, 0.5, 0.3, noise)
         decay = -assert_hurwitz(reduce_system(lin).a2)
         drift, noise_input, output = _full_system(lin)
-        _, sigma = ou_transition(drift, noise_input @ noise_input.T, 60.0 / decay)
+        _, sigma, _ = ou_transition(drift, noise_input @ noise_input.T, 60.0 / decay)
         got = output @ sigma @ output.T
         reference = asymptotic_variance_numeric(lin)
         m = lin.line_count
@@ -271,6 +271,17 @@ class TestBenchmarkDiagnostics:
         mean = report.diagnostics["frequency_mean"]
         stderr = report.diagnostics["frequency_mean_stderr"]
         assert (np.abs(mean) <= 4 * stderr).all()
+
+    def test_unreachable_lines_stay_quiet(self, mc_benchmark_run):
+        # With one source on the homogeneous complete graph, the lines between
+        # the other nodes have zero variance and no covariance with any line.
+        # Rounding-level directions of Sigma_dt must not inject noise there.
+        lin, _, report, _ = mc_benchmark_run
+        source = int(np.flatnonzero(lin.noise)[0])
+        quiet = (lin.graph.tails != source) & (lin.graph.heads != source)
+        q_delta = report.q_delta
+        assert quiet.sum() == 6
+        assert np.abs(q_delta[quiet]).max() <= 1e-12 * np.abs(q_delta).max()
 
     def test_weak_convergence_in_dt(self, mc_benchmark_run):
         lin, cfg, _, _ = mc_benchmark_run
