@@ -13,6 +13,9 @@ and ``sweep --seed 3`` of an ``mc`` and ``first-order`` sweep on a complete
 n=2 graph, whose CSV has empty cells and ``_stderr`` columns.
 Each output's digest covers the exit code, the output file and the CLI's
 error message, so a route that exits 2 is covered too.
+Last come numeric ``variance`` csv and ``compare`` csv on a complete n=33
+graph shuffled the same way, whose 528 lines take more than one tile of
+``variance.TILE_COLS`` columns in a panel row.
 
 Prints one ``<sha256>  <name>`` line per output and a last
 ``<sha256>  combined`` line over all of them.  Two checkouts whose combined
@@ -153,6 +156,11 @@ def outputs(work: Path) -> list[tuple[str, str]]:
     mc_sweep.write_text(json.dumps(mc_sweep_doc()))
     argv = ["sweep", "--spec", str(mc_sweep), "--seed", "3"]
     results.append(("sweep mc first-order", run(argv, out)))
+    complete33 = work / "complete33.json"
+    complete33.write_text(json.dumps(shuffled_complete_doc(33)))
+    argv = ["variance", str(complete33), "--method", "numeric"]
+    results.append(("complete33 variance numeric csv", run(argv, out)))
+    results.append(("complete33 compare csv", run(["compare", str(complete33)], out)))
     return results
 
 

@@ -134,6 +134,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_variance(args) -> int:
+    _check_mc_setting("master_seed", args.seed, "--seed")
     net = load_network(args.network)
     mc_overrides = _mc_overrides(args) if args.method == "mc" else None
     report = run_variance(net, args.method, mc_overrides)

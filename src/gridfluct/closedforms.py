@@ -284,8 +284,9 @@ def complete_report(p: HomogeneousParams) -> CovarianceReport:
 
     The angle block is (1 / (2 d gamma n)) C^T B^2 C, the same as the
     zero-inertia block of :func:`complete_first_order`; it reaches
-    :func:`make_report` as the pair (C^T, diag(b^2) / (2 d gamma n)), whose
-    n x n core carries its symmetry and PSD checks.  The frequency diagonal
+    :func:`make_report` as the pair (C^T[:, s], diag(b_s^2) / (2 d gamma n))
+    over the noisy nodes s alone (the other nodes' terms are exact zeros),
+    whose core carries its symmetry and PSD checks.  The frequency diagonal
     follows the per-node display; remaining entries come from the exact
     cluster evaluation.
     """
@@ -300,8 +301,11 @@ def _complete_blocks(p: HomogeneousParams, graph: WeightedGraph) -> CovarianceRe
     np.fill_diagonal(q_omega, _complete_frequency_diag(
         p.n, p.gamma, p.eta, p.damping, p.noise_sq, p.trace_noise_sq
     ))
-    core = np.diag(p.noise_sq) / (2 * p.damping * p.gamma * p.n)
-    return make_report((inc.T, core), q_omega, q_cross, METHOD_CLOSED, {"graph": "complete"})
+    noisy = np.flatnonzero(p.noise_sq)
+    core = np.diag(p.noise_sq[noisy]) / (2 * p.damping * p.gamma * p.n)
+    return make_report(
+        (inc.T[:, noisy], core), q_omega, q_cross, METHOD_CLOSED, {"graph": "complete"}
+    )
 
 
 def star_report(p: HomogeneousParams) -> CovarianceReport:

@@ -291,24 +291,11 @@ def simulate_stationary_covariance(
     )
 
 
-# The mc route builds its config with default_sim_config and then simulates
-# with simulate_covariance, both on one LinearizedSystem object, and both
-# need its slowest decay rate, from eigvals (not the Lyapunov solver, which
-# the oracle checks).  The last rate is kept with the object it came from
-# and reused while the same object is asked for.  A LinearizedSystem is
-# never mutated, so identity identifies the system; a miss, as when sweep
-# threads interleave, only computes it again.
-_last_decay: tuple[LinearizedSystem, float] | None = None
-
-
 def _decay(lin: LinearizedSystem) -> float:
-    global _last_decay
-    last = _last_decay
-    if last is not None and last[0] is lin:
-        return last[1]
-    decay = -assert_hurwitz(reduce_system(lin).a2)
-    _last_decay = (lin, decay)
-    return decay
+    """Slowest decay rate of the reduced system, from eigvals (not the
+    Lyapunov solver, which the oracle checks); kept with ``lin``, since the
+    mc route's config and simulation both read it."""
+    return lin.shared("decay", lambda: -assert_hurwitz(reduce_system(lin).a2))
 
 
 def default_sim_config(

@@ -32,7 +32,7 @@ from .variance import (
     asymptotic_variance_numeric,
     asymptotic_variance_uniform_ratio,
     first_order_variance,
-    upper_panels,
+    upper_tiles,
 )
 
 
@@ -116,19 +116,20 @@ def _symmetric_discrepancy(
 ) -> float:
     """Largest :func:`relative_discrepancy` of each symmetric block in
     ``others`` against ``reference``, read from the blocks as the reports
-    hold them, panel by panel (``variance.upper_panels``).
+    hold them, tile by tile (``variance.upper_tiles``).
 
-    Each panel entry has the bits of the built block's entry, and built
+    Each tile entry has the bits of the built block's entry, and built
     blocks are exactly symmetric, so the upper triangle gives the same
-    maximum as the whole block, without an m x m array.
+    maximum as the whole block, in memory that does not grow with the block.
     """
     worst = 0.0
     if not others:
         return worst
-    for (_, panel), *rows in zip(upper_panels(reference), *map(upper_panels, others)):
-        scale = 1.0 + np.abs(panel)
-        for _, row in rows:
-            worst = max(worst, _discrepancy(row, panel, scale))
+    for (_, _, tile), *tiles in zip(upper_tiles(reference), *map(upper_tiles, others)):
+        scale = np.abs(tile)
+        scale += 1.0
+        for _, _, other in tiles:
+            worst = max(worst, _discrepancy(other, tile, scale))
     return worst
 
 

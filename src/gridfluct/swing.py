@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -109,6 +110,8 @@ class LinearizedSystem:
 
     ``graph`` carries the linearization weights w_ij = K_ij cos(delta*_ij);
     inertia/damping/noise are the diagonals of M, D and the input matrix.
+    Results that several routes read at one linearization, such as a modal
+    basis or the slowest decay rate, are kept with it by :meth:`shared`.
     """
 
     graph: WeightedGraph
@@ -116,10 +119,22 @@ class LinearizedSystem:
     damping: np.ndarray
     noise: np.ndarray
     laplacian: np.ndarray = field(init=False, repr=False)
+    _shared: dict[str, Any] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         _store_node_arrays(self, self.graph.node_count, ("inertia", "damping", "noise"))
         object.__setattr__(self, "laplacian", laplacian(self.graph))
+
+    def shared(self, name: str, compute: Callable[[], Any]) -> Any:
+        """``compute()`` on the first call for ``name``, then the kept result.
+
+        A ``compute`` that raises keeps nothing, so a failed check runs again
+        on the next call.  There is no lock: each sweep worker builds and owns
+        its grid point's linearization, so no two threads share a system.
+        """
+        if name not in self._shared:
+            self._shared[name] = compute()
+        return self._shared[name]
 
     @property
     def node_count(self) -> int:

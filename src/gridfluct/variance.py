@@ -27,13 +27,17 @@ an n x n node map N.  Each reaches :func:`make_report` as the pair (L, G)
 or (N, R), whose symmetry and positive semi-definiteness are decided on
 the small core, and is kept as a :class:`Congruence`: single entries are
 read from the factors, and the whole block is built, exactly symmetric,
-from the row panels of :func:`upper_panels` when it is first read;
-``pipeline.compare_variance`` reads the same panels without building it.  Monte Carlo blocks and the
+from the tiles of :func:`upper_tiles` when it is first read;
+``pipeline.compare_variance`` reads the same tiles without building it, so
+its memory does not grow with the block.  Monte Carlo blocks and the
 closed star angle and frequency blocks arrive dense and are checked as
 given.
 
-Each route takes only the :class:`LinearizedSystem`; its one whitened
-spectrum comes from :func:`_connected_spectrum`.
+Each route takes only the :class:`LinearizedSystem`.  Its spectrum, maps
+and their PSD factors form a :class:`ModalBasis`, computed once per
+linearization and whitening (inertia, or damping for the first-order
+model) by :func:`modal_basis` and kept with the system, so the numeric,
+uniform-ratio and Monte Carlo routes at one linearization share one.
 """
 
 from __future__ import annotations
@@ -59,8 +63,10 @@ METHOD_MC = "monte-carlo"
 SYMMETRY_TOL = 1e-10
 PSD_FLOOR = -1e-10
 UNIFORMITY_TOL = 1e-9
-# Rows per panel of the L X L^T product.
+# Rows per panel and columns per tile of the L X L^T product; a panel of at
+# most two tiles' width is one tile.
 PANEL_ROWS = 256
+TILE_COLS = 256
 
 # A covariance block, dense or as a pair (L, X) meaning L X L^T.
 Block = np.ndarray | tuple[np.ndarray, np.ndarray]
@@ -72,7 +78,7 @@ class Congruence:
 
     ``core`` X is exactly symmetric.  Indexing reads one entry, (i, j) with
     i <= j as (L[i] X) . L[j], in O(k^2) for an m x k map L, in the order
-    the built block's row panels compute it; ``left`` is L X, formed once;
+    the built block's tiles compute it; ``left`` is L X, formed once;
     ``array`` builds the whole block by :func:`_congruence` on first read
     and keeps it.
     """
@@ -148,36 +154,45 @@ def _scale(block: np.ndarray, name: str) -> float:
     return max(1.0, top, -bottom)
 
 
-def upper_panels(block: np.ndarray | Congruence) -> Iterator[tuple[int, np.ndarray]]:
-    """Row panels (i, P) of a symmetric block's upper triangle.
+def upper_tiles(block: np.ndarray | Congruence) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Tiles (i, j, T) of a symmetric block's upper triangle, row panel by
+    row panel.
 
-    For i in steps of PANEL_ROWS, P holds rows [i, i + PANEL_ROWS) from
-    column i on.  A :class:`Congruence`'s panel is (L X)[i:end] L[i:]^T, and
-    its leading square tile, which holds the diagonal, is averaged with its
-    transpose; a dense block's panel is a view of the block, which
-    :func:`make_report` keeps exactly symmetric.
+    For i in steps of PANEL_ROWS, the panel of rows [i, i + PANEL_ROWS) from
+    column i on is cut at columns j = i, i + TILE_COLS, ..., unless it is at
+    most 2 TILE_COLS wide, when it is one tile; T holds the panel's columns
+    [j, j + its width).  A :class:`Congruence`'s tile is
+    (L X)[rows] L[columns]^T, and in the panel's first tile the leading
+    square, which holds the diagonal, is averaged with its transpose; a
+    dense block's tile is a view of the block, which :func:`make_report`
+    keeps exactly symmetric.  Any one tile holds at most
+    PANEL_ROWS x 2 TILE_COLS entries, whatever the block's size.
     """
     m = block.shape[0]
     for i in range(0, m, PANEL_ROWS):
         end = min(i + PANEL_ROWS, m)
-        if isinstance(block, Congruence):
-            panel = block.left[i:end] @ block.lines[i:].T
-            tile = panel[:, : end - i]
-            tile[...] = 0.5 * (tile + tile.T)
-        else:
-            panel = block[i:end, i:]
-        yield i, panel
+        width = m - i if m - i <= 2 * TILE_COLS else TILE_COLS
+        for j in range(i, m, width):
+            stop = min(j + width, m)
+            if isinstance(block, Congruence):
+                tile = block.left[i:end] @ block.lines[j:stop].T
+                if j == i:
+                    square = tile[:, : end - i]
+                    square[...] = 0.5 * (square + square.T)
+            else:
+                tile = block[i:end, j:stop]
+            yield i, j, tile
 
 
 def _congruence(lines: np.ndarray, core: np.ndarray) -> np.ndarray:
     """L X L^T for a symmetric X, exactly symmetric: each of
-    :func:`upper_panels`' panels is written with its mirror."""
+    :func:`upper_tiles`' tiles is written with its mirror."""
     m = lines.shape[0]
     out = np.empty((m, m))
-    for i, panel in upper_panels(Congruence(lines, core)):
-        end = i + panel.shape[0]
-        out[i:end, i:] = panel
-        out[i:, i:end] = panel.T
+    for i, j, tile in upper_tiles(Congruence(lines, core)):
+        rows, columns = slice(i, i + tile.shape[0]), slice(j, j + tile.shape[1])
+        out[rows, columns] = tile
+        out[columns, rows] = tile.T
     return out
 
 
@@ -200,14 +215,18 @@ def _diagonal_scale(block: Congruence, name: str) -> float:
     return max(1.0, float(diagonal.max(initial=0.0)))
 
 
-def _checked_symmetric(block: Block, name: str) -> np.ndarray | Congruence:
+def _checked_symmetric(
+    block: Block, name: str, factor: np.ndarray | None = None
+) -> np.ndarray | Congruence:
     """The block after its finiteness, symmetry and PSD checks: a dense
     block exactly symmetric, a pair (L, X) as an unbuilt :class:`Congruence`.
 
     A pair (L, X) stands for L X L^T.  Symmetry is decided on X, which is
     then replaced by (X + X^T) / 2, and positive semi-definiteness on
     R X R^T with R from the QR factorization of L: L X L^T = Q (R X R^T) Q^T,
-    so its eigenvalues are the block's own, apart from zeros.
+    so its eigenvalues are the block's own, apart from zeros.  R is
+    ``factor`` when given (a :class:`ModalBasis` keeps one per map), else
+    computed here.
 
     The PSD floor scales with max(1, s): s is a dense block's largest
     |entry|, and a pair's largest diagonal entry (:func:`_diagonal_scale`),
@@ -226,7 +245,7 @@ def _checked_symmetric(block: Block, name: str) -> np.ndarray | Congruence:
     else:
         checked = Congruence(lines, core)
         scale = _diagonal_scale(checked, name)
-        r = np.linalg.qr(lines, mode="r")
+        r = np.linalg.qr(lines, mode="r") if factor is None else factor
         core = r @ core @ r.T
     if core.size and np.linalg.eigvalsh(core).min() < PSD_FLOOR * scale:
         raise InternalInvariantError(f"{name} block is not positive semi-definite")
@@ -239,6 +258,7 @@ def make_report(
     q_delta_omega: np.ndarray | None,
     method: str,
     diagnostics: Mapping[str, Any] | None = None,
+    factors: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
 ) -> CovarianceReport:
     """Assemble a report, enforcing finiteness and symmetry/PSD invariants.
 
@@ -246,24 +266,72 @@ def make_report(
     meaning L X L^T, with L of any shape.  A pair's symmetry is decided on
     X and its positive semi-definiteness on the small matrix R X R^T (see
     :func:`_checked_symmetric`), at O(m k^2) instead of O(m^3) cost for an
-    m x k map L, with a PSD floor scaled by the block's largest diagonal
-    entry, read from L X in O(mk).  The pair is kept unbuilt: the report
-    builds it, exactly symmetric, when ``q_delta`` or ``q_omega`` is first
-    read, so a caller that reads single entries never holds the m x m
-    array.  A dense block is checked as given and kept as (B + B^T) / 2,
+    m x k map L; ``factors`` holds each pair's R from qr(L) when the caller
+    has it, and None where R is to be computed here.  The PSD floor is
+    scaled by the block's largest diagonal entry, read from L X in O(mk).
+    The pair is kept unbuilt: the report builds it, exactly symmetric, when
+    ``q_delta`` or ``q_omega`` is first read, so a caller that reads single
+    entries never holds the m x m array.  A dense block is checked as given and kept as (B + B^T) / 2,
     with a PSD floor scaled by its largest |entry|.
 
     Raises InternalInvariantError when a block has a non-finite entry or a
     symmetric block breaks either invariant.
     """
-    q_delta = _checked_symmetric(q_delta, "angle-difference")
+    q_delta = _checked_symmetric(q_delta, "angle-difference", factors[0])
     if q_omega is not None:
-        q_omega = _checked_symmetric(q_omega, "frequency")
+        q_omega = _checked_symmetric(q_omega, "frequency", factors[1])
     if q_delta_omega is not None:
         q_delta_omega = np.asarray(q_delta_omega, dtype=float)
         if not np.isfinite(q_delta_omega).all():
             raise InternalInvariantError("cross block has non-finite entries")
     return CovarianceReport(q_delta, q_omega, q_delta_omega, method, dict(diagnostics or {}))
+
+
+@dataclass(frozen=True)
+class ModalBasis:
+    """The Laplacian whitened by a positive diagonal S, with the maps from
+    its modes to nodes and lines.
+
+    ``spectral`` holds (Lambda, U) of S^{-1/2} L S^{-1/2}; ``nodes`` is the
+    n x n node map N = S^{-1/2} U and ``lines`` the m x (n-1) line map
+    C^T N[:, 1:], gathered as N's tail row minus its head row.
+    ``node_factor`` and ``line_factor`` are R from qr(N) and qr(C^T N[:, 1:]),
+    the PSD factors :func:`make_report` reads, each computed on first use.
+    """
+
+    spectral: SpectralDecomposition
+    nodes: np.ndarray
+    lines: np.ndarray
+
+    @cached_property
+    def node_factor(self) -> np.ndarray:
+        return np.linalg.qr(self.nodes, mode="r")
+
+    @cached_property
+    def line_factor(self) -> np.ndarray:
+        return np.linalg.qr(self.lines, mode="r")
+
+
+def _modal_basis(lin: LinearizedSystem, whitening: str) -> ModalBasis:
+    scaling = getattr(lin, whitening)
+    spectral = whitened_spectrum(lin.laplacian, scaling)
+    eigs = spectral.eigenvalues
+    if len(eigs) > 1 and eigs[1] <= 1e-9 * max(1.0, eigs[-1]):
+        raise DisconnectedGraphError("zero eigenvalue is not simple: graph is disconnected")
+    nodes = (1.0 / np.sqrt(scaling))[:, None] * spectral.vectors
+    modes = nodes[:, 1:]
+    return ModalBasis(spectral, nodes, modes[lin.graph.tails] - modes[lin.graph.heads])
+
+
+def modal_basis(lin: LinearizedSystem, whitening: str) -> ModalBasis:
+    """The modal basis of ``lin``'s Laplacian whitened by its ``whitening``,
+    "inertia" or "damping" (the first-order model), computed once per
+    linearization and whitening.
+
+    Raises DisconnectedGraphError unless 0 is a simple eigenvalue; a failed
+    check is not kept, so each call on that system checks again.
+    """
+    return lin.shared(f"{whitening} basis", lambda: _modal_basis(lin, whitening))
 
 
 @dataclass(frozen=True)
@@ -285,19 +353,10 @@ class ReducedSystem:
     spectral: SpectralDecomposition
 
 
-def _connected_spectrum(lin: LinearizedSystem, scaling: np.ndarray) -> SpectralDecomposition:
-    """The Laplacian whitened by ``scaling``; DisconnectedGraphError unless 0 is simple."""
-    spectral = whitened_spectrum(lin.laplacian, scaling)
-    eigs = spectral.eigenvalues
-    if len(eigs) > 1 and eigs[1] <= 1e-9 * max(1.0, eigs[-1]):
-        raise DisconnectedGraphError("zero eigenvalue is not simple: graph is disconnected")
-    return spectral
-
-
 def reduce_system(lin: LinearizedSystem) -> ReducedSystem:
     """Build the reduced system for a connected linearized network, in the
     eigenbasis of its inertia-whitened Laplacian."""
-    spectral = _connected_spectrum(lin, lin.inertia)
+    spectral = modal_basis(lin, "inertia").spectral
     n = lin.node_count
     u = spectral.vectors
     a_full = np.zeros((2 * n, 2 * n))
@@ -311,25 +370,23 @@ def reduce_system(lin: LinearizedSystem) -> ReducedSystem:
 
 
 def _modal_report(
-    lin: LinearizedSystem, spectral: SpectralDecomposition, scaling: np.ndarray, g: np.ndarray,
-    r: np.ndarray | None, s: np.ndarray | None, method: str,
+    basis: ModalBasis, g: np.ndarray, r: np.ndarray | None, s: np.ndarray | None, method: str,
     diagnostics: Mapping[str, Any] | None = None,
 ) -> CovarianceReport:
-    """Report of the modal state covariance [[G, S], [S^T, R]].
+    """Report of the modal state covariance [[G, S], [S^T, R]] in ``basis``.
 
-    ``spectral`` is the Laplacian whitened by ``scaling`` (inertia, or damping
-    for the first-order model).  With node map N = scaling^{-1/2} U and line
-    map L = C^T N[:, 1:], the blocks are L G L^T, N R N^T and N S^T L^T; with
-    R and S None, only the angle block.  L is gathered: N's tail row minus its head row.
+    With node map N and line map L, the blocks are L G L^T, N R N^T and
+    N S^T L^T; with R and S None, only the angle block.  The PSD checks read
+    the basis's own factors of L and N.
     """
-    nodes_from_modes = (1.0 / np.sqrt(scaling))[:, None] * spectral.vectors
-    modes = nodes_from_modes[:, 1:]
-    lines_from_modes = modes[lin.graph.tails] - modes[lin.graph.heads]
-    q_omega = q_cross = None
+    q_omega = q_cross = node_factor = None
     if r is not None:
-        q_omega = (nodes_from_modes, r)
-        q_cross = nodes_from_modes @ s.T @ lines_from_modes.T
-    return make_report((lines_from_modes, g), q_omega, q_cross, method, diagnostics)
+        q_omega = (basis.nodes, r)
+        q_cross = basis.nodes @ s.T @ basis.lines.T
+        node_factor = basis.node_factor
+    return make_report(
+        (basis.lines, g), q_omega, q_cross, method, diagnostics, (basis.line_factor, node_factor)
+    )
 
 
 def asymptotic_variance_numeric(lin: LinearizedSystem) -> CovarianceReport:
@@ -343,8 +400,8 @@ def asymptotic_variance_numeric(lin: LinearizedSystem) -> CovarianceReport:
     }
     k = lin.node_count - 1
     return _modal_report(
-        lin, reduced.spectral, lin.inertia, q_x[:k, :k], q_x[k:, k:], q_x[:k, k:],
-        METHOD_NUMERIC, diagnostics,
+        modal_basis(lin, "inertia"), q_x[:k, :k], q_x[k:, k:], q_x[:k, k:], METHOD_NUMERIC,
+        diagnostics,
     )
 
 
@@ -382,7 +439,7 @@ class UniformRatioBlocks:
     + 2 a^2 (lambda_i + lambda_j).  chi is positive whenever (i, j) != (1, 1),
     including repeated eigenvalues, so no degenerate branch is needed.
     ``spectral`` is the decomposition (Lambda, U) the blocks are written in,
-    the inertia-whitened one that :func:`uniform_ratio_blocks` computed.
+    the inertia-whitened one of the system's :func:`modal_basis`.
     """
 
     g: np.ndarray
@@ -400,7 +457,7 @@ def uniform_ratio_blocks(lin: LinearizedSystem) -> UniformRatioBlocks:
     any spectrum is computed.
     """
     alpha = uniform_value(lin.damping / lin.inertia, "damping-inertia ratios")
-    spectral = _connected_spectrum(lin, lin.inertia)
+    spectral = modal_basis(lin, "inertia").spectral
     lam = spectral.eigenvalues
     u = spectral.vectors
     xi = lin.noise**2 / lin.inertia
@@ -422,7 +479,7 @@ def asymptotic_variance_uniform_ratio(lin: LinearizedSystem) -> CovarianceReport
     (see :func:`uniform_ratio_blocks` for the uniformity requirement)."""
     blocks = uniform_ratio_blocks(lin)
     return _modal_report(
-        lin, blocks.spectral, lin.inertia, blocks.g, blocks.r, blocks.s, METHOD_UNIFORM,
+        modal_basis(lin, "inertia"), blocks.g, blocks.r, blocks.s, METHOD_UNIFORM,
         {"alpha": blocks.alpha},
     )
 
@@ -439,13 +496,13 @@ def first_order_variance(lin: LinearizedSystem) -> CovarianceReport:
     and the angle block is its image under the incidence map.  The report
     has no frequency blocks.
     """
-    spectral = _connected_spectrum(lin, lin.damping)
-    lam = spectral.eigenvalues
-    u2 = spectral.vectors[:, 1:]
+    basis = modal_basis(lin, "damping")
+    lam = basis.spectral.eigenvalues
+    u2 = basis.spectral.vectors[:, 1:]
     xi = lin.noise**2 / lin.damping
     p = u2.T @ (xi[:, None] * u2)
     q_x = p / (lam[1:, None] + lam[None, 1:])
-    return _modal_report(lin, spectral, lin.damping, q_x, None, None, METHOD_FIRST_ORDER)
+    return _modal_report(basis, q_x, None, None, METHOD_FIRST_ORDER)
 
 
 def trace_frequency_variance(lin: LinearizedSystem) -> float:

@@ -273,7 +273,21 @@ class TestCompareByPanels:
         assert len(factored) == 5
         assert builds == [] and not any("array" in vars(block) for block in factored)
 
-    def test_dense_compare_peaks_below_40_mb(self):
+    @pytest.mark.parametrize("noise", [{17: 0.04}, {2: 0.04, 5: 0.1, 8: 0.02}, {}],
+                             ids=["one-source", "three-sources", "no-noise"])
+    def test_closed_complete_factor_has_one_column_per_noisy_node(self, noise):
+        net = network_from_dict(network_doc(24, complete_lines(24), noise=noise))
+        comparison = compare_variance(net)
+        delta = comparison.reports["closed"].delta
+        noisy = [node - 1 for node in sorted(noise)]
+        assert isinstance(delta, variance.Congruence)
+        assert np.array_equal(delta.lines, graphs.incidence(net.topology).T[:, noisy])
+        assert delta.core.shape == (len(noisy), len(noisy))
+        assert comparison.max_relative_discrepancy <= 1e-8
+        if not noise:
+            assert not comparison.reports["closed"].q_delta.any()
+
+    def test_dense_compare_peaks_below_20_mb(self):
         net = network_from_dict(complete60_doc())
         compare_variance(net)  # imports and first-use set-up are not the comparison's
         tracemalloc.start()
@@ -282,7 +296,7 @@ class TestCompareByPanels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert comparison.max_relative_discrepancy <= 1e-8 and peak <= 40e6, peak
+        assert comparison.max_relative_discrepancy <= 1e-8 and peak <= 20e6, peak
 
 
 # Exact CSV bytes on a complete n=2 graph (gamma=1, eta=1, d=5, noise 1 at
@@ -814,7 +828,7 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
     @pytest.mark.parametrize(
         "options, config, message",
         [
-            (["--seed", "-1"], {}, "master_seed: expected at least 0, got -1"),
+            (["--seed", "-1"], {}, "--seed: expected at least 0, got -1"),
             ([], {"trajectories": "ten"}, "trajectories: expected an integer, got 'ten'"),
             ([], {"trajectories": 2.5}, "trajectories: expected an integer, got 2.5"),
             ([], {"trajectories": True}, "trajectories: expected an integer, got True"),
@@ -935,6 +949,16 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         monkeypatch.setattr(pipeline, "linearized", lambda net: cells.append(net))
         write_doc(tmp_path, sweep_doc(methods=["numeric"]), "sweep.json")
         assert main(["sweep", "--spec", "sweep.json", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "gridfluct: --seed: expected at least 0, got -1\n"
+        assert captured.out == "" and cells == []
+
+    def test_negative_variance_seed_exits_two_whatever_the_route(self, tmp_path, capsys, monkeypatch):
+        # variance reads --seed only for the mc route, but checks it for every route.
+        cells = []
+        monkeypatch.setattr(pipeline, "linearized", lambda net: cells.append(net))
+        path = write_doc(tmp_path, network_doc(3, [(1, 2), (2, 3)], noise={1: 0.1}))
+        assert main(["variance", str(path), "--method", "numeric", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "gridfluct: --seed: expected at least 0, got -1\n"
         assert captured.out == "" and cells == []

@@ -17,6 +17,7 @@ from gridfluct import (
     simulate_covariance,
     trajectory_seed,
 )
+from gridfluct import montecarlo
 from gridfluct.lyapunov import assert_hurwitz
 from gridfluct.montecarlo import (
     default_sim_config,
@@ -237,6 +238,17 @@ class TestSimulateCovariance:
             SimConfig(dt=0.01, burn_in=1.0, horizon=2.0, trajectories=1, master_seed=0)
         with pytest.raises(ValidationError, match="^trajectories: expected at least 2, got 1$"):
             default_sim_config(fast_test_system(), trajectories=1)
+
+    def test_decay_is_kept_with_each_linearization(self, monkeypatch):
+        # Two systems taken in turn: each one's decay rate is computed once.
+        calls = []
+        monkeypatch.setattr(montecarlo, "assert_hurwitz", lambda a: calls.append(a) or assert_hurwitz(a))
+        systems = (fast_test_system(), homogeneous_system("star", 3, 1.0, 1.0, 2.0, np.ones(3)))
+        configs = [default_sim_config(lin, trajectories=2) for lin in systems * 2]
+        assert len(calls) == 2
+        assert configs[:2] == configs[2:] and configs[0] != configs[1]
+        simulate_covariance(systems[0], configs[0])
+        assert len(calls) == 2
 
     def test_explicit_overrides_respected(self):
         lin = fast_test_system()

@@ -272,6 +272,51 @@ class TestFactoredReport:
         assert builds == [(m, n - 1), (n, n)]
 
 
+def panel_build(lines, core):
+    """L X L^T from whole row panels, each one product, with the diagonal
+    square averaged with its transpose: the build before panels were tiled."""
+    m, rows = lines.shape[0], variance.PANEL_ROWS
+    left, out = lines @ core, np.empty((m, m))
+    for i in range(0, m, rows):
+        end = min(i + rows, m)
+        panel = left[i:end] @ lines[i:].T
+        square = panel[:, : end - i]
+        square[...] = 0.5 * (square + square.T)
+        out[i:end, i:] = panel
+        out[i:, i:end] = panel.T
+    return out
+
+
+class TestTiles:
+    @pytest.mark.parametrize("m, k", [(7, 3), (300, 40), (512, 40), (513, 40), (1100, 40), (1770, 59)])
+    def test_tile_build_matches_panel_build(self, m, k):
+        # Bit for bit while a panel is at most two tiles wide (m <= 512),
+        # within rounding of the block's largest entry beyond.
+        rng = np.random.default_rng(m)
+        lines = rng.standard_normal((m, k))
+        core = rng.standard_normal((k, k)) @ rng.standard_normal((k, k))
+        core = 0.5 * (core + core.T)
+        built, old = variance._congruence(lines, core), panel_build(lines, core)
+        assert np.array_equal(built, built.T)
+        if m <= 2 * variance.TILE_COLS:
+            assert built.tobytes() == old.tobytes()
+        else:
+            assert np.abs(built - old).max() <= 1e-15 * np.abs(old).max()
+
+    @pytest.mark.parametrize("m", [7, 512, 513, 1100])
+    def test_tiles_cover_the_upper_triangle_once(self, m):
+        block = variance.Congruence(np.ones((m, 1)), np.ones((1, 1)))
+        covered = np.zeros((m, m), dtype=int)
+        for i, j, tile in variance.upper_tiles(block):
+            rows, columns = tile.shape
+            assert rows <= variance.PANEL_ROWS and columns <= 2 * variance.TILE_COLS
+            assert m - i <= 2 * variance.TILE_COLS or columns <= variance.TILE_COLS
+            covered[i:i + rows, j:j + columns] += 1
+        # Row r is covered once from its panel's first column on.
+        first = np.arange(m) // variance.PANEL_ROWS * variance.PANEL_ROWS
+        assert np.array_equal(covered, np.arange(m)[None, :] >= first[:, None])
+
+
 class TestReduceSystem:
     def test_two_node_dimensions(self):
         lin = homogeneous_system("complete", 2, 1.0, 1.0, 1.0, np.ones(2))
@@ -489,27 +534,52 @@ class TestBasisInvariance:
             rotated = rotate_degenerate_clusters(spectral, rng)
             assert not np.array_equal(rotated.vectors, spectral.vectors)
             monkeypatch.setattr(variance, "whitened_spectrum", lambda lap, scaling: rotated)
-            other = route(lin)
+            # A new linearization: ``lin`` keeps the basis it computed first.
+            other = route(table1_complete_system(7))
             assert np.abs(full_output_matrix(other) - full_output_matrix(base)).max() <= 1e-9
 
 
 class TestOneSpectrum:
-    def test_each_route_computes_one_whitened_spectrum(self, monkeypatch):
+    def test_each_linearization_computes_one_basis_per_whitening(self, monkeypatch):
+        # Every route, twice over, on one linearization: one inertia- and one
+        # damping-whitened spectrum, and one qr of each modal map.
+        spectra, factored = [], []
+        real_spectrum, real_qr = variance.whitened_spectrum, np.linalg.qr
+
+        def spectrum(lap, scaling):
+            spectra.append(scaling)
+            return real_spectrum(lap, scaling)
+
+        def qr(a, *args, **kwargs):
+            factored.append(a)
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(variance, "whitened_spectrum", spectrum)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        lin = homogeneous_system("complete", 5, 10.0, 0.5, 0.3, np.array([0.0, 0.04, 0, 0, 0]))
+        for _ in range(2):
+            for route in pipeline.ROUTES.values():
+                route.run(lin, {"trajectories": 2})
+        assert len(spectra) == 2
+        assert spectra[0] is lin.inertia and spectra[1] is lin.damping
+        inertia, damping = variance.modal_basis(lin, "inertia"), variance.modal_basis(lin, "damping")
+        maps = (inertia.lines, inertia.nodes, damping.lines)
+        assert [sum(a is map_ for a in factored) for map_ in maps] == [1, 1, 1]
+        # The rest is the closed form's incidence factor, a new map on each run.
+        rest = [a for a in factored if not any(a is map_ for map_ in maps)]
+        assert [a.shape for a in rest] == [(lin.line_count, 1)] * 2
+
+    def test_a_failed_connectivity_check_is_not_kept(self, monkeypatch):
         calls = []
         real = variance.whitened_spectrum
-
-        def spy(lap, scaling):
-            calls.append(scaling)
-            return real(lap, scaling)
-
-        monkeypatch.setattr(variance, "whitened_spectrum", spy)
-        lin = homogeneous_system("complete", 5, 10.0, 0.5, 0.3, np.array([0.0, 0.04, 0, 0, 0]))
-        expected = {"numeric": 1, "uniform": 1, "first-order": 1, "closed": 0, "mc": 1}
-        assert set(expected) == set(pipeline.ROUTES)
-        for name, count in expected.items():
-            calls.clear()
-            pipeline.ROUTES[name].run(lin, {"trajectories": 2})
-            assert len(calls) == count, name
+        monkeypatch.setattr(variance, "whitened_spectrum",
+                            lambda lap, scaling: calls.append(scaling) or real(lap, scaling))
+        graph = WeightedGraph(4, ((1, 2, 1.0), (3, 4, 1.0)))
+        lin = LinearizedSystem(graph, np.ones(4), np.ones(4), np.ones(4))
+        for route in ("numeric", "uniform", "first-order", "mc", "numeric"):
+            with pytest.raises(DisconnectedGraphError):
+                pipeline.ROUTES[route].run(lin, None)
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("system", ["complete-shuffled", "heterogeneous-flipped"])
     def test_gathered_line_map_equals_incidence_product(self, monkeypatch, system):
