@@ -94,14 +94,12 @@ class StarLeafSummary:
 
 def complete_source_frequency(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Frequency variance at the single disturbed node of a complete graph."""
-    d, b2 = damping, noise**2
-    return b2 / (2 * d * eta) - (n - 1) * gamma * b2 / (d * n * (2 * d**2 + gamma * eta * n))
+    return _complete_frequency_diag(n, gamma, eta, damping, noise**2, noise**2)
 
 
 def complete_other_frequency(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Frequency variance at any undisturbed node of a complete graph."""
-    d, b2 = damping, noise**2
-    return gamma * b2 / (d * n * (2 * d**2 + gamma * eta * n))
+    return _complete_frequency_diag(n, gamma, eta, damping, 0.0, noise**2)
 
 
 def _complete_frequency_diag(n: float, gamma: float, eta: float, damping: float,
@@ -133,36 +131,22 @@ def _star_leaf_frequency_diag(n: float, gamma: float, eta: float, damping: float
 
 def star_leaf_frequency(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Frequency variance at the disturbed leaf (node 2) of a star graph."""
-    d, g, e, b2 = damping, gamma, eta, noise**2
-    return (
-        b2 / (2 * d * e)
-        - g * b2 / (d * n * (2 * d**2 + g * e * n))
-        - g * (n - 2) * b2 / (d * n * (2 * d**2 * (n + 1) + g * e * (n - 1) ** 2))
-        - g**2 * e * (n - 2) * b2 / (d * n * (2 * d**2 + g * e) * (2 * d**2 + g * e * n))
-    )
+    return _star_leaf_frequency_diag(n, gamma, eta, damping, noise**2, 0.0, noise**2)
 
 
 def star_other_frequency(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Frequency variance at an undisturbed leaf when leaf 2 is the source."""
-    d, g, e, b2 = damping, gamma, eta, noise**2
-    return (
-        g * b2 / (d * n * (2 * d**2 * (1 + n) + g * e * (n - 1) ** 2))
-        + g**2 * e * b2 / (d * n * (2 * d**2 + g * e) * (2 * d**2 + g * e * n))
-    )
+    return _star_leaf_frequency_diag(n, gamma, eta, damping, 0.0, 0.0, noise**2)
 
 
 def star_source_line(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Angle-difference variance on the root-source line when leaf 2 is the source."""
-    d, g, e, b2 = damping, gamma, eta, noise**2
-    w_star = 2 * d**2 * (1 + n) + g * e * (n - 1) ** 2
-    return ((n - 1) / (2 * d * g * n) - (n - 2) * (2 * d**2 + g * e * (n + 1)) / (2 * d * g * n * w_star)) * b2
+    return _star_line_diag(n, gamma, eta, damping, noise**2, 0.0, noise**2)
 
 
 def star_other_line(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Angle-difference variance on any other line when leaf 2 is the source."""
-    d, g, e, b2 = damping, gamma, eta, noise**2
-    w_star = 2 * d**2 * (1 + n) + g * e * (n - 1) ** 2
-    return (2 * d**2 + g * e * (n + 1)) / (2 * d * g * n * w_star) * b2
+    return _star_line_diag(n, gamma, eta, damping, 0.0, 0.0, noise**2)
 
 
 def _star_line_diag(n: float, gamma: float, eta: float, damping: float,
@@ -184,11 +168,10 @@ def _star_line_offdiag(n: float, gamma: float, eta: float, damping: float,
     """Angle-difference covariance between distinct star lines k and q."""
     d, g, e = damping, gamma, eta
     w_star = 2 * d**2 * (1 + n) + g * e * (n - 1) ** 2
-    lead = 2 * d**2 * (n + 1) + g * e * (n - 1) ** 2
     mid = -2 * d**2 * (n - 1) + g * e * (2 * n - n**2 + 1)
     coef = 2 * d**2 + g * e * (n + 1)
     return (
-        lead * root_sq
+        w_star * root_sq
         + mid * (leaf_k_sq + leaf_q_sq)
         + coef * (trace_sq - leaf_k_sq - leaf_q_sq - root_sq)
     ) / (2 * d * g * n * w_star)

@@ -12,10 +12,7 @@ order.
 
 from __future__ import annotations
 
-import contextvars
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Collection, Iterable, Iterator, TextIO
 
@@ -332,38 +329,16 @@ def _sweep_point(spec: SweepSpec, point: dict[str, float], seed: int | None) -> 
     return rows
 
 
-def thread_count() -> int:
-    """Worker cap from GRIDFLUCT_THREADS (default 1, i.e. serial)."""
-    raw = os.environ.get("GRIDFLUCT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"GRIDFLUCT_THREADS must be an integer, got {raw!r}") from None
-
-
 def run_sweep(spec: SweepSpec, seed: int | None = None) -> list[dict]:
     """One row per grid point per method, in deterministic order.
 
     Grid points enumerate the axes in file order (last axis fastest), and
     each point's rows follow ``spec.methods``.  A grid point's network is
     built and linearized once, and every method runs on that one
-    linearization.  Points are independent: they may evaluate on up to
-    GRIDFLUCT_THREADS workers, each taking whole points in a copy of the
-    caller's context (numpy's error state included), but the output order,
-    and the error raised first, are those of the serial loop.  Every method
-    is checked against ``ROUTES`` first.
+    linearization.  Every method is checked against ``ROUTES`` first.
     """
     _require_methods(spec.methods, ROUTES, "sweep")
-    points = _grid_points(spec)
-    workers = thread_count()
-    if workers == 1:
-        groups = [_sweep_point(spec, point, seed) for point in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, _sweep_point, spec, point, seed)
-                       for point in points]
-            groups = [future.result() for future in futures]
-    return [row for rows in groups for row in rows]
+    return [row for point in _grid_points(spec) for row in _sweep_point(spec, point, seed)]
 
 
 def sweep_fieldnames(spec: SweepSpec) -> list[str]:

@@ -129,8 +129,7 @@ class LinearizedSystem:
         """``compute()`` on the first call for ``name``, then the kept result.
 
         A ``compute`` that raises keeps nothing, so a failed check runs again
-        on the next call.  There is no lock: each sweep worker builds and owns
-        its grid point's linearization, so no two threads share a system.
+        on the next call.
         """
         if name not in self._shared:
             self._shared[name] = compute()

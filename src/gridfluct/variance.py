@@ -77,10 +77,11 @@ class Congruence:
     """A checked symmetric block L X L^T, kept as its factors.
 
     ``core`` X is exactly symmetric.  Indexing reads one entry, (i, j) with
-    i <= j as (L[i] X) . L[j], in O(k^2) for an m x k map L, in the order
-    the built block's tiles compute it; ``left`` is L X, formed once;
-    ``array`` builds the whole block by :func:`_congruence` on first read
-    and keeps it.
+    i <= j as (L[i] X) . L[j], in O(k^2) for an m x k map L.  BLAS sums the
+    built block's tiles in another order, so a read entry may differ from
+    the built one in its last bits (up to about 1e-15 of the block's largest
+    entry).  ``left`` is L X, formed once; ``array`` builds the whole block
+    by :func:`_congruence` on first read and keeps it.
     """
 
     lines: np.ndarray

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -533,22 +534,15 @@ class TestSweeps:
             outputs.append(buffer.getvalue())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize(
-        "spec, seed",
-        [
-            pytest.param(
-                sweep_from_dict(sweep_doc(axes=[{"parameter": "damping", "grid": [0.2, 0.4, 0.8]}])),
-                None,
-                id="closed-numeric",
-            ),
-            pytest.param(two_node_mc_sweep_spec(), 3, id="mc-first-order"),
-        ],
-    )
-    def test_thread_cap_does_not_change_rows(self, monkeypatch, spec, seed):
-        serial = run_sweep(spec, seed=seed)
+    def test_cells_run_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        real_linearized = pipeline.linearized
+        monkeypatch.setattr(pipeline, "linearized",
+                            lambda net: threads.append(threading.get_ident()) or real_linearized(net))
         monkeypatch.setenv("GRIDFLUCT_THREADS", "3")
-        threaded = run_sweep(spec, seed=seed)
-        assert serial == threaded
+        spec = sweep_from_dict(sweep_doc(axes=[{"parameter": "damping", "grid": [0.2, 0.4, 0.8]}]))
+        run_sweep(spec)
+        assert threads == [threading.get_ident()] * 3
 
     @pytest.mark.parametrize("kind, noise", [("complete", {"2": 0.04}), ("star", {"2": 0.5})])
     def test_trend_sweep_builds_one_incidence_per_cell(self, monkeypatch, kind, noise):
@@ -580,13 +574,8 @@ class TestSweeps:
             methods=["closed", "numeric", "uniform", "first-order"],
             quantities=TREND_QUANTITIES,
         ))
-        rows = {}
-        for threads in ("1", "3"):
-            monkeypatch.setenv("GRIDFLUCT_THREADS", threads)
-            calls.clear()
-            rows[threads] = run_sweep(spec)
-            assert len(calls) == 3, threads
-        assert len(rows["1"]) == 12 and rows["1"] == rows["3"]
+        assert len(run_sweep(spec)) == 12
+        assert len(calls) == 3
         # Sweeps read entries from the factors; no m x m block is built.
         assert builds == []
 
@@ -885,9 +874,8 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
                 assert code in (1, 2) and err.startswith("gridfluct: "), (method, code, err)
                 assert err.count("\n") == 1 and ("internal error: " in err) == (code == 1)
 
-    def test_overflowing_sweep_cell_exits_one_with_any_thread_count(self, tmp_path, capsys,
-                                                                      monkeypatch):
-        # Worker threads run under the command line's numpy error state.
+    def test_overflowing_sweep_cell_exits_one(self, tmp_path, capsys):
+        # Cells run under the command line's numpy error state.
         write_doc(tmp_path, network_doc(3, complete_lines(3), noise={1: 0.1}))
         spec = write_doc(tmp_path, {
             "schema_version": 1,
@@ -896,12 +884,8 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
             "methods": ["numeric", "uniform"],
             "quantities": [{"block": "omega", "i": 1, "j": 1}],
         }, "sweep.json")
-        outcomes = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("GRIDFLUCT_THREADS", threads)
-            outcomes.append((main(["sweep", "--spec", str(spec)]), capsys.readouterr().err))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == 1 and "floating-point range exceeded: overflow" in outcomes[0][1]
+        code = main(["sweep", "--spec", str(spec)])
+        assert code == 1 and "floating-point range exceeded: overflow" in capsys.readouterr().err
 
     def test_deep_monte_carlo_value_names_file_and_is_bounded(self, tmp_path, capsys, monkeypatch):
         # A value nested 900 deep is echoed cut short, after the file and the

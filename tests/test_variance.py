@@ -253,6 +253,27 @@ class TestFactoredReport:
                                   for j in range(1, size + 1)] for i in range(1, size + 1)])
                 assert np.abs(read - built).max() <= 1e-15 * np.abs(built).max(), (route, quantity)
 
+    @pytest.mark.parametrize(
+        "network",
+        [lambda rng: shuffled_complete_system(rng, 30), lambda rng: sparse_uniform_ratio_system(rng, 100)],
+        ids=["complete-30", "sparse-100"],
+    )
+    def test_entry_reads_agree_with_the_built_block_to_rounding(self, network):
+        # A read entry and the built one are summed in different orders, so
+        # they may differ in the last bits, never by more than rounding.
+        rng = np.random.default_rng(30)
+        lin = network(rng)
+        for route in ("numeric", "uniform", "first-order"):
+            report = pipeline.ROUTES[route].run(lin, None)
+            for block in (report.delta, report.omega):
+                if not isinstance(block, variance.Congruence):
+                    continue
+                built = block.array
+                pairs = rng.integers(0, built.shape[0], size=(2000, 2))
+                read = np.array([block[i, j] for i, j in pairs])
+                gap = np.abs(read - built[pairs[:, 0], pairs[:, 1]]).max()
+                assert gap <= 1e-14 * np.abs(built).max(), route
+
     def test_blocks_are_built_once_and_only_when_read(self, monkeypatch):
         builds = []
         build = variance._congruence
