@@ -25,14 +25,12 @@ from .closedforms import (
     HomogeneousParams,
     SingleSourceSummary,
     StarLeafSummary,
+    closed_form_report,
     complete_first_order,
-    complete_report,
     complete_single_source,
     critical_size,
     star_first_order,
-    star_report,
     star_single_source_leaf,
-    star_single_source_root,
 )
 from .errors import (
     AssumptionViolatedError,
@@ -58,9 +56,9 @@ from .graphs import (
     laplacian,
     whitened_spectrum,
 )
-from .lyapunov import lyapunov_residual, lyapunov_solve, lyapunov_solve_kron
+from .lyapunov import lyapunov_residual, lyapunov_solve_kron
 from .montecarlo import SimConfig, default_sim_config, simulate_covariance, trajectory_seed
-from .netfile import emit_network, load_network, load_sweep
+from .netfile import load_network, load_sweep
 from .pipeline import compare_variance, run_sweep, run_variance, write_report
 from .swing import (
     LinearizedSystem,

@@ -1,18 +1,17 @@
 """Fully analytic covariance formulas for homogeneous complete and star graphs.
 
 All formulas assume identical inertia eta, identical damping d and
-identical line weights gamma.  The scalar displays and the public report
-builders use canonical indices: complete graphs list lines in
+identical line weights gamma.  The scalar displays and the first-order
+blocks use canonical indices: complete graphs list lines in
 lexicographic order; star graphs have the root at node 1 and line k
-connecting the root to node k + 1.  :func:`closed_form_report` evaluates
-the same formulas in a network's own node and line order: the complete
-graph's spectral projectors do not depend on the node order, a star's
-only on which node is its root, and each star line's angle entries carry
-the sign of its orientation.
+connecting the root to node k + 1.  :func:`closed_form_report`, the one
+report builder, evaluates the same formulas in a network's own node and
+line order: the complete graph's spectral projectors do not depend on the
+node order, a star's only on which node is its root, and each star line's
+angle entries carry the sign of its orientation.
 
 The scalar display functions accept the network size as a float so that
-trend analysis can differentiate with respect to it; the report builders
-require an integer size.
+trend analysis can differentiate with respect to it.
 
 Non-displayed block entries (frequency off-diagonals, cross block) come
 from the uniform-ratio solution evaluated on the exact eigenvalue
@@ -28,9 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AssumptionViolatedError, InvalidGraphError
-from .graphs import WeightedGraph, canonical_complete, canonical_star, incidence
+from .graphs import WeightedGraph, canonical_complete, incidence
 from .swing import LinearizedSystem
-from .variance import METHOD_CLOSED, CovarianceReport, make_report, uniform_value
+from .variance import METHOD_CLOSED, CovarianceReport, _ratio_weights, make_report, uniform_value
 
 
 @dataclass(frozen=True)
@@ -215,9 +214,6 @@ def _cluster_covariance(
     through these projectors, so any orthonormal cluster basis is implied.
     """
 
-    def chi(lam_a: float, lam_b: float) -> float:
-        return (lam_a - lam_b) ** 2 + 2 * alpha**2 * (lam_a + lam_b)
-
     b_sq = np.diag(noise_sq)
     n = b_sq.shape[0]
     q_omega = np.zeros((n, n))
@@ -228,9 +224,11 @@ def _cluster_covariance(
             if lam_a == 0.0 and lam_b == 0.0:
                 q_omega += sandwich / (2 * alpha)
                 continue
-            q_omega += alpha * (lam_a + lam_b) / chi(lam_a, lam_b) * sandwich
+            # Cluster b is the angle mode, taken first as in S's rows.
+            cross, _, frequency = _ratio_weights(lam_b, lam_a, alpha)
+            q_omega += frequency * sandwich
             if lam_b > 0.0:
-                q_cross_core += (lam_b - lam_a) / chi(lam_a, lam_b) * sandwich
+                q_cross_core += cross * sandwich
 
     q_omega /= eta**2
     q_cross = q_cross_core @ inc / eta**2
@@ -262,21 +260,16 @@ def _star_clusters(p: HomogeneousParams, root: int) -> list[tuple[float, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def complete_report(p: HomogeneousParams) -> CovarianceReport:
-    """Covariance blocks for the homogeneous complete graph.
+def _complete_blocks(p: HomogeneousParams, graph: WeightedGraph) -> CovarianceReport:
+    """Covariance blocks of the homogeneous complete ``graph``.
 
     The angle block is (1 / (2 d gamma n)) C^T B^2 C, the same as the
     zero-inertia block of :func:`complete_first_order`; it reaches
     :func:`make_report` as the pair (C^T[:, s], diag(b_s^2) / (2 d gamma n))
-    over the noisy nodes s alone (the other nodes' terms are exact zeros),
-    whose core carries its symmetry and PSD checks.  The frequency diagonal
-    follows the per-node display; remaining entries come from the exact
-    cluster evaluation.
+    over the noisy nodes s alone (the other nodes' terms are exact zeros).
+    The frequency diagonal follows the per-node display; remaining entries
+    come from the exact cluster evaluation.
     """
-    return _complete_blocks(p, canonical_complete(p.n, p.gamma))
-
-
-def _complete_blocks(p: HomogeneousParams, graph: WeightedGraph) -> CovarianceReport:
     inc = incidence(graph)
     alpha = p.damping / p.eta
 
@@ -289,16 +282,6 @@ def _complete_blocks(p: HomogeneousParams, graph: WeightedGraph) -> CovarianceRe
     return make_report(
         (inc.T[:, noisy], core), q_omega, q_cross, METHOD_CLOSED, {"graph": "complete"}
     )
-
-
-def star_report(p: HomogeneousParams) -> CovarianceReport:
-    """Covariance blocks for the homogeneous star graph (root at node 1).
-
-    Every angle-difference entry and the frequency diagonal follow the
-    displayed formulas; the remaining entries come from the exact cluster
-    evaluation.
-    """
-    return _star_blocks(p, canonical_star(p.n, p.gamma), 0)
 
 
 def _star_angle_block(p: HomogeneousParams, eta: float, leaf: np.ndarray, root: int) -> np.ndarray:
@@ -322,6 +305,8 @@ def _star_angle_block(p: HomogeneousParams, eta: float, leaf: np.ndarray, root: 
 
 
 def _star_blocks(p: HomogeneousParams, graph: WeightedGraph, root: int) -> CovarianceReport:
+    """Covariance blocks of the homogeneous star ``graph`` rooted at ``root``: angle
+    entries and frequency diagonal by the displays, the rest by cluster evaluation."""
     inc = incidence(graph)
     alpha = p.damping / p.eta
     b_sq = p.noise_sq
@@ -388,11 +373,6 @@ def complete_single_source(p: HomogeneousParams, source: int) -> SingleSourceSum
         incident_line_variance=b**2 / (2 * p.damping * p.gamma * p.n),
         other_line_variance=0.0,
     )
-
-
-def star_single_source_root(p: HomogeneousParams) -> SingleSourceSummary:
-    """Root-disturbed star graph: identical formulas to the complete graph."""
-    return complete_single_source(p, 1)
 
 
 def star_single_source_leaf(p: HomogeneousParams) -> StarLeafSummary:

@@ -4,7 +4,7 @@ Two algorithmically independent backends solve A Q + Q A^T + W = 0:
 
 * :func:`lyapunov_solve_with_abscissa` -- Bartels-Stewart: real Schur form,
   then LAPACK ``trsyl``, as scipy's solver does it; the Schur form also
-  gives the Hurwitz verdict.  :func:`lyapunov_solve` returns its Q alone;
+  gives the Hurwitz verdict and the spectral abscissa;
 * :func:`lyapunov_solve_kron` -- dense Kronecker vectorisation, kept as an
   oracle for cross-checking the primary path on small systems; it checks
   stability by ``eigvals`` (:func:`assert_hurwitz`).
@@ -82,11 +82,6 @@ def lyapunov_solve_with_abscissa(a, w) -> tuple[np.ndarray, float]:
         )
     q = z.dot(y).dot(z.T)
     return 0.5 * (q + q.T), spectral_abscissa
-
-
-def lyapunov_solve(a, w) -> np.ndarray:
-    """Q alone from :func:`lyapunov_solve_with_abscissa`."""
-    return lyapunov_solve_with_abscissa(a, w)[0]
 
 
 def lyapunov_solve_kron(a, w) -> np.ndarray:

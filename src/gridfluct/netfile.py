@@ -46,10 +46,7 @@ def _check_mc_setting(key: str, value: Any, context: str) -> None:
     a non-negative one, ``master_seed`` an int (not a bool) of at least 0 and
     ``trajectories`` one of at least 2, the fewest that give a standard error."""
     if key in ("dt", "burn_in", "horizon"):
-        number = _number(value, context)
-        if not (number >= 0 if key == "burn_in" else number > 0):
-            sign = "non-negative" if key == "burn_in" else "positive"
-            raise ValidationError(f"{context}: expected a {sign} number, got {reprlib.repr(value)}")
+        _signed(value, context, positive=key != "burn_in")
     elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{context}: expected an integer, got {reprlib.repr(value)}")
     elif value < (least := 2 if key == "trajectories" else 0):
@@ -93,6 +90,28 @@ def _number(value: Any, context: str) -> float:
     if not math.isfinite(number):
         raise ValidationError(f"{context}: expected a finite number, got {reprlib.repr(value)}")
     return number
+
+
+def _signed(value: Any, context: str, positive: bool = True) -> float:
+    """``value`` as a finite float that is positive, or non-negative when
+    ``positive`` is false."""
+    number = _number(value, context)
+    if not (number > 0 if positive else number >= 0):
+        sign = "positive" if positive else "non-negative"
+        raise ValidationError(f"{context}: expected a {sign} number, got {reprlib.repr(value)}")
+    return number
+
+
+def _size(value: Any, context: str, largest_node: int) -> int:
+    """``value`` as a network size: an integer of at least 2 and at least
+    ``largest_node``, the largest noise node."""
+    n = _integer(value, context)
+    if n < max(2, largest_node):
+        raise ValidationError(
+            f"{context}: expected at least 2 nodes and at least the largest noise node "
+            f"({largest_node}), got {n}"
+        )
+    return n
 
 
 def _integer(value: Any, context: str) -> int:
@@ -201,33 +220,6 @@ def load_network(path: str | Path) -> PowerNetwork:
     return network_from_dict(_load_json(path), context=str(path))
 
 
-def network_to_dict(net: PowerNetwork) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "nodes": [
-            {
-                "id": net.labels[i],
-                "inertia": net.inertia[i],
-                "damping": net.damping[i],
-                "power": net.power[i],
-                "noise": net.noise[i],
-            }
-            for i in range(net.node_count)
-        ],
-        "lines": [
-            {"from": net.labels[i - 1], "to": net.labels[j - 1], "capacity": w}
-            for i, j, w in net.topology.edges
-        ],
-    }
-
-
-def emit_network(net: PowerNetwork, path: str | Path) -> None:
-    """Write a network file that loads back to an identical network."""
-    with open(path, "w") as fh:
-        json.dump(network_to_dict(net), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass(frozen=True)
 class HomogeneousBase:
     """Sweep base: canonical complete/star graph with uniform parameters."""
@@ -242,8 +234,6 @@ class HomogeneousBase:
     def params(self) -> HomogeneousParams:
         noise = np.zeros(self.n)
         for node, amplitude in self.noise_by_node:
-            if not 1 <= node <= self.n:
-                raise ValidationError(f"noise node index {node} out of range 1..{self.n}")
             noise[node - 1] = amplitude
         return HomogeneousParams(self.n, self.gamma, self.eta, self.damping, noise)
 
@@ -286,13 +276,16 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
             node = _node_index(key, f"{context}.base.noise")
             if node in noise:
                 raise ValidationError(f"{context}.base.noise: node {node} is given more than once")
-            noise[node] = _number(value, f"{context}.base.noise[{key}]")
+            if node < 1:
+                raise ValidationError(f"{context}.base.noise: node indices start at 1, got {key!r}")
+            noise[node] = _signed(value, f"{context}.base.noise[{key}]", positive=False)
+        largest_node = max(noise)
         base = HomogeneousBase(
             kind=kind,
-            n=_integer(_require(base_doc, "n", f"{context}.base"), f"{context}.base.n"),
-            gamma=_number(_require(base_doc, "gamma", f"{context}.base"), f"{context}.base.gamma"),
-            eta=_number(_require(base_doc, "eta", f"{context}.base"), f"{context}.base.eta"),
-            damping=_number(_require(base_doc, "damping", f"{context}.base"), f"{context}.base.damping"),
+            n=_size(_require(base_doc, "n", f"{context}.base"), f"{context}.base.n", largest_node),
+            gamma=_signed(_require(base_doc, "gamma", f"{context}.base"), f"{context}.base.gamma"),
+            eta=_signed(_require(base_doc, "eta", f"{context}.base"), f"{context}.base.eta"),
+            damping=_signed(_require(base_doc, "damping", f"{context}.base"), f"{context}.base.damping"),
             noise_by_node=tuple(sorted(noise.items())),
         )
         allowed_axes = HOMOGENEOUS_AXES
@@ -302,6 +295,7 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
             path = base_dir / path
         base = load_network(path)
         allowed_axes = NETWORK_AXES
+        largest_node = 0
     else:
         raise ValidationError(
             f"{context}.base: kind must be 'complete', 'star' or 'network', got {kind!r}"
@@ -324,8 +318,11 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
         grid = _require(axis, "grid", where)
         if not isinstance(grid, list) or not grid:
             raise ValidationError(f"{where}: 'grid' must be a non-empty list")
-        parse = _integer if parameter == "n" else _number
-        axes.append((parameter, tuple(parse(v, f"{where}.grid") for v in grid)))
+        if parameter == "n":
+            values = tuple(_size(v, f"{where}.grid", largest_node) for v in grid)
+        else:
+            values = tuple(_signed(v, f"{where}.grid", parameter != "noise_scale") for v in grid)
+        axes.append((parameter, values))
 
     methods_doc = _require(data, "methods", context)
     if not isinstance(methods_doc, list) or not methods_doc:
@@ -336,6 +333,13 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
     quantities_doc = _require(data, "quantities", context)
     if not isinstance(quantities_doc, list) or not quantities_doc:
         raise ValidationError(f"{context}: 'quantities' must be a non-empty list")
+    # Blocks are smallest at the smallest size on the grid.
+    if isinstance(base, HomogeneousBase):
+        n = min((v for parameter, grid in axes if parameter == "n" for v in grid), default=base.n)
+        m = n * (n - 1) // 2 if kind == "complete" else n - 1
+    else:
+        n, m = base.node_count, base.line_count
+    shapes = {"delta": (m, m), "omega": (n, n), "cross": (n, m)}
     quantities = []
     for pos, quantity in enumerate(quantities_doc):
         where = f"{context}: quantities[{pos}]"
@@ -350,6 +354,10 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
         j = _integer(_require(quantity, "j", where), f"{where}.j")
         if i < 1 or j < 1:
             raise ValidationError(f"{where}: indices are 1-based and must be positive")
+        if i > shapes[block][0] or j > shapes[block][1]:
+            raise ValidationError(
+                f"{where}: {block}[{i},{j}] out of range for shape {shapes[block]} at n={n}"
+            )
         quantities.append((block, i, j))
 
     mc_overrides = validate_mc_overrides(data.get("mc", {}), f"{context}.mc")

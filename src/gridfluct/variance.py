@@ -81,7 +81,7 @@ class Congruence:
     built block's tiles in another order, so a read entry may differ from
     the built one in its last bits (up to about 1e-15 of the block's largest
     entry).  ``left`` is L X, formed once; ``array`` builds the whole block
-    by :func:`_congruence` on first read and keeps it.
+    from :func:`upper_tiles` on first read, exactly symmetric, and keeps it.
     """
 
     lines: np.ndarray
@@ -101,7 +101,13 @@ class Congruence:
 
     @cached_property
     def array(self) -> np.ndarray:
-        return _congruence(self.lines, self.core)
+        m = self.lines.shape[0]
+        out = np.empty((m, m))
+        for i, j, tile in upper_tiles(self):
+            rows, columns = slice(i, i + tile.shape[0]), slice(j, j + tile.shape[1])
+            out[rows, columns] = tile
+            out[columns, rows] = tile.T
+        return out
 
 
 def _array(block: np.ndarray | Congruence | None) -> np.ndarray | None:
@@ -183,18 +189,6 @@ def upper_tiles(block: np.ndarray | Congruence) -> Iterator[tuple[int, int, np.n
             else:
                 tile = block[i:end, j:stop]
             yield i, j, tile
-
-
-def _congruence(lines: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """L X L^T for a symmetric X, exactly symmetric: each of
-    :func:`upper_tiles`' tiles is written with its mirror."""
-    m = lines.shape[0]
-    out = np.empty((m, m))
-    for i, j, tile in upper_tiles(Congruence(lines, core)):
-        rows, columns = slice(i, i + tile.shape[0]), slice(j, j + tile.shape[1])
-        out[rows, columns] = tile
-        out[columns, rows] = tile.T
-    return out
 
 
 def _diagonal_scale(block: Congruence, name: str) -> float:
@@ -351,7 +345,6 @@ class ReducedSystem:
 
     a2: np.ndarray
     b2: np.ndarray
-    spectral: SpectralDecomposition
 
 
 def reduce_system(lin: LinearizedSystem) -> ReducedSystem:
@@ -367,7 +360,7 @@ def reduce_system(lin: LinearizedSystem) -> ReducedSystem:
 
     b_full = np.zeros((2 * n, n))
     b_full[n:, :] = u.T @ ((1.0 / np.sqrt(lin.inertia))[:, None] * np.diag(lin.noise))
-    return ReducedSystem(a_full[1:, 1:], b_full[1:, :], spectral)
+    return ReducedSystem(a_full[1:, 1:], b_full[1:, :])
 
 
 def _modal_report(
@@ -450,6 +443,16 @@ class UniformRatioBlocks:
     spectral: SpectralDecomposition
 
 
+def _ratio_weights(lam_a, lam_b, alpha: float) -> tuple:
+    """Cross, angle and frequency weights (lambda_a - lambda_b) / chi,
+    2 a / chi and a (lambda_a + lambda_b) / chi of the uniform-ratio
+    solution, for eigenvalues (scalars or broadcast arrays) of an angle mode
+    a and a frequency mode b; chi as in :class:`UniformRatioBlocks`."""
+    diff, total = lam_a - lam_b, lam_a + lam_b
+    chi = diff**2 + 2.0 * alpha**2 * total
+    return diff / chi, 2.0 * alpha / chi, alpha * total / chi
+
+
 def uniform_ratio_blocks(lin: LinearizedSystem) -> UniformRatioBlocks:
     """Explicit spectral-coordinate covariance blocks for a uniform ratio.
 
@@ -464,13 +467,12 @@ def uniform_ratio_blocks(lin: LinearizedSystem) -> UniformRatioBlocks:
     xi = lin.noise**2 / lin.inertia
     p = u.T @ (xi[:, None] * u)
 
-    diff = lam[:, None] - lam[None, :]
-    chi = diff**2 + 2.0 * alpha**2 * (lam[:, None] + lam[None, :])
-
-    s = (diff[1:, :] / chi[1:, :]) * p[1:, :]
-    g = (2.0 * alpha / chi[1:, 1:]) * p[1:, 1:]
-    chi[0, 0] = 1.0  # only the (1,1) entry is singular; overwritten below
-    r = (alpha * (lam[:, None] + lam[None, :]) / chi) * p
+    # chi vanishes only at (1, 1), whose weights no block reads.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross, angle, frequency = _ratio_weights(lam[:, None], lam[None, :], alpha)
+    s = cross[1:, :] * p[1:, :]
+    g = angle[1:, 1:] * p[1:, 1:]
+    r = frequency * p
     r[0, 0] = p[0, 0] / (2.0 * alpha)
     return UniformRatioBlocks(g, s, r, alpha, spectral)
 

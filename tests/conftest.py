@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gridfluct import (
     canonical_star,
 )
 from gridfluct.montecarlo import default_sim_config, simulate_covariance
+from gridfluct.variance import Congruence
 
 
 def random_connected_graph(
@@ -75,6 +77,16 @@ def full_output_matrix(report) -> np.ndarray:
     full[m:, :m] = report.q_delta_omega
     full[:m, m:] = report.q_delta_omega.T
     return full
+
+
+def count_congruence_fills(monkeypatch, name: str) -> list:
+    """Record the map shape of each :class:`Congruence` whose cached ``name``
+    ("left" or "array") is computed from here on."""
+    fills, compute = [], getattr(Congruence, name).func
+    counted = cached_property(lambda block: fills.append(block.lines.shape) or compute(block))
+    counted.__set_name__(Congruence, name)
+    monkeypatch.setattr(Congruence, name, counted)
+    return fills
 
 
 @pytest.fixture(scope="session")

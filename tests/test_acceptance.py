@@ -14,14 +14,12 @@ from gridfluct import (
     LinearizedSystem,
     asymptotic_variance_numeric,
     asymptotic_variance_uniform_ratio,
+    closed_form_report,
     complete_first_order,
-    complete_report,
     critical_size,
-    lyapunov_solve,
     lyapunov_solve_kron,
     smib_variance,
     star_first_order,
-    star_report,
     star_single_source_leaf,
     trace_frequency_variance,
     trend_report,
@@ -33,9 +31,11 @@ from gridfluct.closedforms import (
     star_other_line,
     star_source_line,
 )
+from gridfluct.lyapunov import lyapunov_solve_with_abscissa
 
 from conftest import (
     full_output_matrix,
+    homogeneous_system,
     random_connected_graph,
     table1_complete_system,
     table2_star_system,
@@ -71,7 +71,7 @@ def test_criterion_2_star_route_equivalence():
     start = time.perf_counter()
     numeric = asymptotic_variance_numeric(lin)
     p = HomogeneousParams(n, gamma, eta, d, lin.noise)
-    report = star_report(p)
+    report = closed_form_report(lin)
     leaf = star_single_source_leaf(p)
     elapsed = time.perf_counter() - start
     displayed = [
@@ -137,13 +137,12 @@ def test_criterion_5_first_order_consistency():
     rng = np.random.default_rng(505)
     noise_c = rng.uniform(0.0, 1.5, 14)
     p_c = HomogeneousParams(14, 3.0, 0.8, 0.6, noise_c)
-    complete_gap = float(
-        np.abs(complete_report(p_c).q_delta - complete_first_order(p_c)).max()
-    )
+    closed_c = closed_form_report(homogeneous_system("complete", 14, 3.0, 0.8, 0.6, noise_c))
+    complete_gap = float(np.abs(closed_c.q_delta - complete_first_order(p_c)).max())
 
     noise_s = rng.uniform(0.0, 1.5, 12)
     q_bar = star_first_order(HomogeneousParams(12, 2.0, 1.0, 1.0, noise_s))
-    q_small = star_report(HomogeneousParams(12, 2.0, 1e-6, 1.0, noise_s)).q_delta
+    q_small = closed_form_report(homogeneous_system("star", 12, 2.0, 1e-6, 1.0, noise_s)).q_delta
     star_gap = float(np.abs(q_small - q_bar).max() / np.abs(q_bar).max())
 
     ok = complete_gap <= 1e-12 and star_gap <= 1e-6
@@ -267,7 +266,7 @@ def test_criterion_8_lyapunov_backend_independence():
         a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.5, 2.0)) * np.eye(size)
         g = rng.standard_normal((size, size))
         w = g @ g.T
-        q_schur = lyapunov_solve(a, w)
+        q_schur = lyapunov_solve_with_abscissa(a, w)[0]
         q_kron = lyapunov_solve_kron(a, w)
         worst = max(worst, float(np.abs(q_schur - q_kron).max() / max(1.0, np.abs(q_kron).max())))
     ok = worst <= 1e-10
@@ -283,7 +282,7 @@ def test_criterion_9_single_machine_closed_form():
         for eta in np.linspace(0.1, 2.0, 10):
             a = np.array([[0.0, 1.0], [-stiffness / eta, -d / eta]])
             b = np.array([[0.0], [noise / eta]])
-            q = lyapunov_solve(a, b @ b.T)
+            q = lyapunov_solve_with_abscissa(a, b @ b.T)[0]
             q_delta, q_omega = smib_variance(eta, d, capacity, injection, noise)
             worst = max(
                 worst,

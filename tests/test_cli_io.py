@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ import pytest
 from gridfluct import InternalInvariantError, ValidationError, graphs, load_network, pipeline, variance
 from gridfluct.cli import main
 from gridfluct.netfile import (
-    emit_network,
     format_number,
     load_sweep,
     network_from_dict,
@@ -34,7 +34,7 @@ from gridfluct.pipeline import (
     write_sweep,
 )
 
-from conftest import random_connected_graph
+from conftest import count_congruence_fills, random_connected_graph
 
 
 def network_doc(n, lines, inertia=0.5, damping=0.3, noise=None, capacity=10.0):
@@ -110,35 +110,6 @@ class TestLoadNetwork:
         doc["schema_version"] = 99
         with pytest.raises(ValidationError, match="schema_version"):
             load_network(write_doc(tmp_path, doc))
-
-    def test_round_trip_identity(self, tmp_path):
-        rng = np.random.default_rng(77)
-        graph = random_connected_graph(rng, 7)
-        doc = {
-            "schema_version": 1,
-            "nodes": [
-                {
-                    "id": f"bus-{i}",
-                    "inertia": float(rng.uniform(0.1, 2)),
-                    "damping": float(rng.uniform(0.1, 2)),
-                    "power": float(rng.normal()) * 1e-3,
-                    "noise": float(rng.uniform(0, 1)),
-                }
-                for i in range(1, 8)
-            ],
-            "lines": [
-                {"from": f"bus-{i}", "to": f"bus-{j}", "capacity": w}
-                for i, j, w in graph.edges
-            ],
-        }
-        net = network_from_dict(doc)
-        path = tmp_path / "round.json"
-        emit_network(net, path)
-        again = load_network(path)
-        assert again.labels == net.labels
-        assert again.topology.edges == net.topology.edges
-        for field in ("inertia", "damping", "power", "noise"):
-            np.testing.assert_array_equal(getattr(again, field), getattr(net, field))
 
 
 class TestRunVariance:
@@ -264,9 +235,7 @@ class TestCompareByPanels:
         assert isinstance(star.reports["closed"].delta, np.ndarray)
 
     def test_no_block_is_built(self, monkeypatch):
-        builds = []
-        build = variance._congruence
-        monkeypatch.setattr(variance, "_congruence", lambda *args: builds.append(args) or build(*args))
+        builds = count_congruence_fills(monkeypatch, "array")
         comparison = compare_variance(network_from_dict(complete60_doc()))
         factored = [block for report in comparison.reports.values()
                     for block in (report.delta, report.omega)
@@ -520,9 +489,49 @@ class TestSweeps:
 
     def test_quantity_out_of_range(self):
         doc = sweep_doc(quantities=[{"block": "omega", "i": 99, "j": 1}])
-        spec = sweep_from_dict(doc)
+        with pytest.raises(ValidationError, match=re.escape("sweep: quantities[0]: omega[99,1] out of range")):
+            sweep_from_dict(doc)
+        # A spec built in code is checked when its cell is read.
+        spec = replace(sweep_from_dict(sweep_doc()), quantities=(("omega", 99, 1),))
         with pytest.raises(ValidationError, match="out of range"):
             run_sweep(spec)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["base"].update(gamma=-1),
+             ".base.gamma: expected a positive number, got -1"),
+            (lambda doc: doc["base"].update(noise={"2": -0.04}),
+             ".base.noise[2]: expected a non-negative number, got -0.04"),
+            (lambda doc: doc["base"].update(noise={"0": 0.04}),
+             ".base.noise: node indices start at 1, got '0'"),
+            (lambda doc: doc.update(axes=[{"parameter": "eta", "grid": [0.5, 0.0]}]),
+             ": axes[0].grid: expected a positive number, got 0.0"),
+            (lambda doc: doc.update(axes=[{"parameter": "n", "grid": [20, 10, 5]}],
+                                    base={**doc["base"], "noise": {"9": 0.1}}),
+             ": axes[0].grid: expected at least 2 nodes and at least the largest noise node (9), got 5"),
+            (lambda doc: doc.update(base={"kind": "network", "path": "net.json"},
+                                    axes=[{"parameter": "inertia_scale", "grid": [1.0, -1.0]}]),
+             ": axes[0].grid: expected a positive number, got -1.0"),
+            (lambda doc: doc.update(axes=[{"parameter": "n", "grid": [5]}],
+                                    quantities=[{"block": "delta", "i": 11, "j": 1}]),
+             ": quantities[0]: delta[11,1] out of range for shape (10, 10) at n=5"),
+        ],
+        ids=["base-gamma", "base-noise", "noise-node-zero", "eta-grid", "n-grid-below-noise-node",
+             "inertia-scale-grid", "quantity-index"],
+    )
+    def test_bad_sweep_file_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                       edit, message):
+        write_doc(tmp_path, network_doc(4, complete_lines(4), noise={2: 0.1}))
+        doc = sweep_doc()
+        edit(doc)
+        path = write_doc(tmp_path, doc, "spec.json")
+        calls, real_linearized = [], pipeline.linearized
+        monkeypatch.setattr(pipeline, "linearized",
+                            lambda net: calls.append(net) or real_linearized(net))
+        assert main(["sweep", "--spec", str(path)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"gridfluct: {path}{message}\n"
 
     def test_csv_bytes_stable_across_runs(self):
         spec = sweep_from_dict(sweep_doc(axes=[{"parameter": "gamma", "grid": [5.0, 10.0]}]))
@@ -563,12 +572,11 @@ class TestSweeps:
         assert len(builds) == 8
 
     def test_each_grid_point_is_linearized_once_and_no_block_is_built(self, monkeypatch):
-        calls, builds = [], []
+        calls = []
         real_linearized = pipeline.linearized
         monkeypatch.setattr(pipeline, "linearized",
                             lambda net: calls.append(net) or real_linearized(net))
-        build = variance._congruence
-        monkeypatch.setattr(variance, "_congruence", lambda *args: builds.append(args) or build(*args))
+        builds = count_congruence_fills(monkeypatch, "array")
         spec = sweep_from_dict(sweep_doc(
             axes=[{"parameter": "damping", "grid": [0.1, 0.3, 0.8]}],
             methods=["closed", "numeric", "uniform", "first-order"],

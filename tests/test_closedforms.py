@@ -14,16 +14,13 @@ from gridfluct import (
     asymptotic_variance_numeric,
     canonical_complete,
     canonical_star,
+    closed_form_report,
     complete_first_order,
-    complete_report,
     complete_single_source,
     first_order_variance,
     star_first_order,
-    star_report,
     star_single_source_leaf,
-    star_single_source_root,
 )
-from gridfluct.closedforms import closed_form_report
 
 from conftest import full_output_matrix, homogeneous_system
 
@@ -52,27 +49,27 @@ TABLE2 = params(20, 10.0, 0.5, 0.2, single_source(20, 2, 0.5))
 
 class TestCompleteReport:
     def test_benchmark_point_against_numeric(self):
-        report = complete_report(TABLE1)
+        report = closed_form_report(to_system("complete", TABLE1))
         numeric = asymptotic_variance_numeric(to_system("complete", TABLE1))
         assert abs(report.q_omega[1, 1] - numeric.q_omega[1, 1]) <= 1e-8 * numeric.q_omega[1, 1]
         assert abs(report.q_delta[0, 0] - numeric.q_delta[0, 0]) <= 1e-8 * numeric.q_delta[0, 0]
         assert max_rel(full_output_matrix(report), full_output_matrix(numeric)) <= 1e-8
 
     def test_zero_noise(self):
-        report = complete_report(params(6, 1.0, 1.0, 1.0, np.zeros(6)))
+        report = closed_form_report(to_system("complete", params(6, 1.0, 1.0, 1.0, np.zeros(6))))
         assert np.abs(full_output_matrix(report)).max() == 0.0
 
     def test_line_between_quiet_nodes(self):
         # disturbances elsewhere do not move the angle difference of a line
         # whose endpoints are both quiet
         p = params(5, 2.0, 0.5, 0.7, [1.3, 0.0, 0.0, 0.4, 0.0])
-        report = complete_report(p)
+        report = closed_form_report(to_system("complete", p))
         # canonical lexicographic order: line 5 is (2, 3); both endpoints quiet
         assert report.q_delta[4, 4] == pytest.approx(0.0, abs=1e-15)
 
     def test_line_diagonal_formula(self):
         p = params(5, 2.0, 0.5, 0.7, [1.3, 0.2, 0.0, 0.4, 0.9])
-        report = complete_report(p)
+        report = closed_form_report(to_system("complete", p))
         b_sq = p.noise_sq
         k = 0
         for i in range(1, 6):
@@ -83,7 +80,7 @@ class TestCompleteReport:
 
     def test_delta_trace(self):
         p = params(7, 3.0, 0.2, 0.9, np.linspace(0, 2, 7))
-        report = complete_report(p)
+        report = closed_form_report(to_system("complete", p))
         expected = (p.n - 1) * p.trace_noise_sq / (2 * p.damping * p.gamma * p.n)
         assert np.trace(report.q_delta) == pytest.approx(expected, rel=1e-12)
 
@@ -95,7 +92,7 @@ class TestCompleteReport:
 class TestCompleteSingleSource:
     def test_matches_report_specialization(self):
         summary = complete_single_source(TABLE1, 2)
-        report = complete_report(TABLE1)
+        report = closed_form_report(to_system("complete", TABLE1))
         assert summary.source_frequency_variance == pytest.approx(report.q_omega[1, 1], rel=1e-12)
         assert summary.other_frequency_variance == pytest.approx(report.q_omega[0, 0], rel=1e-12)
         assert summary.incident_line_variance == pytest.approx(report.q_delta[0, 0], rel=1e-12)
@@ -125,7 +122,8 @@ class TestCompleteSingleSource:
 class TestCompleteFirstOrder:
     def test_equals_inertial_angle_block(self):
         q_bar = complete_first_order(TABLE1)
-        np.testing.assert_allclose(q_bar, complete_report(TABLE1).q_delta, atol=1e-12)
+        closed = closed_form_report(to_system("complete", TABLE1))
+        np.testing.assert_allclose(q_bar, closed.q_delta, atol=1e-12)
 
     def test_single_source_line_values(self):
         level = 0.8
@@ -149,7 +147,7 @@ class TestCompleteFirstOrder:
 
 class TestStarReport:
     def test_benchmark_point_against_numeric(self):
-        report = star_report(TABLE2)
+        report = closed_form_report(to_system("star", TABLE2))
         numeric = asymptotic_variance_numeric(to_system("star", TABLE2))
         assert max_rel(full_output_matrix(report), full_output_matrix(numeric)) <= 1e-8
 
@@ -158,13 +156,14 @@ class TestStarReport:
         noise = rng.uniform(0, 1, 8)
         p = params(8, 2.0, 0.4, 0.9, noise)
         expected = (p.n - 1) * p.trace_noise_sq / (2 * p.damping * p.gamma * p.n)
-        assert np.trace(star_report(p).q_delta) == pytest.approx(expected, rel=1e-12)
-        assert np.trace(complete_report(p).q_delta) == pytest.approx(expected, rel=1e-12)
+        for kind in ("star", "complete"):
+            q_delta = closed_form_report(to_system(kind, p)).q_delta
+            assert np.trace(q_delta) == pytest.approx(expected, rel=1e-12)
 
     def test_root_source_reproduces_corollary(self):
         p = params(12, 6.0, 0.3, 0.8, single_source(12, 1, 0.6))
-        report = star_report(p)
-        summary = star_single_source_root(p)
+        report = closed_form_report(to_system("star", p))
+        summary = complete_single_source(p, 1)
         assert report.q_omega[0, 0] == pytest.approx(summary.source_frequency_variance, rel=1e-12)
         assert report.q_omega[3, 3] == pytest.approx(summary.other_frequency_variance, rel=1e-12)
         np.testing.assert_allclose(
@@ -174,10 +173,13 @@ class TestStarReport:
 
 class TestStarSingleSource:
     def test_root_case_equals_complete_formulas(self):
+        # A star disturbed at its root has the complete graph's scalar set.
         p = params(15, 3.0, 0.6, 0.4, single_source(15, 1, 0.9))
-        root = star_single_source_root(p)
-        complete = complete_single_source(p, 1)
-        assert root == complete
+        root = complete_single_source(p, 1)
+        numeric = asymptotic_variance_numeric(to_system("star", p))
+        assert root.source_frequency_variance == pytest.approx(numeric.q_omega[0, 0], rel=1e-8)
+        assert root.other_frequency_variance == pytest.approx(numeric.q_omega[4, 4], rel=1e-8)
+        np.testing.assert_allclose(np.diag(numeric.q_delta), root.incident_line_variance, rtol=1e-8)
 
     def test_leaf_sum_rule(self):
         p = params(11, 5.0, 0.7, 0.3, single_source(11, 2, 0.8))
@@ -203,7 +205,7 @@ class TestStarSingleSource:
         with pytest.raises(AssumptionViolatedError):
             star_single_source_leaf(params(5, 1.0, 1.0, 1.0, single_source(5, 3, 1.0)))
         with pytest.raises(AssumptionViolatedError):
-            star_single_source_root(params(5, 1.0, 1.0, 1.0, single_source(5, 2, 1.0)))
+            complete_single_source(params(5, 1.0, 1.0, 1.0, single_source(5, 2, 1.0)), 1)
 
 
 class TestStarFirstOrder:
@@ -222,16 +224,15 @@ class TestStarFirstOrder:
         rng = np.random.default_rng(6)
         noise = rng.uniform(0, 1, 12)
         q_bar = star_first_order(params(12, 2.0, 1.0, 1.0, noise))
-        q_small = star_report(params(12, 2.0, 1e-6, 1.0, noise)).q_delta
+        q_small = closed_form_report(to_system("star", params(12, 2.0, 1e-6, 1.0, noise))).q_delta
         assert np.abs(q_small - q_bar).max() <= 1e-6 * np.abs(q_bar).max()
 
     def test_inertia_limit_is_monotone(self):
         noise = single_source(8, 2, 0.5)
         q_bar = star_first_order(params(8, 10.0, 1.0, 0.4, noise))
-        gaps = [
-            np.abs(star_report(params(8, 10.0, eta, 0.4, noise)).q_delta - q_bar).max()
-            for eta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        ]
+        systems = [to_system("star", params(8, 10.0, eta, 0.4, noise))
+                   for eta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+        gaps = [np.abs(closed_form_report(lin).q_delta - q_bar).max() for lin in systems]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_matches_engine(self):
@@ -316,11 +317,10 @@ def resolve_rows(rows):
 @pytest.mark.parametrize("kind", ["complete", "star"])
 def test_closed_vs_numeric_across_benchmark_tables(kind):
     rows = COMPLETE_ROWS if kind == "complete" else STAR_ROWS
-    build = complete_report if kind == "complete" else star_report
     worst = 0.0
     for gamma, eta, d, level, n in resolve_rows(rows):
         p = params(int(n), gamma, eta, d, single_source(int(n), 2, level))
-        closed = full_output_matrix(build(p))
+        closed = full_output_matrix(closed_form_report(to_system(kind, p)))
         numeric = full_output_matrix(asymptotic_variance_numeric(to_system(kind, p)))
         worst = max(worst, max_rel(closed, numeric))
     assert worst <= 1e-8
@@ -354,9 +354,10 @@ def shuffled_homogeneous(kind, n, root, rng):
 
 
 def signed_permutation_reference(kind, lin, node_map):
-    """The canonical report gathered into the network's order, each line's
-    entries signed by whether its orientation matches the canonical one.
-    The parameters are the arrays' means, as the closed route reads them."""
+    """The closed report of the canonical system gathered into the network's
+    order, each line's entries signed by whether its orientation matches the
+    canonical one.  Both systems hold the same uniform parameter arrays, so
+    the closed route reads the same means from each."""
     n = lin.node_count
     canonical = (canonical_complete if kind == "complete" else canonical_star)(n)
     position = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(canonical.tails, canonical.heads))}
@@ -365,9 +366,9 @@ def signed_permutation_reference(kind, lin, node_map):
     signs = np.where(ci < cj, 1.0, -1.0)
     noise = np.empty(n)
     noise[node_map] = lin.noise
-    means = (float(values.mean()) for values in (lin.graph.weights, lin.inertia, lin.damping))
-    build = complete_report if kind == "complete" else star_report
-    report = build(HomogeneousParams(n, *means, noise))
+    report = closed_form_report(homogeneous_system(
+        kind, n, lin.graph.weights[0], lin.inertia[0], lin.damping[0], noise
+    ))
     return (
         signs[:, None] * report.q_delta[np.ix_(lines, lines)] * signs[None, :],
         report.q_omega[np.ix_(node_map, node_map)],

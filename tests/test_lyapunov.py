@@ -9,7 +9,6 @@ from gridfluct import (
     InternalInvariantError,
     ShapeError,
     lyapunov_residual,
-    lyapunov_solve,
     lyapunov_solve_kron,
 )
 from gridfluct.lyapunov import assert_hurwitz, lyapunov_solve_with_abscissa
@@ -23,11 +22,11 @@ def random_hurwitz(rng: np.random.Generator, size: int) -> np.ndarray:
 
 class TestLyapunovSolve:
     def test_identity_case(self):
-        q = lyapunov_solve(-np.eye(2), np.eye(2))
+        q = lyapunov_solve_with_abscissa(-np.eye(2), np.eye(2))[0]
         np.testing.assert_allclose(q, 0.5 * np.eye(2), atol=1e-14)
 
     def test_scalar(self):
-        q = lyapunov_solve(np.array([[-2.0]]), np.array([[4.0]]))
+        q = lyapunov_solve_with_abscissa(np.array([[-2.0]]), np.array([[4.0]]))[0]
         assert q[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_single_machine_two_state(self):
@@ -35,20 +34,21 @@ class TestLyapunovSolve:
         a = np.array([[0.0, 1.0], [-2.0, -2.0]])
         b = np.array([[0.0], [1.0]])
         expected = np.diag([0.125, 0.25])
-        np.testing.assert_allclose(lyapunov_solve(a, b @ b.T), expected, atol=1e-14)
+        q, _ = lyapunov_solve_with_abscissa(a, b @ b.T)
+        np.testing.assert_allclose(q, expected, atol=1e-14)
         np.testing.assert_allclose(lyapunov_solve_kron(a, b @ b.T), expected, atol=1e-14)
 
     def test_not_hurwitz_rejected(self):
         with pytest.raises(InstabilityError):
-            lyapunov_solve(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
+            lyapunov_solve_with_abscissa(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            lyapunov_solve(-np.eye(3), np.eye(2))
+            lyapunov_solve_with_abscissa(-np.eye(3), np.eye(2))
 
     def test_nonsymmetric_w_rejected(self):
         with pytest.raises(ShapeError):
-            lyapunov_solve(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+            lyapunov_solve_with_abscissa(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_residual_and_psd_on_random_systems(self):
         rng = np.random.default_rng(11)
@@ -57,7 +57,7 @@ class TestLyapunovSolve:
             a = random_hurwitz(rng, size)
             g = rng.standard_normal((size, size))
             w = g @ g.T
-            q = lyapunov_solve(a, w)
+            q = lyapunov_solve_with_abscissa(a, w)[0]
             assert lyapunov_residual(a, q, w) <= 1e-9
             assert np.abs(q - q.T).max() == 0.0
             assert np.linalg.eigvalsh(q).min() >= -1e-10 * max(1.0, np.abs(q).max())
@@ -69,7 +69,7 @@ class TestLyapunovSolve:
             a = random_hurwitz(rng, size)
             g = rng.standard_normal((size, size))
             w = g @ g.T
-            q_schur = lyapunov_solve(a, w)
+            q_schur = lyapunov_solve_with_abscissa(a, w)[0]
             q_kron = lyapunov_solve_kron(a, w)
             scale = np.abs(q_kron).max()
             assert np.abs(q_schur - q_kron).max() <= 1e-10 * max(1.0, scale)
@@ -118,4 +118,5 @@ class TestSchurAbscissa:
             g = rng.standard_normal((size, size))
             w = g @ g.T
             reference = scipy.linalg.solve_continuous_lyapunov(a, -w)
-            np.testing.assert_array_equal(lyapunov_solve(a, w), 0.5 * (reference + reference.T))
+            q, _ = lyapunov_solve_with_abscissa(a, w)
+            np.testing.assert_array_equal(q, 0.5 * (reference + reference.T))

@@ -36,3 +36,16 @@ def test_mc_check_finds_no_entry_beyond_four_standard_errors(tmp_path):
     result = run_script("mc_check.py", "--trajectories", "50", "--seed", "2024", cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "entries beyond 4 standard errors: 0 of 225" in result.stdout
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    numeric, analytic = namespace["numeric"], namespace["analytic"]
+    for block in ("q_delta", "q_omega", "q_delta_omega"):
+        reference = getattr(numeric, block)
+        gap = abs(getattr(analytic, block) - reference) / (1.0 + abs(reference))
+        assert gap.max() <= 1e-8, block

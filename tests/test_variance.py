@@ -30,6 +30,7 @@ from gridfluct.graphs import SpectralDecomposition
 from gridfluct.variance import PSD_FLOOR, make_report
 
 from conftest import (
+    count_congruence_fills,
     full_output_matrix,
     homogeneous_system,
     random_connected_graph,
@@ -275,10 +276,7 @@ class TestFactoredReport:
                 assert gap <= 1e-14 * np.abs(built).max(), route
 
     def test_blocks_are_built_once_and_only_when_read(self, monkeypatch):
-        builds = []
-        build = variance._congruence
-        monkeypatch.setattr(variance, "_congruence",
-                            lambda lines, core: builds.append(lines.shape) or build(lines, core))
+        builds = count_congruence_fills(monkeypatch, "array")
         lin = shuffled_complete_system(np.random.default_rng(5), 12)
         n, m = lin.node_count, lin.line_count
         report = variance.asymptotic_variance_numeric(lin)
@@ -291,6 +289,16 @@ class TestFactoredReport:
         assert builds == [(m, n - 1)]
         assert report.q_omega is report.q_omega
         assert builds == [(m, n - 1), (n, n)]
+
+    def test_building_a_checked_block_forms_its_product_once(self, monkeypatch):
+        # The PSD check forms L X; the build reads the same L X.
+        products = count_congruence_fills(monkeypatch, "left")
+        lin = shuffled_complete_system(np.random.default_rng(6), 12)
+        n, m = lin.node_count, lin.line_count
+        report = variance.asymptotic_variance_numeric(lin)
+        assert products == [(m, n - 1), (n, n)]
+        assert report.q_delta.shape == (m, m) and report.q_omega.shape == (n, n)
+        assert products == [(m, n - 1), (n, n)]
 
 
 def panel_build(lines, core):
@@ -317,7 +325,7 @@ class TestTiles:
         lines = rng.standard_normal((m, k))
         core = rng.standard_normal((k, k)) @ rng.standard_normal((k, k))
         core = 0.5 * (core + core.T)
-        built, old = variance._congruence(lines, core), panel_build(lines, core)
+        built, old = variance.Congruence(lines, core).array, panel_build(lines, core)
         assert np.array_equal(built, built.T)
         if m <= 2 * variance.TILE_COLS:
             assert built.tobytes() == old.tobytes()
@@ -349,24 +357,24 @@ class TestReduceSystem:
     def test_complete_spectrum(self):
         gamma, eta, n = 2.0, 0.5, 5
         lin = homogeneous_system("complete", n, gamma, eta, 1.0, np.ones(n))
-        reduced = reduce_system(lin)
+        spectral = variance.modal_basis(lin, "inertia").spectral
         expected = [0.0] + [gamma * n / eta] * (n - 1)
-        np.testing.assert_allclose(reduced.spectral.eigenvalues, expected, atol=1e-9)
+        np.testing.assert_allclose(spectral.eigenvalues, expected, atol=1e-9)
 
     def test_star_spectrum(self):
         gamma, eta, n = 3.0, 2.0, 4
         lin = homogeneous_system("star", n, gamma, eta, 1.0, np.ones(n))
-        reduced = reduce_system(lin)
+        spectral = variance.modal_basis(lin, "inertia").spectral
         expected = [0.0, gamma / eta, gamma / eta, gamma * n / eta]
-        np.testing.assert_allclose(reduced.spectral.eigenvalues, expected, atol=1e-9)
+        np.testing.assert_allclose(spectral.eigenvalues, expected, atol=1e-9)
 
     def test_block_structure(self):
         rng = np.random.default_rng(2)
         lin = random_heterogeneous_system(rng, 6)
         reduced = reduce_system(lin)
         n = 6
-        lam = reduced.spectral.eigenvalues
-        u = reduced.spectral.vectors
+        spectral = variance.modal_basis(lin, "inertia").spectral
+        lam, u = spectral.eigenvalues, spectral.vectors
         np.testing.assert_array_equal(reduced.a2[: n - 1, : n - 1], np.zeros((n - 1, n - 1)))
         np.testing.assert_array_equal(
             reduced.a2[: n - 1, n - 1:], np.hstack([np.zeros((n - 1, 1)), np.eye(n - 1)])
@@ -417,7 +425,8 @@ class TestNumericRoute:
             # Output map of the reduced state (angle modes 2..n, then the
             # n frequency modes) to line angle differences and frequencies.
             n, m = lin.node_count, lin.line_count
-            nodes_from_modes = reduced.spectral.vectors / np.sqrt(lin.inertia)[:, None]
+            vectors = variance.modal_basis(lin, "inertia").spectral.vectors
+            nodes_from_modes = vectors / np.sqrt(lin.inertia)[:, None]
             c2 = np.zeros((m + n, 2 * n - 1))
             c2[:m, : n - 1] = incidence(lin.graph).T @ nodes_from_modes[:, 1:]
             c2[m:, n - 1:] = nodes_from_modes
@@ -471,11 +480,9 @@ class TestUniformRatioRoute:
         assert report_max_rel(explicit, numeric) <= 1e-8
 
     def test_matches_closed_form_on_benchmark_point(self):
-        from gridfluct import HomogeneousParams, complete_report
-
         lin = table1_complete_system(20)
         explicit = asymptotic_variance_uniform_ratio(lin)
-        closed = complete_report(HomogeneousParams(20, 10.0, 0.5, 0.3, lin.noise))
+        closed = closedforms.closed_form_report(lin)
         assert report_max_rel(explicit, closed) <= 1e-10
 
     def test_route_equivalence_many_random_graphs(self):
