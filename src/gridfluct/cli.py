@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def _parser() -> argparse.ArgumentParser:
     variance.add_argument("--method", required=True, choices=tuple(ROUTES))
     variance.add_argument("--format", choices=("csv", "json"), default="csv")
     variance.add_argument("--out", help="output file (default stdout)")
-    variance.add_argument("--seed", type=int, default=0, help="Monte Carlo master seed")
+    variance.add_argument("--seed", type=int, help="Monte Carlo master seed, over --mc-config's")
     variance.add_argument("--mc-config", help="JSON file with Monte Carlo overrides")
 
     compare = sub.add_parser("compare", help="all applicable exact methods plus discrepancy")
@@ -73,12 +74,12 @@ def _parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="evaluate a parameter sweep to CSV")
     sweep.add_argument("--spec", required=True)
     sweep.add_argument("--out")
-    sweep.add_argument("--seed", type=int, default=None, help="Monte Carlo master seed override")
+    sweep.add_argument("--seed", type=int, help="Monte Carlo master seed, over the file's")
 
     simulate = sub.add_parser("simulate", help="Monte Carlo covariance estimate")
     simulate.add_argument("network")
     simulate.add_argument("--mc-config", help="JSON file with Monte Carlo overrides")
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=int, help="Monte Carlo master seed, over --mc-config's")
     simulate.add_argument("--format", choices=("csv", "json"), default="csv")
     simulate.add_argument("--out")
     simulate.set_defaults(method="mc")
@@ -95,12 +96,9 @@ def _output(path: str | None):
             yield fh
 
 
-def _mc_overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "mc_config", None):
-        overrides = validate_mc_overrides(_load_json(args.mc_config), str(args.mc_config))
-    overrides.setdefault("master_seed", args.seed)
-    return overrides
+def _seeded(overrides: dict, args) -> dict:
+    """Monte Carlo ``overrides`` with ``--seed``, when given, as their ``master_seed``."""
+    return overrides if args.seed is None else {**overrides, "master_seed": args.seed}
 
 
 def _cmd_solve(args) -> int:
@@ -134,9 +132,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    _check_mc_setting("master_seed", args.seed, "--seed")
     net = load_network(args.network)
-    mc_overrides = _mc_overrides(args) if args.method == "mc" else None
+    mc_overrides = None
+    if args.method == "mc":
+        config = args.mc_config and validate_mc_overrides(_load_json(args.mc_config), args.mc_config)
+        mc_overrides = _seeded(config or {}, args)
     report = run_variance(net, args.method, mc_overrides)
     with _output(args.out) as fh:
         write_report(report, fh, args.format)
@@ -153,10 +153,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.seed is not None:
-        _check_mc_setting("master_seed", args.seed, "--seed")
     spec = load_sweep(args.spec)
-    rows = run_sweep(spec, seed=args.seed)
+    rows = run_sweep(replace(spec, mc_overrides=_seeded(spec.mc_overrides, args)))
     with _output(args.out) as fh:
         write_sweep(rows, spec, fh)
     return 0
@@ -172,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": _cmd_variance,
     }
     try:
+        # --seed is checked before any file is read, whether or not it is used.
+        if getattr(args, "seed", None) is not None:
+            _check_mc_setting("master_seed", args.seed, "--seed")
         # Overflow, invalid operations and division by zero raise, never leave inf or nan.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             code = handlers[args.command](args)

@@ -1,8 +1,12 @@
 """Exception hierarchy shared by all gridfluct modules.
 
-Errors that represent a violated method assumption (uniform ratios,
-homogeneous parameters, security, ...) derive from
-:class:`AssumptionViolatedError` so the CLI can map them to exit code 2.
+The CLI exits with code 2 on the four classes of ``cli.USER_ERRORS``:
+:class:`ValidationError` (a malformed file or option),
+:class:`InvalidGraphError` and :class:`DisconnectedGraphError` (a graph
+the model does not accept), and :class:`AssumptionViolatedError`, from
+which every violated method assumption (uniform ratios, homogeneous
+parameters, security, ...) derives.  Any other :class:`GridfluctError`
+exits 1 as an internal error.
 """
 
 

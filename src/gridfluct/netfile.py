@@ -27,7 +27,6 @@ from typing import Any
 
 import numpy as np
 
-from .closedforms import HomogeneousParams
 from .errors import ValidationError
 from .graphs import WeightedGraph, canonical_complete, canonical_star
 from .swing import PowerNetwork
@@ -168,18 +167,10 @@ def network_from_dict(data: Any, context: str = "network") -> PowerNetwork:
         if node_id in ids:
             raise ValidationError(f"{where}: duplicate node id {node_id!r}")
         ids[node_id] = pos + 1
-        for name, target, check in (
-            ("inertia", inertia, "positive"),
-            ("damping", damping, "positive"),
-            ("power", power, None),
-            ("noise", noise, "non-negative"),
-        ):
-            value = _number(_require(node, name, where), f"{where}.{name}")
-            if check == "positive" and not value > 0:
-                raise ValidationError(f"{where}: field '{name}' must be positive, got {value}")
-            if check == "non-negative" and value < 0:
-                raise ValidationError(f"{where}: field '{name}' must be non-negative, got {value}")
-            target.append(value)
+        inertia.append(_signed(_require(node, "inertia", where), f"{where}.inertia"))
+        damping.append(_signed(_require(node, "damping", where), f"{where}.damping"))
+        power.append(_number(_require(node, "power", where), f"{where}.power"))
+        noise.append(_signed(_require(node, "noise", where), f"{where}.noise", positive=False))
 
     edges = []
     line_of_pair: dict[frozenset, int] = {}
@@ -194,9 +185,7 @@ def network_from_dict(data: Any, context: str = "network") -> PowerNetwork:
                 raise ValidationError(f"{where}: unknown node id {endpoint!r}")
         if src == dst:
             raise ValidationError(f"{where}: line endpoints must differ, got {src!r}")
-        capacity = _number(_require(line, "capacity", where), f"{where}.capacity")
-        if not capacity > 0:
-            raise ValidationError(f"{where}: field 'capacity' must be positive, got {capacity}")
+        capacity = _signed(_require(line, "capacity", where), f"{where}.capacity")
         first = line_of_pair.setdefault(frozenset((src, dst)), pos)
         if first != pos:
             raise ValidationError(
@@ -222,7 +211,8 @@ def load_network(path: str | Path) -> PowerNetwork:
 
 @dataclass(frozen=True)
 class HomogeneousBase:
-    """Sweep base: canonical complete/star graph with uniform parameters."""
+    """Sweep base: canonical complete/star graph with uniform parameters and
+    noise amplitudes on nodes 1..n."""
 
     kind: str
     n: int
@@ -231,17 +221,17 @@ class HomogeneousBase:
     damping: float
     noise_by_node: tuple[tuple[int, float], ...]
 
-    def params(self) -> HomogeneousParams:
-        noise = np.zeros(self.n)
-        for node, amplitude in self.noise_by_node:
-            noise[node - 1] = amplitude
-        return HomogeneousParams(self.n, self.gamma, self.eta, self.damping, noise)
+    def __post_init__(self) -> None:
+        for node, _ in self.noise_by_node:
+            if not 1 <= node <= self.n:
+                raise ValidationError(f"noise node {node} is outside 1..{self.n}")
 
     def network(self) -> PowerNetwork:
-        p = self.params()
-        graph = canonical_complete(p.n, p.gamma) if self.kind == "complete" else canonical_star(p.n, p.gamma)
-        ones = np.ones(p.n)
-        return PowerNetwork(graph, p.eta * ones, p.damping * ones, np.zeros(p.n), p.noise)
+        graph = (canonical_complete if self.kind == "complete" else canonical_star)(self.n, self.gamma)
+        ones, noise = np.ones(self.n), np.zeros(self.n)
+        for node, amplitude in self.noise_by_node:
+            noise[node - 1] = amplitude
+        return PowerNetwork(graph, self.eta * ones, self.damping * ones, np.zeros(self.n), noise)
 
 
 @dataclass(frozen=True)

@@ -308,16 +308,13 @@ def _quantity_value(report: CovarianceReport, block: str, i: int, j: int) -> tup
     return float(values[i - 1, j - 1]), (None if stderr is None else float(stderr[i - 1, j - 1]))
 
 
-def _sweep_point(spec: SweepSpec, point: dict[str, float], seed: int | None) -> list[dict]:
+def _sweep_point(spec: SweepSpec, point: dict[str, float]) -> list[dict]:
     """The rows of every method at one grid point, all on one linearization."""
-    overrides = dict(spec.mc_overrides)
-    if seed is not None:
-        overrides["master_seed"] = seed
     lin = linearized(_apply_point(spec, point))
     rows = []
     for method in spec.methods:
         # run_sweep has checked every method against ROUTES already.
-        report = ROUTES[method].run(lin, overrides)
+        report = ROUTES[method].run(lin, spec.mc_overrides)
         row: dict[str, Any] = dict(point)
         row["method"] = method
         for block, i, j in spec.quantities:
@@ -329,7 +326,7 @@ def _sweep_point(spec: SweepSpec, point: dict[str, float], seed: int | None) -> 
     return rows
 
 
-def run_sweep(spec: SweepSpec, seed: int | None = None) -> list[dict]:
+def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per grid point per method, in deterministic order.
 
     Grid points enumerate the axes in file order (last axis fastest), and
@@ -338,7 +335,7 @@ def run_sweep(spec: SweepSpec, seed: int | None = None) -> list[dict]:
     linearization.  Every method is checked against ``ROUTES`` first.
     """
     _require_methods(spec.methods, ROUTES, "sweep")
-    return [row for point in _grid_points(spec) for row in _sweep_point(spec, point, seed)]
+    return [row for point in _grid_points(spec) for row in _sweep_point(spec, point)]
 
 
 def sweep_fieldnames(spec: SweepSpec) -> list[str]:

@@ -18,6 +18,7 @@ import pytest
 from gridfluct import InternalInvariantError, ValidationError, graphs, load_network, pipeline, variance
 from gridfluct.cli import main
 from gridfluct.netfile import (
+    HomogeneousBase,
     format_number,
     load_sweep,
     network_from_dict,
@@ -372,7 +373,8 @@ class TestReportSerialization:
     def test_mc_first_order_sweep_csv_bytes(self):
         spec = two_node_mc_sweep_spec()
         buffer = io.StringIO()
-        write_sweep(run_sweep(spec, seed=3), spec, buffer)
+        write_sweep(run_sweep(replace(spec, mc_overrides={**spec.mc_overrides, "master_seed": 3})),
+                    spec, buffer)
         assert buffer.getvalue() == GOLDEN_SWEEP_CSV
 
     def test_seventeen_digit_numbers_round_trip(self):
@@ -486,6 +488,11 @@ class TestSweeps:
         spec = sweep_from_dict(doc)
         assert spec.base.n == 6 and spec.quantities == (("omega", 2, 2),)
         assert [row["n"] for row in run_sweep(spec)] == [4, 5]
+
+    @pytest.mark.parametrize("node", [0, 6])
+    def test_base_built_in_code_rejects_a_noise_node_outside_it(self, node):
+        with pytest.raises(ValidationError, match=re.escape(f"noise node {node} is outside 1..5")):
+            HomogeneousBase("complete", 5, 1.0, 1.0, 1.0, ((node, 0.1),))
 
     def test_quantity_out_of_range(self):
         doc = sweep_doc(quantities=[{"block": "omega", "i": 99, "j": 1}])
@@ -611,10 +618,10 @@ class TestSweeps:
             methods=["mc"],
             quantities=[{"block": "omega", "i": 1, "j": 1}],
         )
-        doc["mc"] = {"trajectories": 40}
+        doc["mc"] = {"trajectories": 40, "master_seed": 5}
         spec = sweep_from_dict(doc)
-        rows_a = run_sweep(spec, seed=5)
-        rows_b = run_sweep(spec, seed=5)
+        rows_a = run_sweep(spec)
+        rows_b = run_sweep(spec)
         assert rows_a == rows_b
         assert all(row["omega_1_1_stderr"] > 0 for row in rows_a)
 
@@ -821,6 +828,52 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "quantity,index_i,index_j,value,method,stderr"
         assert any(line.split(",")[-1] not in ("", "stderr") for line in lines[1:])
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("inertia", 0, "a positive number, got 0"),
+        ("inertia", -1, "a positive number, got -1"),
+        ("damping", 0, "a positive number, got 0"),
+        ("damping", -1, "a positive number, got -1"),
+        ("capacity", 0, "a positive number, got 0"),
+        ("capacity", -1, "a positive number, got -1"),
+        ("noise", -0.1, "a non-negative number, got -0.1"),
+        ("power", "x", "a number, got 'x'"),
+        ("power", True, "a number, got True"),
+        ("power", None, "a number, got None"),
+        ("inertia", "x", "a number, got 'x'"),
+        ("inertia", True, "a number, got True"),
+        ("inertia", None, "a number, got None"),
+    ])
+    def test_bad_network_field_exits_two_naming_it(self, tmp_path, capsys, field, value, expected):
+        doc = network_doc(3, [(1, 2), (2, 3)], noise={1: 0.1})
+        where = "lines" if field == "capacity" else "nodes"
+        doc[where][1][field] = value
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == f"gridfluct: {path}: {where}[1].{field}: expected {expected}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "variance", "sweep"])
+    def test_seed_replaces_the_files_master_seed(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        write_doc(tmp_path, network_doc(2, [(1, 2)], inertia=1.0, damping=5.0, noise={1: 1.0},
+                                        capacity=1.0))
+
+        def output(master_seed, *seed):
+            mc = {"trajectories": 4, "master_seed": master_seed}
+            if command == "sweep":
+                doc = sweep_doc(noise={"1": 1.0}, n=2, axes=[{"parameter": "eta", "grid": [1.0]}],
+                                methods=["mc"], quantities=[{"block": "omega", "i": 1, "j": 1}])
+                write_doc(tmp_path, {**doc, "mc": mc}, "sweep.json")
+                argv = ["sweep", "--spec", "sweep.json"]
+            else:
+                write_doc(tmp_path, mc, "mc.json")
+                argv = [command, "net.json", "--mc-config", "mc.json"]
+                argv += ["--method", "mc"] if command == "variance" else []
+            assert main([*argv, *seed]) == 0
+            return capsys.readouterr().out
+
+        assert output(3) == output(3, "--seed", "3") != output(7)
+        assert output(3, "--seed", "7") == output(7)
 
     @pytest.mark.parametrize(
         "options, config, message",
