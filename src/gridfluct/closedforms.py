@@ -22,7 +22,7 @@ eigendecomposition or Lyapunov solve is involved anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,7 +280,7 @@ def _complete_blocks(p: HomogeneousParams, graph: WeightedGraph) -> CovarianceRe
     noisy = np.flatnonzero(p.noise_sq)
     core = np.diag(p.noise_sq[noisy]) / (2 * p.damping * p.gamma * p.n)
     return make_report(
-        (inc.T[:, noisy], core), q_omega, q_cross, METHOD_CLOSED, {"graph": "complete"}
+        (inc.T[:, noisy], core), q_omega, q_cross, METHOD_CLOSED, {"canonical_kind": "complete"}
     )
 
 
@@ -321,7 +321,7 @@ def _star_blocks(p: HomogeneousParams, graph: WeightedGraph, root: int) -> Covar
     diag = _star_leaf_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq, b_sq[root], trace_sq)
     diag[root] = _complete_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq[root], trace_sq)
     np.fill_diagonal(q_omega, diag)
-    return make_report(q_delta, q_omega, q_cross, METHOD_CLOSED, {"graph": "star"})
+    return make_report(q_delta, q_omega, q_cross, METHOD_CLOSED, {"canonical_kind": "star"})
 
 
 def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
@@ -343,15 +343,13 @@ def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
     )
     degree = np.bincount(np.concatenate((lin.graph.tails, lin.graph.heads)), minlength=n)
     if m == n * (n - 1) // 2:
-        kind, report = "complete", _complete_blocks(p, lin.graph)
-    elif m == n - 1 and degree.max() == n - 1:
-        kind, report = "star", _star_blocks(p, lin.graph, int(degree.argmax()))
-    else:
-        raise AssumptionViolatedError(
-            "closed forms defined only for complete/star topologies; "
-            f"this network has {n} nodes and {m} lines with neither shape"
-        )
-    return replace(report, diagnostics={**report.diagnostics, "canonical_kind": kind})
+        return _complete_blocks(p, lin.graph)
+    if m == n - 1 and degree.max() == n - 1:
+        return _star_blocks(p, lin.graph, int(degree.argmax()))
+    raise AssumptionViolatedError(
+        "closed forms defined only for complete/star topologies; "
+        f"this network has {n} nodes and {m} lines with neither shape"
+    )
 
 
 def _require_single_source(p: HomogeneousParams, source: int) -> float:

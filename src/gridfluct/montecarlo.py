@@ -16,13 +16,17 @@ the angles are recentred after every step to keep the raw state bounded.
 Trajectories use independent, collision-free counter-based streams
 (Philox keyed by ``trajectory_seed``), are reduced in fixed index order,
 and therefore give bit-identical results for identical inputs.
+
+:func:`agreement` is the one verdict on whether two estimates agree within
+their standard errors; :func:`stationarity` applies it to a report's
+sampling-window halves.  The simulation never calls either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +51,10 @@ PADE13 = (
 )
 # Sigma_h is rejected when its smallest eigenvalue is below -PSD_TOL times its largest.
 PSD_TOL = 1e-10
+# Family-wise false-failure rate of one agreement verdict on correct code.
+ALPHA = 0.01
+# Differences up to ROUNDING times the largest entry compared are rounding.
+ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -328,8 +336,9 @@ def simulate_covariance(lin: LinearizedSystem, cfg: SimConfig) -> CovarianceRepo
 
     The reduced system must be Hurwitz (checked) and ``cfg.burn_in`` must
     cover ten times the slowest decay time so the sampling window starts
-    near stationarity.  Standard errors (one batch per trajectory) and
-    stationarity diagnostics are attached to the report.
+    near stationarity.  Standard errors (one batch per trajectory) and the
+    window-half estimates that :func:`stationarity` judges are attached to
+    the report.
     """
     decay = _decay(lin)
     if cfg.burn_in < 10.0 / decay * (1.0 - 1e-9):
@@ -377,3 +386,71 @@ def simulate_covariance(lin: LinearizedSystem, cfg: SimConfig) -> CovarianceRepo
         "master_seed": cfg.master_seed,
     }
     return make_report(q_delta, q_omega, q_cross, METHOD_MC, diagnostics)
+
+
+class Agreement(NamedTuple):
+    """Verdict of :func:`agreement` over ``entries`` distinct entries.
+
+    ``worst_z`` is the largest z, at ``worst_entry``.  ``flagged`` lists the
+    entries Holm's step-down rule rejects, worst first; it is empty exactly
+    when ``passed``.  A named tuple, not a dataclass: it is defined on every
+    CLI start, and a frozen dataclass costs about 1 ms to define.
+    """
+
+    passed: bool
+    entries: int
+    threshold: float
+    worst_z: float
+    worst_entry: tuple[int, ...]
+    flagged: tuple[tuple[int, ...], ...]
+
+
+def agreement(a, a_stderr, b, b_stderr=0.0) -> Agreement:
+    """Whether estimate ``a`` agrees with ``b`` within their standard errors.
+
+    The entries judged are the distinct ones: the upper triangle of a square
+    argument, which is read as symmetric, and every entry of any other.
+    ``b`` and the standard errors broadcast to ``a``'s shape; a zero
+    ``b_stderr`` makes ``b`` a reference.  Each entry's
+    z = (|a - b| - tau) / sqrt(a_stderr^2 + b_stderr^2), with tau = ROUNDING
+    times the largest |entry| of a and b, so an entry with no standard error
+    passes only at rounding level.  Over K entries the check passes when
+    the largest z is at most Phi^{-1}(1 - ALPHA / 2K), so correct code fails
+    with probability at most ALPHA, however many entries it has (Holm,
+    Scand. J. Statist. 6(2), 1979).  The normal quantile assumes roughly 30
+    or more trajectories behind each standard error.
+    """
+    from statistics import NormalDist
+
+    a = np.asarray(a, dtype=float)
+    b, a_stderr, b_stderr = (np.broadcast_to(np.asarray(x, dtype=float), a.shape)
+                             for x in (b, a_stderr, b_stderr))
+    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+        index = np.triu_indices(a.shape[0])
+    else:
+        index = np.unravel_index(np.arange(a.size), a.shape)
+    a, b, spread = a[index], b[index], np.hypot(a_stderr[index], b_stderr[index])
+    tau = ROUNDING * max(np.abs(a).max(), np.abs(b).max())
+    excess = np.abs(a - b) - tau
+    z = np.divide(excess, spread, out=np.where(excess > 0, np.inf, -np.inf), where=spread > 0)
+    z[np.isnan(z)] = np.inf  # a NaN entry disagrees
+
+    def bound(remaining: int) -> float:
+        return NormalDist().inv_cdf(1.0 - ALPHA / (2 * remaining))
+
+    entries = [tuple(int(i) for i in at) for at in zip(*index)]
+    order = np.argsort(-z, kind="stable")
+    flagged = []
+    for rank, pos in enumerate(order):
+        if not z[pos] > bound(z.size - rank):
+            break
+        flagged.append(entries[pos])
+    return Agreement(not flagged, z.size, bound(z.size), float(z[order[0]]),
+                     entries[order[0]], tuple(flagged))
+
+
+def stationarity(report: CovarianceReport) -> Agreement:
+    """:func:`agreement` between the first and second halves of a Monte
+    Carlo report's sampling window, over the full output covariance."""
+    d = report.diagnostics
+    return agreement(d["first_half"], d["first_half_stderr"], d["second_half"], d["second_half_stderr"])

@@ -222,6 +222,8 @@ class HomogeneousBase:
     noise_by_node: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
+        if self.kind not in ("complete", "star"):
+            raise ValidationError(f"kind must be 'complete' or 'star', got {self.kind!r}")
         for node, _ in self.noise_by_node:
             if not 1 <= node <= self.n:
                 raise ValidationError(f"noise node {node} is outside 1..{self.n}")

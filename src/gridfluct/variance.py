@@ -432,15 +432,14 @@ class UniformRatioBlocks:
     rho_i = 2 a^2 + lambda_i and chi_ij = (lambda_i - lambda_j)^2
     + 2 a^2 (lambda_i + lambda_j).  chi is positive whenever (i, j) != (1, 1),
     including repeated eigenvalues, so no degenerate branch is needed.
-    ``spectral`` is the decomposition (Lambda, U) the blocks are written in,
-    the inertia-whitened one of the system's :func:`modal_basis`.
+    The blocks are written in the decomposition (Lambda, U) of the system's
+    inertia-whitened :func:`modal_basis`.
     """
 
     g: np.ndarray
     s: np.ndarray
     r: np.ndarray
     alpha: float
-    spectral: SpectralDecomposition
 
 
 def _ratio_weights(lam_a, lam_b, alpha: float) -> tuple:
@@ -474,7 +473,7 @@ def uniform_ratio_blocks(lin: LinearizedSystem) -> UniformRatioBlocks:
     g = angle[1:, 1:] * p[1:, 1:]
     r = frequency * p
     r[0, 0] = p[0, 0] / (2.0 * alpha)
-    return UniformRatioBlocks(g, s, r, alpha, spectral)
+    return UniformRatioBlocks(g, s, r, alpha)
 
 
 def asymptotic_variance_uniform_ratio(lin: LinearizedSystem) -> CovarianceReport:

@@ -17,6 +17,7 @@ import pytest
 
 from gridfluct import InternalInvariantError, ValidationError, graphs, load_network, pipeline, variance
 from gridfluct.cli import main
+from gridfluct.montecarlo import agreement
 from gridfluct.netfile import (
     HomogeneousBase,
     format_number,
@@ -494,6 +495,10 @@ class TestSweeps:
         with pytest.raises(ValidationError, match=re.escape(f"noise node {node} is outside 1..5")):
             HomogeneousBase("complete", 5, 1.0, 1.0, 1.0, ((node, 0.1),))
 
+    def test_base_built_in_code_rejects_an_unknown_kind(self):
+        with pytest.raises(ValidationError, match=re.escape("kind must be 'complete' or 'star', got 'ring'")):
+            HomogeneousBase("ring", 4, 1.0, 1.0, 1.0, ((2, 0.1),))
+
     def test_quantity_out_of_range(self):
         doc = sweep_doc(quantities=[{"block": "omega", "i": 99, "j": 1}])
         with pytest.raises(ValidationError, match=re.escape("sweep: quantities[0]: omega[99,1] out of range")):
@@ -736,6 +741,7 @@ class TestCommandLine:
         script = """
 import contextlib, io, sys
 from gridfluct.cli import main
+from gridfluct.montecarlo import agreement
 star, mc, sweep = sys.argv[1:]
 commands = [["solve", star]]
 commands += [["variance", star, "--method", m] for m in ("closed", "uniform", "first-order")]
@@ -1021,7 +1027,7 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         assert rows and all(math.isfinite(float(row[3])) and math.isfinite(float(row[5]))
                             for row in rows)
 
-    def test_huge_noise_simulates_within_four_standard_errors(self, tmp_path, capsys):
+    def test_huge_noise_simulates_in_agreement_with_numeric(self, tmp_path, capsys):
         # The divergence guard is relative to the noise: scaling every noise
         # amplitude by 2e13 changes no verdict.
         root = Path(__file__).resolve().parent.parent
@@ -1033,12 +1039,14 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         simulated = capsys.readouterr().out.splitlines()[1:]
         assert main(["variance", str(path), "--method", "numeric"]) == 0
         numeric = capsys.readouterr().out.splitlines()[1:]
-        assert len(simulated) == len(numeric) > 0
-        for mc_row, exact_row in zip(simulated, numeric):
-            quantity, i, j, value, _, stderr = mc_row.split(",")
-            assert exact_row.split(",")[:3] == [quantity, i, j]
-            exact = float(exact_row.split(",")[3])
-            assert abs(float(value) - exact) <= 4 * float(stderr), mc_row
+        mc = np.array([row.split(",") for row in simulated])
+        exact = np.array([row.split(",") for row in numeric])
+        assert mc.shape == exact.shape and (mc[:, :3] == exact[:, :3]).all()
+        # Each distinct entry once: the cross block and the upper triangles.
+        distinct = (mc[:, 0] == "cross") | (mc[:, 1].astype(int) <= mc[:, 2].astype(int))
+        check = agreement(mc[distinct, 3].astype(float), mc[distinct, 5].astype(float),
+                          exact[distinct, 3].astype(float))
+        assert check.entries == 66 and check.passed, check
 
     def test_closed_stdout_ends_without_traceback(self, tmp_path):
         # A reader that stops after one line of a multi-megabyte CSV.

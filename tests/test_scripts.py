@@ -32,10 +32,18 @@ def test_benchmark_sweeps_write_one_csv_per_family_and_axis(tmp_path):
         assert {line.split(",")[1] for line in lines[1:]} == {"closed", "numeric"}
 
 
-def test_mc_check_finds_no_entry_beyond_four_standard_errors(tmp_path):
+def test_mc_check_agrees_with_the_numeric_route(tmp_path):
     result = run_script("mc_check.py", "--trajectories", "50", "--seed", "2024", cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "entries beyond 4 standard errors: 0 of 225" in result.stdout
+    assert "distinct covariance entries: 120, threshold z: 3.93\n" in result.stdout
+    assert "entries flagged: 0 of 120\n" in result.stdout
+
+
+def test_mc_check_bad_argument_exits_two_with_one_line(tmp_path):
+    for args, message in ((("--trajectories", "1"), "trajectories: expected at least 2, got 1"),
+                          (("--seed", "-1"), "master_seed: expected at least 0, got -1")):
+        result = run_script("mc_check.py", *args, cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"mc_check: {message}\n")
 
 
 def test_readme_library_example_runs():
