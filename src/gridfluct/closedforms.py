@@ -328,12 +328,16 @@ def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
     """Closed-form covariance of a homogeneous complete or star network, in
     its own node and line order.
 
-    Raises AssumptionViolatedError when line weights, inertia or damping
-    (checked in that order) are not uniform, or when the topology is
-    neither complete nor a star.  The star's root is its node of degree
+    Raises AssumptionViolatedError when the network has fewer than two
+    nodes, when line weights, inertia or damping (checked in that order)
+    are not uniform, or when the topology is neither complete nor a star.  The star's root is its node of degree
     n - 1.  The kind is recorded as the ``canonical_kind`` diagnostic.
     """
     n, m = lin.node_count, lin.line_count
+    if n < 2:
+        raise AssumptionViolatedError(
+            f"closed forms need at least 2 nodes; this network has {n}"
+        )
     p = HomogeneousParams(
         n,
         uniform_value(lin.graph.weights, "line weights", "lines"),

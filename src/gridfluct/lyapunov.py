@@ -3,8 +3,12 @@
 Two algorithmically independent backends solve A Q + Q A^T + W = 0:
 
 * :func:`lyapunov_solve_with_abscissa` -- Bartels-Stewart: real Schur form,
-  then LAPACK ``trsyl``, as scipy's solver does it; the Schur form also
-  gives the Hurwitz verdict and the spectral abscissa;
+  then the triangular solve.  Up to ``LEAF`` = 96 states that is one LAPACK
+  ``trsyl`` call, bit for bit as scipy's solver does it; above, a recursive
+  blocked solve in the manner of RECSY (Jonsson and Kågström, ACM TOMS
+  28(4), 2002) halves the factor until ``trsyl`` runs on leaves of at most
+  ``LEAF`` states, with matrix-product updates in between.  The Schur form
+  also gives the Hurwitz verdict and the spectral abscissa;
 * :func:`lyapunov_solve_kron` -- dense Kronecker vectorisation, kept as an
   oracle for cross-checking the primary path on small systems; it checks
   stability by ``eigvals`` (:func:`assert_hurwitz`).
@@ -17,6 +21,7 @@ import numpy as np
 from .errors import InstabilityError, InternalInvariantError, ShapeError
 
 HURWITZ_MARGIN = 1e-12
+LEAF = 96  # largest side solved by one trsyl call
 
 
 def _validate(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,9 +62,10 @@ def lyapunov_solve_with_abscissa(a, w) -> tuple[np.ndarray, float]:
 
     Raises:
         InstabilityError: if A has an eigenvalue with real part >= -1e-12.
-        InternalInvariantError: if ``trsyl`` had to perturb the equation
-            (an eigenvalue pair of A sums to nearly zero), or had to scale
-            its solution down because Q would overflow.
+        InternalInvariantError: if a ``trsyl`` call had to perturb the
+            equation (an eigenvalue pair of A sums to nearly zero), or had to
+            scale its solution down because Q would overflow, or if Q has a
+            non-finite entry.
         ShapeError: on dimension mismatch or non-symmetric W.
     """
     import scipy.linalg  # on first use: routes that solve no Lyapunov equation start faster
@@ -68,20 +74,49 @@ def lyapunov_solve_with_abscissa(a, w) -> tuple[np.ndarray, float]:
     t, z = scipy.linalg.schur(a, output="real")
     spectral_abscissa = _hurwitz(float(np.diag(t).max()))
     trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t, w))
-    y, scale, info = trsyl(t, t, z.T.dot((-w).dot(z)), tranb="T")
-    if info:
-        raise InternalInvariantError(
-            f"Lyapunov solve perturbed the equation (trsyl info {info}): "
-            "A has an eigenvalue pair whose sum is nearly zero"
-        )
-    if scale != 1.0:
-        # LAPACK scales Y down only when the solution Y / scale would overflow.
-        raise InternalInvariantError(
-            f"Lyapunov solution overflows (trsyl scale {scale:.3e}): "
-            "Q exceeds floating-point range"
-        )
+    y = _sylvester(t, t, z.T.dot((-w).dot(z)), trsyl)
+    if not np.isfinite(y).all():
+        raise InternalInvariantError("Lyapunov solution overflows: Q has non-finite entries")
     q = z.dot(y).dot(z.T)
     return 0.5 * (q + q.T), spectral_abscissa
+
+
+def _cut(t: np.ndarray) -> int:
+    """Midpoint of quasi-triangular t, moved down one so no 2 x 2 block is cut."""
+    k = t.shape[0] // 2
+    return k + 1 if t[k, k - 1] != 0 else k
+
+
+def _sylvester(ta, tb, c, trsyl) -> np.ndarray:
+    """Y with ta Y + Y tb^T = c, for quasi-triangular ta and tb.
+
+    The longer side is halved; the trailing part is solved first and the
+    leading right-hand side updated with it.
+    """
+    m, n = c.shape
+    if m <= LEAF and n <= LEAF:
+        y, scale, info = trsyl(ta, tb, c, tranb="T")
+        if info:
+            raise InternalInvariantError(
+                f"Lyapunov solve perturbed the equation (trsyl info {info}): "
+                "A has an eigenvalue pair whose sum is nearly zero"
+            )
+        if scale != 1.0:
+            # LAPACK scales Y down only when the solution Y / scale would overflow.
+            raise InternalInvariantError(
+                f"Lyapunov solution overflows (trsyl scale {scale:.3e}): "
+                "Q exceeds floating-point range"
+            )
+        return y
+    if m >= n:
+        k = _cut(ta)
+        y2 = _sylvester(ta[k:, k:], tb, c[k:], trsyl)
+        y1 = _sylvester(ta[:k, :k], tb, c[:k] - ta[:k, k:] @ y2, trsyl)
+        return np.vstack((y1, y2))
+    k = _cut(tb)
+    y2 = _sylvester(ta, tb[k:, k:], c[:, k:], trsyl)
+    y1 = _sylvester(ta, tb[:k, :k], c[:, :k] - y2 @ tb[:k, k:].T, trsyl)
+    return np.hstack((y1, y2))
 
 
 def lyapunov_solve_kron(a, w) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from gridfluct import InternalInvariantError, ValidationError, graphs, load_network, pipeline, variance
+from gridfluct.lyapunov import LEAF
 from gridfluct.cli import main
 from gridfluct.montecarlo import agreement
 from gridfluct.netfile import (
@@ -229,6 +230,20 @@ class TestCompareByPanels:
                 for block in ("q_delta", "q_omega", "q_delta_omega")
             )
             assert comparison.max_relative_discrepancy.hex() == built.hex(), methods
+
+    def test_numeric_matches_closed_across_the_leaf(self):
+        # complete n=60 has 119 reduced states, so its solve recurses.  The
+        # cross block is 5e4 times smaller than the frequency block and is
+        # measured against the geometric mean of the two diagonal blocks,
+        # which bounds a covariance (Cauchy-Schwarz).
+        net = network_from_dict(complete60_doc())
+        assert 2 * net.node_count - 1 > LEAF
+        numeric, closed = run_variance(net, "numeric"), run_variance(net, "closed")
+        scale = {block: np.abs(getattr(closed, block)).max() for block in ("q_delta", "q_omega")}
+        scale["q_delta_omega"] = math.sqrt(scale["q_delta"] * scale["q_omega"])
+        for block, bound in scale.items():
+            error = np.abs(getattr(numeric, block) - getattr(closed, block)).max()
+            assert error <= 1e-10 * bound, (block, error / bound)
 
     def test_two_panels_and_a_dense_angle_block_are_covered(self):
         complete = compare_variance(network_from_dict(network_doc(24, complete_lines(24))))
@@ -800,6 +815,18 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         assert main(["variance", str(path), "--method", method, "--mc-config", str(config)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and lines[1].startswith("omega,1,1,")
+
+    def test_single_node_network_has_no_closed_form(self, tmp_path, capsys):
+        # The closed route names its assumption; compare skips it.
+        path = write_doc(tmp_path, network_doc(1, [], noise={1: 0.1}))
+        assert main(["variance", str(path), "--method", "closed"]) == 2
+        assert capsys.readouterr().err == (
+            "gridfluct: closed forms need at least 2 nodes; this network has 1\n"
+        )
+        assert main(["compare", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "closed" not in captured.out and "numeric" in captured.out
 
     def test_duplicate_line_exits_two_naming_lines_and_ids(self, tmp_path, capsys):
         path = write_doc(tmp_path, network_doc(3, [(1, 2), (2, 3), (3, 2)], noise={1: 0.1}))

@@ -1,5 +1,7 @@
 """Lyapunov solver backends and their cross-checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +13,7 @@ from gridfluct import (
     lyapunov_residual,
     lyapunov_solve_kron,
 )
-from gridfluct.lyapunov import assert_hurwitz, lyapunov_solve_with_abscissa
+from gridfluct.lyapunov import LEAF, assert_hurwitz, lyapunov_solve_with_abscissa
 
 
 def random_hurwitz(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -113,10 +115,112 @@ class TestSchurAbscissa:
 
     def test_solution_is_scipys_bit_for_bit(self):
         rng = np.random.default_rng(7)
-        for size in (1, 5, 37):
+        for size in (1, 5, 37, LEAF):
             a = random_hurwitz(rng, size)
             g = rng.standard_normal((size, size))
             w = g @ g.T
             reference = scipy.linalg.solve_continuous_lyapunov(a, -w)
             q, _ = lyapunov_solve_with_abscissa(a, w)
             np.testing.assert_array_equal(q, 0.5 * (reference + reference.T))
+
+
+def quasi_triangular(rng: np.random.Generator, size: int, pairs: list[int]) -> np.ndarray:
+    """Hurwitz T in standardized real Schur form, a 2 x 2 block at each row in pairs."""
+    t = np.triu(rng.standard_normal((size, size)) / np.sqrt(size), 1)
+    t[np.diag_indices(size)] = -rng.uniform(0.5, 2.0, size)
+    for k in pairs:
+        t[k + 1, k + 1] = t[k, k]
+        t[k, k + 1], t[k + 1, k] = rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)
+    return t
+
+
+class TestRecursiveSolve:
+    """Above LEAF states the triangular solve recurses on the Schur factor."""
+
+    @staticmethod
+    def check_against_scipy(a, w):
+        q, _ = lyapunov_solve_with_abscissa(a, w)
+        reference = scipy.linalg.solve_continuous_lyapunov(a, -w)
+        assert np.abs(q - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert lyapunov_residual(a, q, w) <= 1e-12
+        assert np.array_equal(q, q.T)
+
+    @pytest.mark.parametrize("size", [97, 120, 193, 300])
+    def test_matches_scipy_with_complex_pairs(self, size):
+        rng = np.random.default_rng(size)
+        a = random_hurwitz(rng, size)
+        assert np.iscomplex(np.linalg.eigvals(a)).sum() >= 20
+        g = rng.standard_normal((size, size))
+        self.check_against_scipy(a, g @ g.T)
+
+    def test_no_cut_splits_a_complex_pair(self):
+        # The pair in rows 59-60 straddles the first midpoint, 60.
+        size = 120
+        rng = np.random.default_rng(3)
+        a = quasi_triangular(rng, size, [10, 59, 100])
+        t = scipy.linalg.schur(a, output="real")[0]
+        assert t[size // 2, size // 2 - 1] != 0
+        g = rng.standard_normal((size, size))
+        self.check_against_scipy(a, g @ g.T)
+
+
+class TestLeafGuards:
+    """Each trsyl leaf of a 200-state solve keeps the guards of the single call."""
+
+    @pytest.fixture
+    def misbehave(self, monkeypatch):
+        """Install a trsyl whose call number ``leaf`` returns ``fault(y, scale, info)``."""
+        real_get = scipy.linalg.get_lapack_funcs
+
+        def install(fault, leaf):
+            leaves = itertools.count()
+
+            def get(names, arrays):
+                trsyl = real_get(names, arrays)
+
+                def wrapper(*args, **kwargs):
+                    result = trsyl(*args, **kwargs)
+                    return fault(*result) if next(leaves) == leaf else result
+
+                return wrapper
+
+            monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get)
+
+        return install
+
+    @staticmethod
+    def system():
+        rng = np.random.default_rng(200)
+        g = rng.standard_normal((200, 200))
+        return random_hurwitz(rng, 200), g @ g.T
+
+    @pytest.mark.parametrize("leaf", [0, 3])
+    def test_perturbed_leaf(self, misbehave, leaf):
+        misbehave(lambda y, scale, info: (y, scale, 1), leaf)
+        with pytest.raises(InternalInvariantError, match="perturbed the equation"):
+            lyapunov_solve_with_abscissa(*self.system())
+
+    @pytest.mark.parametrize("leaf", [0, 3])
+    def test_scaled_leaf(self, misbehave, leaf):
+        misbehave(lambda y, scale, info: (0.5 * y, 0.5, info), leaf)
+        with pytest.raises(InternalInvariantError, match=r"trsyl scale 5\.000e-01"):
+            lyapunov_solve_with_abscissa(*self.system())
+
+    @pytest.mark.parametrize(
+        "leaf, message",
+        [
+            # The update carries the infinity into later leaves as NaN.
+            (0, "Lyapunov solution overflows"),
+            # On the last of the 16 leaves it goes straight into Q.
+            (15, "Lyapunov solution overflows: Q has non-finite entries"),
+        ],
+    )
+    def test_non_finite_leaf(self, misbehave, leaf, message):
+        def infinite(y, scale, info):
+            y = y.copy()
+            y[0, 0] = np.inf
+            return y, scale, info
+
+        misbehave(infinite, leaf)
+        with pytest.raises(InternalInvariantError, match=message):
+            lyapunov_solve_with_abscissa(*self.system())
