@@ -77,6 +77,13 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _nonempty_list(mapping: dict, key: str, context: str) -> list:
+    value = _require(mapping, key, context)
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{context}: {key!r} must be a non-empty list")
+    return value
+
+
 def _number(value: Any, context: str) -> float:
     """``value`` as a finite float; JSON's Infinity, -Infinity and NaN, and
     integers beyond float range, are rejected with the field named."""
@@ -142,13 +149,17 @@ def _load_json(path: str | Path) -> Any:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def network_from_dict(data: Any, context: str = "network") -> PowerNetwork:
-    """Validated PowerNetwork from a parsed network document."""
+def _check_header(data: Any, context: str) -> None:
     if not isinstance(data, dict):
         raise ValidationError(f"{context}: document must be an object")
     version = _require(data, "schema_version", context)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"{context}: unsupported schema_version {reprlib.repr(version)}")
+
+
+def network_from_dict(data: Any, context: str = "network") -> PowerNetwork:
+    """Validated PowerNetwork from a parsed network document."""
+    _check_header(data, context)
 
     nodes = _require(data, "nodes", context)
     lines = _require(data, "lines", context)
@@ -248,11 +259,7 @@ class SweepSpec:
 
 
 def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = None) -> SweepSpec:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{context}: document must be an object")
-    version = _require(data, "schema_version", context)
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"{context}: unsupported schema_version {reprlib.repr(version)}")
+    _check_header(data, context)
 
     base_doc = _require(data, "base", context)
     if not isinstance(base_doc, dict):
@@ -293,11 +300,9 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
             f"{context}.base: kind must be 'complete', 'star' or 'network', got {kind!r}"
         )
 
-    axes_doc = _require(data, "axes", context)
-    if not isinstance(axes_doc, list) or not axes_doc:
-        raise ValidationError(f"{context}: 'axes' must be a non-empty list")
     axes = []
-    for pos, axis in enumerate(axes_doc):
+    axis_of_parameter: dict[str, int] = {}
+    for pos, axis in enumerate(_nonempty_list(data, "axes", context)):
         where = f"{context}: axes[{pos}]"
         if not isinstance(axis, dict):
             raise ValidationError(f"{where}: must be an object")
@@ -307,24 +312,20 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
                 f"{where}: parameter {parameter!r} not sweepable for this base; "
                 f"allowed: {', '.join(allowed_axes)}"
             )
-        grid = _require(axis, "grid", where)
-        if not isinstance(grid, list) or not grid:
-            raise ValidationError(f"{where}: 'grid' must be a non-empty list")
+        first = axis_of_parameter.setdefault(parameter, pos)
+        if first != pos:
+            raise ValidationError(f"{where}: parameter {parameter!r} is already swept by axes[{first}]")
+        grid = _nonempty_list(axis, "grid", where)
         if parameter == "n":
             values = tuple(_size(v, f"{where}.grid", largest_node) for v in grid)
         else:
             values = tuple(_signed(v, f"{where}.grid", parameter != "noise_scale") for v in grid)
         axes.append((parameter, values))
 
-    methods_doc = _require(data, "methods", context)
-    if not isinstance(methods_doc, list) or not methods_doc:
-        raise ValidationError(f"{context}: 'methods' must be a non-empty list")
     # Names are checked against the route table by pipeline.run_sweep.
-    methods = [str(method) for method in methods_doc]
+    methods = [str(method) for method in _nonempty_list(data, "methods", context)]
 
-    quantities_doc = _require(data, "quantities", context)
-    if not isinstance(quantities_doc, list) or not quantities_doc:
-        raise ValidationError(f"{context}: 'quantities' must be a non-empty list")
+    quantities_doc = _nonempty_list(data, "quantities", context)
     # Blocks are smallest at the smallest size on the grid.
     if isinstance(base, HomogeneousBase):
         n = min((v for parameter, grid in axes if parameter == "n" for v in grid), default=base.n)

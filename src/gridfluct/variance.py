@@ -34,7 +34,7 @@ closed star angle and frequency blocks arrive dense and are checked as
 given.
 
 Each route takes only the :class:`LinearizedSystem`.  Its spectrum, maps
-and their PSD factors form a :class:`ModalBasis`, computed once per
+and the line map's PSD factor form a :class:`ModalBasis`, computed once per
 linearization and whitening (inertia, or damping for the first-order
 model) by :func:`modal_basis` and kept with the system, so the numeric,
 uniform-ratio and Monte Carlo routes at one linearization share one.
@@ -210,6 +210,13 @@ def _diagonal_scale(block: Congruence, name: str) -> float:
     return max(1.0, float(diagonal.max(initial=0.0)))
 
 
+def _psd_factor(lines: np.ndarray) -> np.ndarray:
+    """PSD factor F of an m x k map L: F X F^T is at most k x k and has the
+    nonzero eigenvalues of L X L^T.  F is R from qr(L) when L is tall
+    (m > k), as L X L^T = Q (R X R^T) Q^T, and L itself otherwise."""
+    return np.linalg.qr(lines, mode="r") if lines.shape[0] > lines.shape[1] else lines
+
+
 def _checked_symmetric(
     block: Block, name: str, factor: np.ndarray | None = None
 ) -> np.ndarray | Congruence:
@@ -218,10 +225,9 @@ def _checked_symmetric(
 
     A pair (L, X) stands for L X L^T.  Symmetry is decided on X, which is
     then replaced by (X + X^T) / 2, and positive semi-definiteness on
-    R X R^T with R from the QR factorization of L: L X L^T = Q (R X R^T) Q^T,
-    so its eigenvalues are the block's own, apart from zeros.  R is
-    ``factor`` when given (a :class:`ModalBasis` keeps one per map), else
-    computed here.
+    F X F^T with F = :func:`_psd_factor` (L), whose eigenvalues are the
+    block's own, apart from zeros.  F is ``factor`` when given (a
+    :class:`ModalBasis` keeps its line map's), else computed here.
 
     The PSD floor scales with max(1, s): s is a dense block's largest
     |entry|, and a pair's largest diagonal entry (:func:`_diagonal_scale`),
@@ -240,7 +246,7 @@ def _checked_symmetric(
     else:
         checked = Congruence(lines, core)
         scale = _diagonal_scale(checked, name)
-        r = np.linalg.qr(lines, mode="r") if factor is None else factor
+        r = _psd_factor(lines) if factor is None else factor
         core = r @ core @ r.T
     if core.size and np.linalg.eigvalsh(core).min() < PSD_FLOOR * scale:
         raise InternalInvariantError(f"{name} block is not positive semi-definite")
@@ -253,16 +259,16 @@ def make_report(
     q_delta_omega: np.ndarray | None,
     method: str,
     diagnostics: Mapping[str, Any] | None = None,
-    factors: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+    delta_factor: np.ndarray | None = None,
 ) -> CovarianceReport:
     """Assemble a report, enforcing finiteness and symmetry/PSD invariants.
 
     ``q_delta`` and ``q_omega`` are each a dense block or a pair (L, X)
     meaning L X L^T, with L of any shape.  A pair's symmetry is decided on
-    X and its positive semi-definiteness on the small matrix R X R^T (see
-    :func:`_checked_symmetric`), at O(m k^2) instead of O(m^3) cost for an
-    m x k map L; ``factors`` holds each pair's R from qr(L) when the caller
-    has it, and None where R is to be computed here.  The PSD floor is
+    X and its positive semi-definiteness on F X F^T, at most k x k, with F
+    from :func:`_psd_factor` (R of qr(L) for a tall L, else L itself), at
+    O(m k^2) instead of O(m^3) cost for an m x k map L; ``delta_factor`` is
+    the angle pair's F when the caller has it, else None.  The PSD floor is
     scaled by the block's largest diagonal entry, read from L X in O(mk).
     The pair is kept unbuilt: the report builds it, exactly symmetric, when
     ``q_delta`` or ``q_omega`` is first read, so a caller that reads single
@@ -272,9 +278,9 @@ def make_report(
     Raises InternalInvariantError when a block has a non-finite entry or a
     symmetric block breaks either invariant.
     """
-    q_delta = _checked_symmetric(q_delta, "angle-difference", factors[0])
+    q_delta = _checked_symmetric(q_delta, "angle-difference", delta_factor)
     if q_omega is not None:
-        q_omega = _checked_symmetric(q_omega, "frequency", factors[1])
+        q_omega = _checked_symmetric(q_omega, "frequency")
     if q_delta_omega is not None:
         q_delta_omega = np.asarray(q_delta_omega, dtype=float)
         if not np.isfinite(q_delta_omega).all():
@@ -290,8 +296,8 @@ class ModalBasis:
     ``spectral`` holds (Lambda, U) of S^{-1/2} L S^{-1/2}; ``nodes`` is the
     n x n node map N = S^{-1/2} U and ``lines`` the m x (n-1) line map
     C^T N[:, 1:], gathered as N's tail row minus its head row.
-    ``node_factor`` and ``line_factor`` are R from qr(N) and qr(C^T N[:, 1:]),
-    the PSD factors :func:`make_report` reads, each computed on first use.
+    ``line_factor`` is the line map's PSD factor (:func:`_psd_factor`),
+    computed on first use; the square node map is its own.
     """
 
     spectral: SpectralDecomposition
@@ -299,12 +305,8 @@ class ModalBasis:
     lines: np.ndarray
 
     @cached_property
-    def node_factor(self) -> np.ndarray:
-        return np.linalg.qr(self.nodes, mode="r")
-
-    @cached_property
     def line_factor(self) -> np.ndarray:
-        return np.linalg.qr(self.lines, mode="r")
+        return _psd_factor(self.lines)
 
 
 def _modal_basis(lin: LinearizedSystem, whitening: str) -> ModalBasis:
@@ -370,17 +372,12 @@ def _modal_report(
     """Report of the modal state covariance [[G, S], [S^T, R]] in ``basis``.
 
     With node map N and line map L, the blocks are L G L^T, N R N^T and
-    N S^T L^T; with R and S None, only the angle block.  The PSD checks read
-    the basis's own factors of L and N.
+    N S^T L^T; with R and S None, only the angle block.  The angle block's
+    PSD check reads the basis's own factor of L.
     """
-    q_omega = q_cross = node_factor = None
-    if r is not None:
-        q_omega = (basis.nodes, r)
-        q_cross = basis.nodes @ s.T @ basis.lines.T
-        node_factor = basis.node_factor
-    return make_report(
-        (basis.lines, g), q_omega, q_cross, method, diagnostics, (basis.line_factor, node_factor)
-    )
+    q_omega = None if r is None else (basis.nodes, r)
+    q_cross = None if r is None else basis.nodes @ s.T @ basis.lines.T
+    return make_report((basis.lines, g), q_omega, q_cross, method, diagnostics, basis.line_factor)
 
 
 def asymptotic_variance_numeric(lin: LinearizedSystem) -> CovarianceReport:

@@ -40,6 +40,9 @@ from gridfluct.pipeline import (
 from conftest import count_congruence_fills, random_connected_graph
 
 
+STAR6 = Path(__file__).resolve().parent.parent / "scripts" / "specs" / "star6.json"
+
+
 def network_doc(n, lines, inertia=0.5, damping=0.3, noise=None, capacity=10.0):
     noise = noise or {}
     return {
@@ -416,6 +419,14 @@ def sweep_doc(noise=None, axes=None, methods=None, quantities=None, kind="comple
     }
 
 
+def sweep_with(base=None, **fields):
+    """sweep_doc() with ``base`` merged into its base and ``fields`` replacing its own."""
+    doc = sweep_doc()
+    doc["base"].update(base or {})
+    doc.update(fields)
+    return doc
+
+
 TREND_QUANTITIES = [{"block": "omega", "i": 2, "j": 2}, {"block": "delta", "i": 1, "j": 1},
                     {"block": "delta", "i": 2, "j": 2}]
 
@@ -543,9 +554,13 @@ class TestSweeps:
             (lambda doc: doc.update(axes=[{"parameter": "n", "grid": [5]}],
                                     quantities=[{"block": "delta", "i": 11, "j": 1}]),
              ": quantities[0]: delta[11,1] out of range for shape (10, 10) at n=5"),
+            (lambda doc: doc.update(axes=[{"parameter": "eta", "grid": [0.5, 1.0]},
+                                          {"parameter": "eta", "grid": [2.0, 3.0]}],
+                                    base={**doc["base"], "n": 4}),
+             ": axes[1]: parameter 'eta' is already swept by axes[0]"),
         ],
         ids=["base-gamma", "base-noise", "noise-node-zero", "eta-grid", "n-grid-below-noise-node",
-             "inertia-scale-grid", "quantity-index"],
+             "inertia-scale-grid", "quantity-index", "repeated-axis"],
     )
     def test_bad_sweep_file_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                        edit, message):
@@ -653,6 +668,22 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "synchronous frequency" in out
         assert "secure: yes" in out
+
+    def test_solve_json(self, capsys):
+        assert main(["solve", str(STAR6), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["angles", "margins", "residual_norm", "secure", "sync_frequency"]
+        assert len(payload["angles"]) == 6 and len(payload["margins"]) == 5
+        assert payload["secure"] is True
+
+    def test_solve_csv(self, capsys):
+        assert main(["solve", str(STAR6), "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "line,from,to,margin"
+        rows = [line.rsplit(",", 1) for line in lines[1:]]
+        assert [row[0] for row in rows] == [f"{k},hub,gen-{k + 1}" for k in range(1, 6)]
+        # No power flows, so every angle difference is 0 and each margin pi/2.
+        assert all(float(row[1]) == pytest.approx(math.pi / 2) for row in rows)
 
     def test_variance_json(self, tmp_path, capsys):
         path = write_doc(tmp_path, network_doc(3, complete_lines(3), noise={2: 0.1}))
@@ -833,6 +864,43 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         assert main(["solve", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: lines[2]: duplicate of lines[1] between nodes 'n3' and 'n2'" in err
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("sweep", [], ": document must be an object"),
+        ("sweep", {**sweep_doc(), "schema_version": 2}, ": unsupported schema_version 2"),
+        ("solve", {"schema_version": 1, "lines": []}, ": missing required field 'nodes'"),
+        ("solve", {**network_doc(2, [(1, 2)]), "nodes": []}, ": 'nodes' must be a non-empty list"),
+        ("solve", {**network_doc(2, [(1, 2)]), "lines": {}}, ": 'lines' must be a list"),
+        ("solve", {**network_doc(2, []), "nodes": [1]}, ": nodes[0]: must be an object"),
+        ("solve", {**network_doc(2, []), "lines": ["n1-n2"]}, ": lines[0]: must be an object"),
+        ("solve", network_doc(2, [(1, 2), (2, 2)]),
+         ": lines[1]: line endpoints must differ, got 'n2'"),
+        ("sweep", {**sweep_doc(), "base": []}, ": 'base' must be an object"),
+        ("sweep", sweep_with(base={"noise": []}), ".base: 'noise' must map node index to amplitude"),
+        ("sweep", sweep_with(base={"kind": "ring"}),
+         ".base: kind must be 'complete', 'star' or 'network', got 'ring'"),
+        ("sweep", sweep_with(axes=[]), ": 'axes' must be a non-empty list"),
+        ("sweep", sweep_with(axes=["eta"]), ": axes[0]: must be an object"),
+        ("sweep", sweep_with(axes=[{"parameter": "eta", "grid": []}]),
+         ": axes[0]: 'grid' must be a non-empty list"),
+        ("sweep", sweep_with(quantities=[]), ": 'quantities' must be a non-empty list"),
+        ("sweep", sweep_with(quantities=[["omega", 2, 2]]), ": quantities[0]: must be an object"),
+        ("sweep", sweep_with(quantities=[{"block": "theta", "i": 1, "j": 1}]),
+         ": quantities[0]: block must be one of delta, omega, cross, got 'theta'"),
+        ("sweep", sweep_with(quantities=[{"block": "omega", "i": 0, "j": 1}]),
+         ": quantities[0]: indices are 1-based and must be positive"),
+        ("sweep", sweep_with(mc=[4]), ".mc: Monte Carlo overrides must be an object"),
+    ], ids=["sweep-not-object", "sweep-schema-version", "missing-field", "empty-nodes",
+            "lines-not-list", "node-not-object", "line-not-object", "self-loop", "base-not-object",
+            "noise-not-map", "unknown-kind", "empty-axes", "axis-not-object", "empty-grid",
+            "empty-quantities", "quantity-not-object", "unknown-block", "zero-index",
+            "mc-not-object"])
+    def test_malformed_file_exits_two_with_its_message(self, tmp_path, capsys, command, doc,
+                                                       message):
+        path = write_doc(tmp_path, doc)
+        args = ["sweep", "--spec", str(path)] if command == "sweep" else ["solve", str(path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"gridfluct: {path}{message}\n"
 
     def test_invalid_file_exits_two(self, tmp_path, capsys):
         doc = network_doc(2, [(1, 2)])

@@ -108,14 +108,16 @@ class TestMakeReport:
             make_report((np.full((3, 1), 1e200), np.ones((1, 1))), None, None, "test")
 
     def test_factored_psd_verdict_matches_dense(self):
-        """The k x k core check raises exactly when the dense block's
-        smallest eigenvalue is below the floor, with the block's nonzero
-        eigenvalues placed at and around the floor."""
+        """The core check raises exactly when the dense block's smallest
+        eigenvalue is below the floor, with the block's nonzero eigenvalues
+        placed at and around the floor, for tall and square maps alike."""
         rng = np.random.default_rng(2024)
-        verdicts = []
-        for _ in range(200):
+        verdicts = {True: [], False: []}
+        for trial in range(300):
             m = int(rng.integers(3, 40))
-            k = int(rng.integers(1, m))
+            # Every third map is square, and its own PSD factor.
+            square = trial % 3 == 0
+            k = m if square else int(rng.integers(1, m))
             lines = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
             basis, _ = np.linalg.qr(rng.standard_normal((k, k)))
             core = (basis * 10.0 ** rng.uniform(-3, 3, k)) @ basis.T
@@ -139,8 +141,9 @@ class TestMakeReport:
                 assert "positive semi-definite" in str(exc)
                 factored_rejects = True
             assert factored_rejects == dense_rejects
-            verdicts.append(dense_rejects)
-        assert 0 < sum(verdicts) < len(verdicts)
+            verdicts[square].append(dense_rejects)
+        for found in verdicts.values():
+            assert 0 < sum(found) < len(found)
 
     def test_non_psd_core_is_rejected(self):
         rng = np.random.default_rng(5)
@@ -570,7 +573,7 @@ class TestBasisInvariance:
 class TestOneSpectrum:
     def test_each_linearization_computes_one_basis_per_whitening(self, monkeypatch):
         # Every route, twice over, on one linearization: one inertia- and one
-        # damping-whitened spectrum, and one qr of each modal map.
+        # damping-whitened spectrum, and one qr of each tall map.
         spectra, factored = [], []
         real_spectrum, real_qr = variance.whitened_spectrum, np.linalg.qr
 
@@ -584,18 +587,25 @@ class TestOneSpectrum:
 
         monkeypatch.setattr(variance, "whitened_spectrum", spectrum)
         monkeypatch.setattr(np.linalg, "qr", qr)
-        lin = homogeneous_system("complete", 5, 10.0, 0.5, 0.3, np.array([0.0, 0.04, 0, 0, 0]))
-        for _ in range(2):
-            for route in pipeline.ROUTES.values():
-                route.run(lin, {"trajectories": 2})
-        assert len(spectra) == 2
-        assert spectra[0] is lin.inertia and spectra[1] is lin.damping
-        inertia, damping = variance.modal_basis(lin, "inertia"), variance.modal_basis(lin, "damping")
-        maps = (inertia.lines, inertia.nodes, damping.lines)
-        assert [sum(a is map_ for a in factored) for map_ in maps] == [1, 1, 1]
-        # The rest is the closed form's incidence factor, a new map on each run.
-        rest = [a for a in factored if not any(a is map_ for map_ in maps)]
-        assert [a.shape for a in rest] == [(lin.line_count, 1)] * 2
+        for kind in ("complete", "star"):
+            spectra.clear()
+            factored.clear()
+            lin = homogeneous_system(kind, 5, 10.0, 0.5, 0.3, np.array([0.0, 0.04, 0, 0, 0]))
+            for _ in range(2):
+                for route in pipeline.ROUTES.values():
+                    route.run(lin, {"trajectories": 2})
+            assert len(spectra) == 2
+            assert spectra[0] is lin.inertia and spectra[1] is lin.damping
+            if kind == "star":
+                # Square line maps, square node maps and dense closed blocks.
+                assert factored == []
+                continue
+            # Each whitening's 10 x 4 line map once, and the closed form's
+            # incidence factor over its one noisy node, a new map on each run;
+            # never the square node map.
+            inertia, damping = variance.modal_basis(lin, "inertia"), variance.modal_basis(lin, "damping")
+            assert [a.shape for a in factored] == [(10, 4), (10, 1), (10, 4), (10, 1)]
+            assert factored[0] is inertia.lines and factored[2] is damping.lines
 
     def test_a_failed_connectivity_check_is_not_kept(self, monkeypatch):
         calls = []
