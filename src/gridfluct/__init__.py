@@ -10,7 +10,8 @@ Library layout:
   uniform damping-inertia ratio solution, zero-inertia model, trace law,
   the report invariant checks and the one uniformity checker;
 * :mod:`gridfluct.closedforms` / :mod:`gridfluct.trends` -- analytic
-  complete/star formulas, single-source corollaries, trend derivatives;
+  complete/star formulas and the closed-form report; the one single-source
+  analysis (displayed variances, trend derivatives and limits);
 * :mod:`gridfluct.montecarlo` -- Monte Carlo covariance oracle on exact
   Ornstein-Uhlenbeck transitions;
 * :mod:`gridfluct.netfile` / :mod:`gridfluct.pipeline` / :mod:`gridfluct.cli`
@@ -23,14 +24,10 @@ included (angle block only).
 
 from .closedforms import (
     HomogeneousParams,
-    SingleSourceSummary,
-    StarLeafSummary,
     closed_form_report,
     complete_first_order,
-    complete_single_source,
     critical_size,
     star_first_order,
-    star_single_source_leaf,
 )
 from .errors import (
     AssumptionViolatedError,
@@ -56,7 +53,7 @@ from .graphs import (
     laplacian,
     whitened_spectrum,
 )
-from .lyapunov import lyapunov_residual, lyapunov_solve_kron
+from .lyapunov import lyapunov_residual
 from .montecarlo import SimConfig, default_sim_config, simulate_covariance, trajectory_seed
 from .netfile import load_network, load_sweep
 from .pipeline import compare_variance, run_sweep, run_variance, write_report

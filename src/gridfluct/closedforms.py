@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolatedError, InvalidGraphError
-from .graphs import WeightedGraph, canonical_complete, incidence
+from .graphs import canonical_complete, incidence
 from .swing import LinearizedSystem
 from .variance import METHOD_CLOSED, CovarianceReport, _ratio_weights, make_report, uniform_value
 
@@ -61,28 +61,6 @@ class HomogeneousParams:
     @property
     def trace_noise_sq(self) -> float:
         return float(self.noise_sq.sum())
-
-
-@dataclass(frozen=True)
-class SingleSourceSummary:
-    """Scalar variances for a single disturbance source on a complete graph
-    (also valid for a star graph disturbed at its root)."""
-
-    source_frequency_variance: float
-    other_frequency_variance: float
-    incident_line_variance: float
-    other_line_variance: float
-
-
-@dataclass(frozen=True)
-class StarLeafSummary:
-    """Scalar variances for a star graph disturbed at leaf node 2 only."""
-
-    root_frequency_variance: float
-    leaf_frequency_variance: float
-    other_frequency_variance: float
-    source_line_variance: float
-    other_line_variance: float
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +238,6 @@ def _star_clusters(p: HomogeneousParams, root: int) -> list[tuple[float, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _complete_blocks(p: HomogeneousParams, graph: WeightedGraph) -> CovarianceReport:
-    """Covariance blocks of the homogeneous complete ``graph``.
-
-    The angle block is (1 / (2 d gamma n)) C^T B^2 C, the same as the
-    zero-inertia block of :func:`complete_first_order`; it reaches
-    :func:`make_report` as the pair (C^T[:, s], diag(b_s^2) / (2 d gamma n))
-    over the noisy nodes s alone (the other nodes' terms are exact zeros).
-    The frequency diagonal follows the per-node display; remaining entries
-    come from the exact cluster evaluation.
-    """
-    inc = incidence(graph)
-    alpha = p.damping / p.eta
-
-    q_omega, q_cross = _cluster_covariance(_complete_clusters(p), p.noise_sq, inc, p.eta, alpha)
-    np.fill_diagonal(q_omega, _complete_frequency_diag(
-        p.n, p.gamma, p.eta, p.damping, p.noise_sq, p.trace_noise_sq
-    ))
-    noisy = np.flatnonzero(p.noise_sq)
-    core = np.diag(p.noise_sq[noisy]) / (2 * p.damping * p.gamma * p.n)
-    return make_report(
-        (inc.T[:, noisy], core), q_omega, q_cross, METHOD_CLOSED, {"canonical_kind": "complete"}
-    )
-
-
 def _star_angle_block(p: HomogeneousParams, eta: float, leaf: np.ndarray, root: int) -> np.ndarray:
     """Angle block of a star whose line k runs from ``root`` to ``leaf[k]``.
 
@@ -304,89 +258,63 @@ def _star_angle_block(p: HomogeneousParams, eta: float, leaf: np.ndarray, root: 
     return q_delta
 
 
-def _star_blocks(p: HomogeneousParams, graph: WeightedGraph, root: int) -> CovarianceReport:
-    """Covariance blocks of the homogeneous star ``graph`` rooted at ``root``: angle
-    entries and frequency diagonal by the displays, the rest by cluster evaluation."""
-    inc = incidence(graph)
-    alpha = p.damping / p.eta
-    b_sq = p.noise_sq
-    trace_sq = p.trace_noise_sq
-    # Line k joins the root to leaf[k]; its sign is +1 when it leaves the root.
-    outward = graph.tails == root
-    leaf = np.where(outward, graph.heads, graph.tails)
-    sign = np.where(outward, 1.0, -1.0)
-    q_delta = _star_angle_block(p, p.eta, leaf, root) * (sign[:, None] * sign[None, :])
-
-    q_omega, q_cross = _cluster_covariance(_star_clusters(p, root), b_sq, inc, p.eta, alpha)
-    diag = _star_leaf_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq, b_sq[root], trace_sq)
-    diag[root] = _complete_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq[root], trace_sq)
-    np.fill_diagonal(q_omega, diag)
-    return make_report(q_delta, q_omega, q_cross, METHOD_CLOSED, {"canonical_kind": "star"})
-
-
 def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
     """Closed-form covariance of a homogeneous complete or star network, in
     its own node and line order.
 
+    The frequency diagonal follows the per-node displays, and so does a
+    star's angle block.  The complete graph's angle block is
+    (1 / (2 d gamma n)) C^T B^2 C, the zero-inertia block of
+    :func:`complete_first_order`; it reaches :func:`make_report` as the pair
+    (C^T[:, s], diag(b_s^2) / (2 d gamma n)) over the noisy nodes s alone
+    (the other nodes' terms are exact zeros).  The remaining entries come
+    from the exact cluster evaluation.
+
     Raises AssumptionViolatedError when the network has fewer than two
     nodes, when line weights, inertia or damping (checked in that order)
-    are not uniform, or when the topology is neither complete nor a star.  The star's root is its node of degree
-    n - 1.  The kind is recorded as the ``canonical_kind`` diagnostic.
+    are not uniform, or when the topology is neither complete nor a star.
+    The star's root is its node of degree n - 1.  The kind is recorded as
+    the ``canonical_kind`` diagnostic.
     """
-    n, m = lin.node_count, lin.line_count
+    graph, n, m = lin.graph, lin.node_count, lin.line_count
     if n < 2:
         raise AssumptionViolatedError(
             f"closed forms need at least 2 nodes; this network has {n}"
         )
     p = HomogeneousParams(
         n,
-        uniform_value(lin.graph.weights, "line weights", "lines"),
+        uniform_value(graph.weights, "line weights", "lines"),
         uniform_value(lin.inertia, "inertia values"),
         uniform_value(lin.damping, "damping values"),
         lin.noise,
     )
-    degree = np.bincount(np.concatenate((lin.graph.tails, lin.graph.heads)), minlength=n)
-    if m == n * (n - 1) // 2:
-        return _complete_blocks(p, lin.graph)
-    if m == n - 1 and degree.max() == n - 1:
-        return _star_blocks(p, lin.graph, int(degree.argmax()))
-    raise AssumptionViolatedError(
-        "closed forms defined only for complete/star topologies; "
-        f"this network has {n} nodes and {m} lines with neither shape"
-    )
-
-
-def _require_single_source(p: HomogeneousParams, source: int) -> float:
-    nonzero = np.flatnonzero(p.noise_sq)
-    if nonzero.size != 1 or nonzero[0] != source - 1:
+    degree = np.bincount(np.concatenate((graph.tails, graph.heads)), minlength=n)
+    complete = m == n * (n - 1) // 2
+    if not complete and not (m == n - 1 and degree.max() == n - 1):
         raise AssumptionViolatedError(
-            f"exactly one disturbance source at node {source} required; "
-            f"nonzero noise at nodes {[int(i) + 1 for i in nonzero]}"
+            "closed forms defined only for complete/star topologies; "
+            f"this network has {n} nodes and {m} lines with neither shape"
         )
-    return float(p.noise[source - 1])
-
-
-def complete_single_source(p: HomogeneousParams, source: int) -> SingleSourceSummary:
-    """Scalar variances when a complete graph is disturbed at one node only."""
-    b = _require_single_source(p, source)
-    return SingleSourceSummary(
-        source_frequency_variance=complete_source_frequency(p.n, p.gamma, p.eta, p.damping, b),
-        other_frequency_variance=complete_other_frequency(p.n, p.gamma, p.eta, p.damping, b),
-        incident_line_variance=b**2 / (2 * p.damping * p.gamma * p.n),
-        other_line_variance=0.0,
-    )
-
-
-def star_single_source_leaf(p: HomogeneousParams) -> StarLeafSummary:
-    """Star graph disturbed at leaf node 2 only: the displayed scalar set."""
-    b = _require_single_source(p, 2)
-    return StarLeafSummary(
-        root_frequency_variance=complete_other_frequency(p.n, p.gamma, p.eta, p.damping, b),
-        leaf_frequency_variance=star_leaf_frequency(p.n, p.gamma, p.eta, p.damping, b),
-        other_frequency_variance=star_other_frequency(p.n, p.gamma, p.eta, p.damping, b),
-        source_line_variance=star_source_line(p.n, p.gamma, p.eta, p.damping, b),
-        other_line_variance=star_other_line(p.n, p.gamma, p.eta, p.damping, b),
-    )
+    inc = incidence(graph)
+    b_sq, trace_sq = p.noise_sq, p.trace_noise_sq
+    if complete:
+        kind, clusters = "complete", _complete_clusters(p)
+        diag = _complete_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq, trace_sq)
+        noisy = np.flatnonzero(b_sq)
+        q_delta = (inc.T[:, noisy], np.diag(b_sq[noisy]) / (2 * p.damping * p.gamma * p.n))
+    else:
+        root = int(degree.argmax())
+        kind, clusters = "star", _star_clusters(p, root)
+        # Line k joins the root to leaf[k]; its sign is +1 when it leaves the root.
+        outward = graph.tails == root
+        leaf = np.where(outward, graph.heads, graph.tails)
+        sign = np.where(outward, 1.0, -1.0)
+        q_delta = _star_angle_block(p, p.eta, leaf, root) * (sign[:, None] * sign[None, :])
+        diag = _star_leaf_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq, b_sq[root], trace_sq)
+        diag[root] = _complete_frequency_diag(p.n, p.gamma, p.eta, p.damping, b_sq[root], trace_sq)
+    q_omega, q_cross = _cluster_covariance(clusters, b_sq, inc, p.eta, p.damping / p.eta)
+    np.fill_diagonal(q_omega, diag)
+    return make_report(q_delta, q_omega, q_cross, METHOD_CLOSED, {"canonical_kind": kind})
 
 
 def complete_first_order(p: HomogeneousParams) -> np.ndarray:

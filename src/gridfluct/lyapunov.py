@@ -1,17 +1,14 @@
-"""Continuous-time Lyapunov equation solvers.
+"""Continuous-time Lyapunov equation solver and the Hurwitz check.
 
-Two algorithmically independent backends solve A Q + Q A^T + W = 0:
-
-* :func:`lyapunov_solve_with_abscissa` -- Bartels-Stewart: real Schur form,
-  then the triangular solve.  Up to ``LEAF`` = 96 states that is one LAPACK
-  ``trsyl`` call, bit for bit as scipy's solver does it; above, a recursive
-  blocked solve in the manner of RECSY (Jonsson and Kågström, ACM TOMS
-  28(4), 2002) halves the factor until ``trsyl`` runs on leaves of at most
-  ``LEAF`` states, with matrix-product updates in between.  The Schur form
-  also gives the Hurwitz verdict and the spectral abscissa;
-* :func:`lyapunov_solve_kron` -- dense Kronecker vectorisation, kept as an
-  oracle for cross-checking the primary path on small systems; it checks
-  stability by ``eigvals`` (:func:`assert_hurwitz`).
+:func:`lyapunov_solve_with_abscissa` solves A Q + Q A^T + W = 0 by
+Bartels-Stewart: real Schur form, then the triangular solve.  Up to
+``LEAF`` = 96 states that is one LAPACK ``trsyl`` call, bit for bit as
+scipy's solver does it; above, a recursive blocked solve in the manner of
+RECSY (Jonsson and Kågström, ACM TOMS 28(4), 2002) halves the factor until
+``trsyl`` runs on leaves of at most ``LEAF`` states, with matrix-product
+updates in between.  The Schur form also gives the Hurwitz verdict and the
+spectral abscissa.  :func:`assert_hurwitz` checks stability by ``eigvals``
+for callers that solve no Lyapunov equation (Monte Carlo).
 """
 
 from __future__ import annotations
@@ -117,20 +114,6 @@ def _sylvester(ta, tb, c, trsyl) -> np.ndarray:
     y2 = _sylvester(ta, tb[k:, k:], c[:, k:], trsyl)
     y1 = _sylvester(ta, tb[:k, :k], c[:, :k] - y2 @ tb[:k, k:].T, trsyl)
     return np.hstack((y1, y2))
-
-
-def lyapunov_solve_kron(a, w) -> np.ndarray:
-    """Solve A Q + Q A^T + W = 0 via (I (x) A + A (x) I) vec(Q) = -vec(W).
-
-    Dense oracle; memory grows like n^4, so keep n modest (<= ~60).
-    """
-    a, w = _validate(a, w)
-    assert_hurwitz(a)
-    n = a.shape[0]
-    eye = np.eye(n)
-    system = np.kron(eye, a) + np.kron(a, eye)
-    q = np.linalg.solve(system, -w.reshape(-1)).reshape(n, n)
-    return 0.5 * (q + q.T)
 
 
 def lyapunov_residual(a, q, w) -> float:

@@ -334,6 +334,7 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
         n, m = base.node_count, base.line_count
     shapes = {"delta": (m, m), "omega": (n, n), "cross": (n, m)}
     quantities = []
+    position_of: dict[tuple[str, int, int], int] = {}
     for pos, quantity in enumerate(quantities_doc):
         where = f"{context}: quantities[{pos}]"
         if not isinstance(quantity, dict):
@@ -351,6 +352,9 @@ def sweep_from_dict(data: Any, context: str = "sweep", base_dir: Path | None = N
             raise ValidationError(
                 f"{where}: {block}[{i},{j}] out of range for shape {shapes[block]} at n={n}"
             )
+        first = position_of.setdefault((block, i, j), pos)
+        if first != pos:
+            raise ValidationError(f"{where}: {block}[{i},{j}] is already recorded by quantities[{first}]")
         quantities.append((block, i, j))
 
     mc_overrides = validate_mc_overrides(data.get("mc", {}), f"{context}.mc")

@@ -62,12 +62,17 @@ EXACT_ROUTES = tuple(name for name, route in ROUTES.items() if route.exact)
 
 
 def _require_methods(methods: Iterable[str], allowed: Collection[str], command: str) -> None:
-    """Raise ValidationError naming the allowed routes for an unknown method."""
+    """Raise ValidationError naming the allowed routes for an unknown method,
+    or naming a method that is given more than once."""
+    seen = set()
     for method in methods:
         if method not in allowed:
             raise ValidationError(
                 f"unknown method {method!r}; {command} supports {', '.join(allowed)}"
             )
+        if method in seen:
+            raise ValidationError(f"method {method!r} is named more than once")
+        seen.add(method)
 
 
 def run_variance(
@@ -139,7 +144,6 @@ def compare_variance(net: PowerNetwork, methods: Iterable[str] | None = None) ->
     blocks are compared by :func:`_symmetric_discrepancy`, so no m x m block
     is built here; a writer builds it when it reads ``q_delta``.
     """
-    lin = linearized(net)
     if methods is None:
         selected = list(EXACT_ROUTES)
     else:
@@ -147,6 +151,7 @@ def compare_variance(net: PowerNetwork, methods: Iterable[str] | None = None) ->
         _require_methods(selected, EXACT_ROUTES, "compare")
         if "numeric" not in selected:
             selected.insert(0, "numeric")
+    lin = linearized(net)
 
     reports: dict[str, CovarianceReport] = {}
     for method in selected:

@@ -1,11 +1,12 @@
-"""Parameter-trend analysis of the single-source closed forms.
+"""Single-source analysis of the closed forms.
 
-Analytic derivatives and limits of the homogeneous complete/star scalar
-variances with respect to the line weight, the network size (treated as a
-continuous variable here; reports require integer sizes) and the inertia,
-together with sign verdicts.  Every derivative is the exact derivative of
-the corresponding scalar in :mod:`gridfluct.closedforms` and is expected
-to match a central finite difference to high accuracy.
+The homogeneous complete/star scalar variances for one disturbed node,
+with their analytic derivatives and limits with respect to the line
+weight, the network size (treated as a continuous variable here; reports
+require integer sizes) and the inertia, together with sign verdicts.
+Every derivative is the exact derivative of the corresponding scalar in
+:mod:`gridfluct.closedforms` and is expected to match a central finite
+difference to high accuracy.
 """
 
 from __future__ import annotations
@@ -14,23 +15,32 @@ from dataclasses import dataclass
 
 from .closedforms import (
     HomogeneousParams,
-    _require_single_source,
+    complete_other_frequency,
+    complete_source_frequency,
     complete_source_frequency_floor,
     critical_size,
+    star_leaf_frequency,
+    star_other_frequency,
+    star_other_line,
+    star_source_line,
 )
 from .errors import AssumptionViolatedError
 
 
 @dataclass(frozen=True)
 class TrendReport:
-    """Derivative/limit values of the single-source scalar variances.
+    """The single-source scalar variances with their derivatives and limits.
 
+    ``variances`` holds the displayed scalars themselves: the source,
+    other-node and incident/other-line values (root, leaf, other-leaf,
+    source-line and other-line values for a star disturbed at a leaf).
     ``sign_verdicts`` records, per named derivative, whether its sign at the
     evaluated parameters matches the expected monotonicity claim.
     """
 
     graph_kind: str
     source: int
+    variances: dict[str, float]
     derivatives: dict[str, float]
     limits: dict[str, float]
     critical_size: int | None
@@ -122,11 +132,27 @@ def d_star_other_line_d_size(n, gamma, eta, damping, noise):
     return -numer * b2 / (2 * d * g * n**2 * w_star**2)
 
 
+def _require_single_source(p: HomogeneousParams, source: int) -> float:
+    nonzero = p.noise_sq.nonzero()[0]
+    if nonzero.size != 1 or nonzero[0] != source - 1:
+        raise AssumptionViolatedError(
+            f"exactly one disturbance source at node {source} required; "
+            f"nonzero noise at nodes {[int(i) + 1 for i in nonzero]}"
+        )
+    return float(p.noise[source - 1])
+
+
 def _complete_trend(p: HomogeneousParams, source: int, graph_kind: str) -> TrendReport:
     b = _require_single_source(p, source)
     n, g, e, d = p.n, p.gamma, p.eta, p.damping
     b2 = b**2
 
+    variances = {
+        "source_frequency": complete_source_frequency(n, g, e, d, b),
+        "other_frequency": complete_other_frequency(n, g, e, d, b),
+        "incident_line": b2 / (2 * d * g * n),
+        "other_line": 0.0,
+    }
     derivatives = {
         "source_frequency_wrt_weight": d_complete_source_frequency_d_weight(n, g, e, d, b),
         "other_frequency_wrt_weight": d_complete_other_frequency_d_weight(n, g, e, d, b),
@@ -150,6 +176,7 @@ def _complete_trend(p: HomogeneousParams, source: int, graph_kind: str) -> Trend
     return TrendReport(
         graph_kind=graph_kind,
         source=source,
+        variances=variances,
         derivatives=derivatives,
         limits=limits,
         critical_size=n_c,
@@ -163,6 +190,13 @@ def _star_leaf_trend(p: HomogeneousParams) -> TrendReport:
     n, g, e, d = p.n, p.gamma, p.eta, p.damping
     b2 = b**2
 
+    variances = {
+        "root_frequency": complete_other_frequency(n, g, e, d, b),
+        "leaf_frequency": star_leaf_frequency(n, g, e, d, b),
+        "other_frequency": star_other_frequency(n, g, e, d, b),
+        "source_line": star_source_line(n, g, e, d, b),
+        "other_line": star_other_line(n, g, e, d, b),
+    }
     derivatives = {
         "leaf_frequency_wrt_weight": d_star_leaf_frequency_d_weight(n, g, e, d, b),
         "leaf_frequency_wrt_size": d_star_leaf_frequency_d_size(n, g, e, d, b),
@@ -175,8 +209,9 @@ def _star_leaf_trend(p: HomogeneousParams) -> TrendReport:
         "leaf_frequency_weight_to_inf": b2 / (2 * d * e)
         - (b2 / (d * e)) * (1.0 / n - 1.0 / (n**2 * (n - 1.0) ** 2)),
         "leaf_frequency_size_to_inf": b2 / (2 * d * e),
-        "source_line_inertia_to_zero": ((n - 1) / (2 * d * g * n) - (n - 2) / (2 * d * g * n * (n + 1))) * b2,
-        "other_line_inertia_to_zero": b2 / (2 * d * g * n * (n + 1)),
+        # The displays at eta = 0 are the first-order star block's entries.
+        "source_line_inertia_to_zero": star_source_line(n, g, 0.0, d, b),
+        "other_line_inertia_to_zero": star_other_line(n, g, 0.0, d, b),
     }
     sign_verdicts = {
         "leaf_frequency_decreases_in_weight": derivatives["leaf_frequency_wrt_weight"] < 0,
@@ -189,6 +224,7 @@ def _star_leaf_trend(p: HomogeneousParams) -> TrendReport:
     return TrendReport(
         graph_kind="star",
         source=2,
+        variances=variances,
         derivatives=derivatives,
         limits=limits,
         critical_size=None,
@@ -198,7 +234,8 @@ def _star_leaf_trend(p: HomogeneousParams) -> TrendReport:
 
 
 def trend_report(graph_kind: str, p: HomogeneousParams, source: int) -> TrendReport:
-    """Evaluate the single-source derivative/limit displays with sign verdicts.
+    """The single-source analysis: displayed variances, their derivatives
+    and limits, with sign verdicts.
 
     ``graph_kind`` is ``"complete"`` (any source node) or ``"star"``.  A
     star disturbed at its root behaves exactly like the complete graph and

@@ -14,6 +14,7 @@ from gridfluct import (
     canonical_complete,
     canonical_star,
 )
+from gridfluct.lyapunov import _validate, assert_hurwitz
 from gridfluct.montecarlo import default_sim_config, simulate_covariance
 from gridfluct.variance import Congruence
 
@@ -65,6 +66,21 @@ def table2_star_system(n: int = 20) -> LinearizedSystem:
     noise = np.zeros(n)
     noise[1] = 0.5
     return homogeneous_system("star", n, 10.0, 0.5, 0.2, noise)
+
+
+def lyapunov_solve_kron(a, w) -> np.ndarray:
+    """Dense oracle: solve A Q + Q A^T + W = 0 via
+    (I (x) A + A (x) I) vec(Q) = -vec(W), independently of the Schur route.
+
+    Memory grows like n^4, so keep n modest (<= ~60).
+    """
+    a, w = _validate(a, w)
+    assert_hurwitz(a)
+    n = a.shape[0]
+    eye = np.eye(n)
+    system = np.kron(eye, a) + np.kron(a, eye)
+    q = np.linalg.solve(system, -w.reshape(-1)).reshape(n, n)
+    return 0.5 * (q + q.T)
 
 
 def full_output_matrix(report) -> np.ndarray:

@@ -17,10 +17,8 @@ from gridfluct import (
     closed_form_report,
     complete_first_order,
     critical_size,
-    lyapunov_solve_kron,
     smib_variance,
     star_first_order,
-    star_single_source_leaf,
     trace_frequency_variance,
     trend_report,
 )
@@ -37,6 +35,7 @@ from gridfluct.montecarlo import agreement
 from conftest import (
     full_output_matrix,
     homogeneous_system,
+    lyapunov_solve_kron,
     random_connected_graph,
     table1_complete_system,
     table2_star_system,
@@ -73,14 +72,14 @@ def test_criterion_2_star_route_equivalence():
     numeric = asymptotic_variance_numeric(lin)
     p = HomogeneousParams(n, gamma, eta, d, lin.noise)
     report = closed_form_report(lin)
-    leaf = star_single_source_leaf(p)
+    leaf = trend_report("star", p, 2).variances
     elapsed = time.perf_counter() - start
     displayed = [
         (report.q_omega[0, 0], numeric.q_omega[0, 0]),       # root frequency display
-        (leaf.leaf_frequency_variance, numeric.q_omega[1, 1]),
-        (leaf.other_frequency_variance, numeric.q_omega[7, 7]),
-        (leaf.source_line_variance, numeric.q_delta[0, 0]),
-        (leaf.other_line_variance, numeric.q_delta[3, 3]),
+        (leaf["leaf_frequency"], numeric.q_omega[1, 1]),
+        (leaf["other_frequency"], numeric.q_omega[7, 7]),
+        (leaf["source_line"], numeric.q_delta[0, 0]),
+        (leaf["other_line"], numeric.q_delta[3, 3]),
     ]
     displayed.extend(
         (report.q_omega[i, i], numeric.q_omega[i, i]) for i in range(n)

@@ -558,9 +558,14 @@ class TestSweeps:
                                           {"parameter": "eta", "grid": [2.0, 3.0]}],
                                     base={**doc["base"], "n": 4}),
              ": axes[1]: parameter 'eta' is already swept by axes[0]"),
+            (lambda doc: doc.update(quantities=[{"block": "delta", "i": 1, "j": 1},
+                                                {"block": "omega", "i": 1, "j": 2},
+                                                {"block": "omega", "i": 2, "j": 1},
+                                                {"block": "delta", "i": 1, "j": 1}]),
+             ": quantities[3]: delta[1,1] is already recorded by quantities[0]"),
         ],
         ids=["base-gamma", "base-noise", "noise-node-zero", "eta-grid", "n-grid-below-noise-node",
-             "inertia-scale-grid", "quantity-index", "repeated-axis"],
+             "inertia-scale-grid", "quantity-index", "repeated-axis", "repeated-quantity"],
     )
     def test_bad_sweep_file_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch,
                                                        edit, message):
@@ -831,6 +836,21 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         assert captured.out == ""
         assert "'spectral'" in captured.err
         assert "numeric, uniform, closed, first-order, mc" in captured.err
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_repeated_method_exits_two_before_any_route(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        net = write_doc(tmp_path, network_doc(4, complete_lines(4), noise={2: 0.3}))
+        spec = write_doc(tmp_path, sweep_doc(methods=["closed", "numeric", "closed"]), "spec.json")
+        calls = []
+        monkeypatch.setattr(pipeline, "linearized", lambda net: calls.append(net))
+        args = {"sweep": ["sweep", "--spec", str(spec)],
+                "compare": ["compare", str(net), "--methods", "closed,numeric,closed"]}[command]
+        assert main(args) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gridfluct: method 'closed' is named more than once\n"
 
     def test_compare_rejects_inexact_route(self, tmp_path, capsys):
         path = write_doc(tmp_path, network_doc(4, complete_lines(4), noise={2: 0.3}))

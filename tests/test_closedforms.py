@@ -16,10 +16,9 @@ from gridfluct import (
     canonical_star,
     closed_form_report,
     complete_first_order,
-    complete_single_source,
     first_order_variance,
     star_first_order,
-    star_single_source_leaf,
+    trend_report,
 )
 
 from conftest import full_output_matrix, homogeneous_system
@@ -91,32 +90,32 @@ class TestCompleteReport:
 
 class TestCompleteSingleSource:
     def test_matches_report_specialization(self):
-        summary = complete_single_source(TABLE1, 2)
+        summary = trend_report("complete", TABLE1, 2).variances
         report = closed_form_report(to_system("complete", TABLE1))
-        assert summary.source_frequency_variance == pytest.approx(report.q_omega[1, 1], rel=1e-12)
-        assert summary.other_frequency_variance == pytest.approx(report.q_omega[0, 0], rel=1e-12)
-        assert summary.incident_line_variance == pytest.approx(report.q_delta[0, 0], rel=1e-12)
+        assert summary["source_frequency"] == pytest.approx(report.q_omega[1, 1], rel=1e-12)
+        assert summary["other_frequency"] == pytest.approx(report.q_omega[0, 0], rel=1e-12)
+        assert summary["incident_line"] == pytest.approx(report.q_delta[0, 0], rel=1e-12)
         # line (3, 4) misses the source entirely
         quiet_line = [(i, j) for i in range(1, 21) for j in range(i + 1, 21)].index((3, 4))
         assert report.q_delta[quiet_line, quiet_line] == pytest.approx(0.0, abs=1e-15)
 
     def test_sum_rule(self):
         p = params(9, 4.0, 0.8, 0.6, single_source(9, 3, 1.1))
-        summary = complete_single_source(p, 3)
-        total = summary.source_frequency_variance + 8 * summary.other_frequency_variance
+        summary = trend_report("complete", p, 3).variances
+        total = summary["source_frequency"] + 8 * summary["other_frequency"]
         assert total == pytest.approx(1.1**2 / (2 * p.damping * p.eta), rel=1e-12)
 
     def test_large_size_approaches_single_machine(self):
         level, d, eta = 0.7, 0.4, 0.9
         p = params(10**6, 5.0, eta, d, single_source(10**6, 1, level))
-        summary = complete_single_source(p, 1)
-        assert summary.source_frequency_variance == pytest.approx(
+        summary = trend_report("complete", p, 1).variances
+        assert summary["source_frequency"] == pytest.approx(
             level**2 / (2 * d * eta), rel=1e-4
         )
 
     def test_multiple_sources_rejected(self):
         with pytest.raises(AssumptionViolatedError):
-            complete_single_source(params(4, 1.0, 1.0, 1.0, [1.0, 1.0, 0.0, 0.0]), 1)
+            trend_report("complete", params(4, 1.0, 1.0, 1.0, [1.0, 1.0, 0.0, 0.0]), 1)
 
 
 class TestCompleteFirstOrder:
@@ -163,11 +162,11 @@ class TestStarReport:
     def test_root_source_reproduces_corollary(self):
         p = params(12, 6.0, 0.3, 0.8, single_source(12, 1, 0.6))
         report = closed_form_report(to_system("star", p))
-        summary = complete_single_source(p, 1)
-        assert report.q_omega[0, 0] == pytest.approx(summary.source_frequency_variance, rel=1e-12)
-        assert report.q_omega[3, 3] == pytest.approx(summary.other_frequency_variance, rel=1e-12)
+        summary = trend_report("star", p, 1).variances
+        assert report.q_omega[0, 0] == pytest.approx(summary["source_frequency"], rel=1e-12)
+        assert report.q_omega[3, 3] == pytest.approx(summary["other_frequency"], rel=1e-12)
         np.testing.assert_allclose(
-            np.diag(report.q_delta), summary.incident_line_variance, rtol=1e-12
+            np.diag(report.q_delta), summary["incident_line"], rtol=1e-12
         )
 
 
@@ -175,37 +174,37 @@ class TestStarSingleSource:
     def test_root_case_equals_complete_formulas(self):
         # A star disturbed at its root has the complete graph's scalar set.
         p = params(15, 3.0, 0.6, 0.4, single_source(15, 1, 0.9))
-        root = complete_single_source(p, 1)
+        root = trend_report("star", p, 1).variances
         numeric = asymptotic_variance_numeric(to_system("star", p))
-        assert root.source_frequency_variance == pytest.approx(numeric.q_omega[0, 0], rel=1e-8)
-        assert root.other_frequency_variance == pytest.approx(numeric.q_omega[4, 4], rel=1e-8)
-        np.testing.assert_allclose(np.diag(numeric.q_delta), root.incident_line_variance, rtol=1e-8)
+        assert root["source_frequency"] == pytest.approx(numeric.q_omega[0, 0], rel=1e-8)
+        assert root["other_frequency"] == pytest.approx(numeric.q_omega[4, 4], rel=1e-8)
+        np.testing.assert_allclose(np.diag(numeric.q_delta), root["incident_line"], rtol=1e-8)
 
     def test_leaf_sum_rule(self):
         p = params(11, 5.0, 0.7, 0.3, single_source(11, 2, 0.8))
-        leaf = star_single_source_leaf(p)
+        leaf = trend_report("star", p, 2).variances
         total = (
-            leaf.root_frequency_variance
-            + leaf.leaf_frequency_variance
-            + 9 * leaf.other_frequency_variance
+            leaf["root_frequency"]
+            + leaf["leaf_frequency"]
+            + 9 * leaf["other_frequency"]
         )
         assert total == pytest.approx(0.8**2 / (2 * p.damping * p.eta), rel=1e-12)
 
     def test_leaf_against_numeric(self):
         p = params(10, 10.0, 0.5, 0.2, single_source(10, 2, 0.5))
-        leaf = star_single_source_leaf(p)
+        leaf = trend_report("star", p, 2).variances
         numeric = asymptotic_variance_numeric(to_system("star", p))
-        assert leaf.root_frequency_variance == pytest.approx(numeric.q_omega[0, 0], rel=1e-8)
-        assert leaf.leaf_frequency_variance == pytest.approx(numeric.q_omega[1, 1], rel=1e-8)
-        assert leaf.other_frequency_variance == pytest.approx(numeric.q_omega[5, 5], rel=1e-8)
-        assert leaf.source_line_variance == pytest.approx(numeric.q_delta[0, 0], rel=1e-8)
-        assert leaf.other_line_variance == pytest.approx(numeric.q_delta[4, 4], rel=1e-8)
+        assert leaf["root_frequency"] == pytest.approx(numeric.q_omega[0, 0], rel=1e-8)
+        assert leaf["leaf_frequency"] == pytest.approx(numeric.q_omega[1, 1], rel=1e-8)
+        assert leaf["other_frequency"] == pytest.approx(numeric.q_omega[5, 5], rel=1e-8)
+        assert leaf["source_line"] == pytest.approx(numeric.q_delta[0, 0], rel=1e-8)
+        assert leaf["other_line"] == pytest.approx(numeric.q_delta[4, 4], rel=1e-8)
 
     def test_wrong_source_rejected(self):
         with pytest.raises(AssumptionViolatedError):
-            star_single_source_leaf(params(5, 1.0, 1.0, 1.0, single_source(5, 3, 1.0)))
+            trend_report("star", params(5, 1.0, 1.0, 1.0, single_source(5, 3, 1.0)), 2)
         with pytest.raises(AssumptionViolatedError):
-            complete_single_source(params(5, 1.0, 1.0, 1.0, single_source(5, 2, 1.0)), 1)
+            trend_report("complete", params(5, 1.0, 1.0, 1.0, single_source(5, 2, 1.0)), 1)
 
 
 class TestStarFirstOrder:

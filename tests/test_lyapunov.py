@@ -11,9 +11,10 @@ from gridfluct import (
     InternalInvariantError,
     ShapeError,
     lyapunov_residual,
-    lyapunov_solve_kron,
 )
 from gridfluct.lyapunov import LEAF, assert_hurwitz, lyapunov_solve_with_abscissa
+
+from conftest import lyapunov_solve_kron
 
 
 def random_hurwitz(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from gridfluct import (
     canonical_complete,
     laplacian,
     linearize,
-    lyapunov_solve_kron,
     security_check,
     smib_variance,
     solve_synchronous_state,
@@ -24,7 +23,7 @@ from gridfluct import (
 )
 from gridfluct.errors import NoSynchronousStateError
 
-from conftest import random_connected_graph
+from conftest import lyapunov_solve_kron, random_connected_graph
 
 
 def make_network(graph, inertia=None, damping=None, power=None, noise=None):

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gridfluct import AssumptionViolatedError, HomogeneousParams, critical_size, trend_report
+from gridfluct import (
+    AssumptionViolatedError,
+    HomogeneousParams,
+    critical_size,
+    star_first_order,
+    trend_report,
+)
 from gridfluct.closedforms import (
     complete_other_frequency,
     complete_source_frequency,
@@ -64,6 +70,19 @@ class TestLimits:
             star_other_line(20, 10.0, 1e-12, 0.2, LEVEL), rel=1e-9
         )
 
+    def test_star_inertia_limits_are_the_first_order_block(self):
+        # The eta -> 0 line limits are the zero-inertia closed form's entries,
+        # bit for bit, across sizes and two decades of each parameter.
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            n = int(rng.integers(3, 61))
+            gamma, eta, damping, level = 10.0 ** rng.uniform(-1.0, 1.0, 4)
+            p = single_source_params(n, 2, level, gamma, eta, damping)
+            limits = trend_report("star", p, 2).limits
+            q_bar = star_first_order(p)
+            assert limits["source_line_inertia_to_zero"] == q_bar[0, 0]
+            assert limits["other_line_inertia_to_zero"] == q_bar[1, 1]
+
 
 class TestCriticalSize:
     def test_reference_values(self):
@@ -118,6 +137,7 @@ class TestTrendReportShape:
         p = single_source_params(9, 1, LEVEL, 3.0, 0.4, 0.7)
         star = trend_report("star", p, 1)
         complete = trend_report("complete", p, 1)
+        assert star.variances == complete.variances
         assert star.derivatives == complete.derivatives
         assert star.limits == complete.limits
         assert star.critical_size == complete.critical_size

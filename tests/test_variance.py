@@ -18,7 +18,6 @@ from gridfluct import (
     first_order_variance,
     incidence,
     laplacian,
-    lyapunov_solve_kron,
     reduce_system,
     simulate_covariance,
     trace_frequency_variance,
@@ -33,6 +32,7 @@ from conftest import (
     count_congruence_fills,
     full_output_matrix,
     homogeneous_system,
+    lyapunov_solve_kron,
     random_connected_graph,
     table1_complete_system,
     uniform_ratio_system,
