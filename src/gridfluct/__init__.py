@@ -25,7 +25,6 @@ included (angle block only).
 from .closedforms import (
     HomogeneousParams,
     closed_form_report,
-    complete_first_order,
     critical_size,
     star_first_order,
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from dataclasses import replace
@@ -34,6 +33,7 @@ from .netfile import (
 from .pipeline import (
     EXACT_ROUTES,
     ROUTES,
+    _dump_json,
     compare_variance,
     run_sweep,
     run_variance,
@@ -91,9 +91,13 @@ def _parser() -> argparse.ArgumentParser:
 def _output(path: str | None):
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ValidationError(f"--out {path}: cannot open for writing: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def _seeded(overrides: dict, args) -> dict:
@@ -122,8 +126,7 @@ def _cmd_solve(args) -> int:
             "secure": report.secure,
             "margins": report.margins.tolist(),
         }
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+        _dump_json(payload, sys.stdout)
     else:
         print("line,from,to,margin")
         for k, ((i, j, _), margin) in enumerate(zip(net.topology.edges, report.margins), start=1):
@@ -133,10 +136,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_variance(args) -> int:
     net = load_network(args.network)
-    mc_overrides = None
-    if args.method == "mc":
-        config = args.mc_config and validate_mc_overrides(_load_json(args.mc_config), args.mc_config)
-        mc_overrides = _seeded(config or {}, args)
+    # --mc-config is checked whatever the route; only mc uses it.
+    config = args.mc_config and validate_mc_overrides(_load_json(args.mc_config), args.mc_config)
+    mc_overrides = _seeded(config or {}, args) if args.method == "mc" else None
     report = run_variance(net, args.method, mc_overrides)
     with _output(args.out) as fh:
         write_report(report, fh, args.format)

@@ -2,9 +2,8 @@
 
 All formulas assume identical inertia eta, identical damping d and
 identical line weights gamma.  The scalar displays and the first-order
-blocks use canonical indices: complete graphs list lines in
-lexicographic order; star graphs have the root at node 1 and line k
-connecting the root to node k + 1.  :func:`closed_form_report`, the one
+star block use canonical indices: the star's root is node 1 and line k
+connects the root to node k + 1.  :func:`closed_form_report`, the one
 report builder, evaluates the same formulas in a network's own node and
 line order: the complete graph's spectral projectors do not depend on the
 node order, a star's only on which node is its root, and each star line's
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolatedError, InvalidGraphError
-from .graphs import canonical_complete, incidence
+from .graphs import incidence
 from .swing import LinearizedSystem
 from .variance import METHOD_CLOSED, CovarianceReport, _ratio_weights, make_report, uniform_value
 
@@ -264,8 +263,8 @@ def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
 
     The frequency diagonal follows the per-node displays, and so does a
     star's angle block.  The complete graph's angle block is
-    (1 / (2 d gamma n)) C^T B^2 C, the zero-inertia block of
-    :func:`complete_first_order`; it reaches :func:`make_report` as the pair
+    (1 / (2 d gamma n)) C^T B^2 C, which does not depend on inertia and so is
+    also the zero-inertia block; it reaches :func:`make_report` as the pair
     (C^T[:, s], diag(b_s^2) / (2 d gamma n)) over the noisy nodes s alone
     (the other nodes' terms are exact zeros).  The remaining entries come
     from the exact cluster evaluation.
@@ -315,16 +314,6 @@ def closed_form_report(lin: LinearizedSystem) -> CovarianceReport:
     q_omega, q_cross = _cluster_covariance(clusters, b_sq, inc, p.eta, p.damping / p.eta)
     np.fill_diagonal(q_omega, diag)
     return make_report(q_delta, q_omega, q_cross, METHOD_CLOSED, {"canonical_kind": kind})
-
-
-def complete_first_order(p: HomogeneousParams) -> np.ndarray:
-    """Zero-inertia angle-difference covariance on the complete graph.
-
-    Identical to the inertial result: (1 / (2 d gamma n)) C^T B^2 C, where
-    C is the canonical complete incidence.
-    """
-    inc = incidence(canonical_complete(p.n, p.gamma))
-    return inc.T @ (p.noise_sq[:, None] * inc) / (2 * p.damping * p.gamma * p.n)
 
 
 def star_first_order(p: HomogeneousParams) -> np.ndarray:

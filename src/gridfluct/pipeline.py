@@ -227,40 +227,39 @@ def _dump_json(payload: dict, fh: TextIO) -> None:
     fh.write("\n")
 
 
-def _unknown_format(fmt: str) -> ValidationError:
-    return ValidationError(f"unknown output format {fmt!r}; use 'csv' or 'json'")
+def _write(fh: TextIO, fmt: str, header: str, lines: Iterable[str],
+           payload: Callable[[], dict]) -> None:
+    """Write ``header`` and ``lines`` as CSV, or ``payload()`` as JSON."""
+    if fmt == "csv":
+        fh.write(header + "\n")
+        fh.writelines(lines)
+    elif fmt == "json":
+        _dump_json(payload(), fh)
+    else:
+        raise ValidationError(f"unknown output format {fmt!r}; use 'csv' or 'json'")
 
 
 def write_report(report: CovarianceReport, fh: TextIO, fmt: str = "csv") -> None:
     """Serialize one report as CSV (long format) or JSON."""
-    if fmt == "csv":
-        fh.write(_REPORT_HEADER + "\n")
-        fh.writelines(_report_lines(report))
-    elif fmt == "json":
-        _dump_json({
-            "method": report.method,
-            **_block_payload(report),
-            "diagnostics": _jsonable(report.diagnostics),
-        }, fh)
-    else:
-        raise _unknown_format(fmt)
+    _write(fh, fmt, _REPORT_HEADER, _report_lines(report), lambda: {
+        "method": report.method,
+        **_block_payload(report),
+        "diagnostics": _jsonable(report.diagnostics),
+    })
 
 
 def write_comparison(comparison: Comparison, fh: TextIO, fmt: str = "csv") -> None:
     """Serialize a route comparison, one row per entry per method."""
     reports = sorted(comparison.reports.items())
-    if fmt == "csv":
-        fh.write(_REPORT_HEADER + ",max_relative_discrepancy\n")
-        suffix = "," + format_number(comparison.max_relative_discrepancy)
-        for _, report in reports:
-            fh.writelines(_report_lines(report, suffix))
-    elif fmt == "json":
-        _dump_json({
+    suffix = "," + format_number(comparison.max_relative_discrepancy)
+    _write(
+        fh, fmt, _REPORT_HEADER + ",max_relative_discrepancy",
+        (line for _, report in reports for line in _report_lines(report, suffix)),
+        lambda: {
             "max_relative_discrepancy": comparison.max_relative_discrepancy,
             "methods": {method: _block_payload(report) for method, report in reports},
-        }, fh)
-    else:
-        raise _unknown_format(fmt)
+        },
+    )
 
 
 def _jsonable(value: Any) -> Any:

@@ -71,7 +71,7 @@ def d_complete_other_frequency_d_size(n, gamma, eta, damping, noise):
     return -g * (2 * d**2 + 2 * g * e * n) * b2 / (d * (2 * d**2 * n + g * e * n**2) ** 2)
 
 
-# -- star graph, single source at leaf node 2 --
+# -- star graph, single source at a leaf --
 
 
 def d_star_leaf_frequency_d_weight(n, gamma, eta, damping, noise):
@@ -132,18 +132,18 @@ def d_star_other_line_d_size(n, gamma, eta, damping, noise):
     return -numer * b2 / (2 * d * g * n**2 * w_star**2)
 
 
-def _require_single_source(p: HomogeneousParams, source: int) -> float:
+def _single_source(p: HomogeneousParams) -> tuple[int, float]:
+    """The disturbed node (1-based) and its noise amplitude."""
     nonzero = p.noise_sq.nonzero()[0]
-    if nonzero.size != 1 or nonzero[0] != source - 1:
+    if nonzero.size != 1:
         raise AssumptionViolatedError(
-            f"exactly one disturbance source at node {source} required; "
+            "exactly one disturbance source required; "
             f"nonzero noise at nodes {[int(i) + 1 for i in nonzero]}"
         )
-    return float(p.noise[source - 1])
+    return int(nonzero[0]) + 1, float(p.noise[nonzero[0]])
 
 
-def _complete_trend(p: HomogeneousParams, source: int, graph_kind: str) -> TrendReport:
-    b = _require_single_source(p, source)
+def _complete_trend(p: HomogeneousParams, source: int, b: float, graph_kind: str) -> TrendReport:
     n, g, e, d = p.n, p.gamma, p.eta, p.damping
     b2 = b**2
 
@@ -185,8 +185,7 @@ def _complete_trend(p: HomogeneousParams, source: int, graph_kind: str) -> Trend
     )
 
 
-def _star_leaf_trend(p: HomogeneousParams) -> TrendReport:
-    b = _require_single_source(p, 2)
+def _star_leaf_trend(p: HomogeneousParams, source: int, b: float) -> TrendReport:
     n, g, e, d = p.n, p.gamma, p.eta, p.damping
     b2 = b**2
 
@@ -223,7 +222,7 @@ def _star_leaf_trend(p: HomogeneousParams) -> TrendReport:
     }
     return TrendReport(
         graph_kind="star",
-        source=2,
+        source=source,
         variances=variances,
         derivatives=derivatives,
         limits=limits,
@@ -233,23 +232,20 @@ def _star_leaf_trend(p: HomogeneousParams) -> TrendReport:
     )
 
 
-def trend_report(graph_kind: str, p: HomogeneousParams, source: int) -> TrendReport:
+def trend_report(graph_kind: str, p: HomogeneousParams) -> TrendReport:
     """The single-source analysis: displayed variances, their derivatives
     and limits, with sign verdicts.
 
-    ``graph_kind`` is ``"complete"`` (any source node) or ``"star"``.  A
-    star disturbed at its root behaves exactly like the complete graph and
-    returns the same quantities; ``source == 2`` selects the leaf-source
-    star analysis.  Other star sources have no displayed scalar set.
+    ``graph_kind`` is ``"complete"`` or ``"star"`` (root at node 1).  The
+    source is the one node with nonzero noise in ``p``; zero or several
+    raise AssumptionViolatedError.  A star disturbed at its root behaves
+    exactly like the complete graph and returns the same quantities; a star
+    disturbed at any leaf gets the leaf analysis, since every leaf of a
+    homogeneous star is equivalent.
     """
-    if graph_kind == "complete":
-        return _complete_trend(p, source, "complete")
-    if graph_kind == "star":
-        if source == 1:
-            return _complete_trend(p, 1, "star")
-        if source == 2:
-            return _star_leaf_trend(p)
-        raise AssumptionViolatedError(
-            "star trend analysis covers a root source (node 1) or leaf source (node 2)"
-        )
-    raise AssumptionViolatedError(f"unknown graph kind {graph_kind!r}; use 'complete' or 'star'")
+    if graph_kind not in ("complete", "star"):
+        raise AssumptionViolatedError(f"unknown graph kind {graph_kind!r}; use 'complete' or 'star'")
+    source, b = _single_source(p)
+    if graph_kind == "star" and source != 1:
+        return _star_leaf_trend(p, source, b)
+    return _complete_trend(p, source, b, graph_kind)

@@ -399,10 +399,13 @@ def asymptotic_variance_numeric(lin: LinearizedSystem) -> CovarianceReport:
 def uniform_value(values: np.ndarray, what: str, entries: str = "nodes") -> float:
     """Common value of positive ``values``, raising when they are not uniform.
 
-    Uniform means |x - mean| <= 1e-9 |mean| for every entry; otherwise an
-    AssumptionViolatedError names ``what`` and the offending (1-based)
-    ``entries``.
+    Equal entries give their value.  Otherwise uniform means
+    |x - mean| <= 1e-9 |mean| for every entry, and the mean is returned;
+    if not, an AssumptionViolatedError names ``what`` and the offending
+    (1-based) ``entries``.
     """
+    if values.min() == values.max():
+        return float(values[0])
     center = float(values.mean())
     offenders = np.flatnonzero(np.abs(values - center) > UNIFORMITY_TOL * abs(center))
     if offenders.size:

@@ -15,8 +15,8 @@ from gridfluct import (
     asymptotic_variance_numeric,
     asymptotic_variance_uniform_ratio,
     closed_form_report,
-    complete_first_order,
     critical_size,
+    first_order_variance,
     smib_variance,
     star_first_order,
     trace_frequency_variance,
@@ -72,7 +72,7 @@ def test_criterion_2_star_route_equivalence():
     numeric = asymptotic_variance_numeric(lin)
     p = HomogeneousParams(n, gamma, eta, d, lin.noise)
     report = closed_form_report(lin)
-    leaf = trend_report("star", p, 2).variances
+    leaf = trend_report("star", p).variances
     elapsed = time.perf_counter() - start
     displayed = [
         (report.q_omega[0, 0], numeric.q_omega[0, 0]),       # root frequency display
@@ -136,9 +136,9 @@ def test_criterion_4_superposition():
 def test_criterion_5_first_order_consistency():
     rng = np.random.default_rng(505)
     noise_c = rng.uniform(0.0, 1.5, 14)
-    p_c = HomogeneousParams(14, 3.0, 0.8, 0.6, noise_c)
-    closed_c = closed_form_report(homogeneous_system("complete", 14, 3.0, 0.8, 0.6, noise_c))
-    complete_gap = float(np.abs(closed_c.q_delta - complete_first_order(p_c)).max())
+    lin_c = homogeneous_system("complete", 14, 3.0, 0.8, 0.6, noise_c)
+    closed_c = closed_form_report(lin_c)
+    complete_gap = float(np.abs(closed_c.q_delta - first_order_variance(lin_c).q_delta).max())
 
     noise_s = rng.uniform(0.0, 1.5, 12)
     q_bar = star_first_order(HomogeneousParams(12, 2.0, 1.0, 1.0, noise_s))
@@ -210,7 +210,7 @@ def test_criterion_6_trend_signs():
                             ],
                         ),
                     ):
-                        report = trend_report(kind, p, 2)
+                        report = trend_report(kind, p)
                         assert all(report.sign_verdicts.values()), (kind, n, gamma, d, eta)
                         for name, fn, at, sign in cases:
                             value = report.derivatives[name]

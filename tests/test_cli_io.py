@@ -396,6 +396,25 @@ class TestReportSerialization:
                     spec, buffer)
         assert buffer.getvalue() == GOLDEN_SWEEP_CSV
 
+    def test_comparison_json(self):
+        net = network_from_dict(network_doc(4, [(1, 2), (1, 3), (1, 4)], noise={2: 0.3}))
+        comparison = compare_variance(net)
+        csv, text = io.StringIO(), io.StringIO()
+        write_comparison(comparison, csv, "csv")
+        write_comparison(comparison, text, "json")
+        payload = json.loads(text.getvalue())
+        assert sorted(payload["methods"]) == ["closed", "numeric", "uniform"]
+        for method, blocks in payload["methods"].items():
+            report = comparison.reports[method]
+            assert sorted(blocks) == ["q_delta", "q_delta_omega", "q_omega"]
+            assert np.shape(blocks["q_delta"]) == (3, 3)
+            assert np.shape(blocks["q_omega"]) == (4, 4)
+            assert np.shape(blocks["q_delta_omega"]) == (4, 3)
+            for name in blocks:
+                np.testing.assert_array_equal(blocks[name], getattr(report, name))
+        last = {float(row.rsplit(",", 1)[1]) for row in csv.getvalue().splitlines()[1:]}
+        assert last == {payload["max_relative_discrepancy"]}
+
     def test_seventeen_digit_numbers_round_trip(self):
         rng = np.random.default_rng(3)
         for value in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
@@ -866,6 +885,48 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
         assert main(["variance", str(path), "--method", method, "--mc-config", str(config)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and lines[1].startswith("omega,1,1,")
+
+    @pytest.mark.parametrize("command", ["variance", "compare", "sweep", "simulate"])
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    def test_unopenable_out_exits_two(self, tmp_path, capsys, monkeypatch, command, target):
+        monkeypatch.chdir(tmp_path)
+        write_doc(tmp_path, network_doc(2, [(1, 2)], inertia=1.0, damping=5.0, noise={1: 1.0},
+                                        capacity=1.0))
+        write_doc(tmp_path, {"trajectories": 4}, "mc.json")
+        write_doc(tmp_path, sweep_doc(noise={"1": 1.0}, n=2), "sweep.json")
+        argv = {
+            "variance": ["variance", "net.json", "--method", "closed"],
+            "compare": ["compare", "net.json"],
+            "sweep": ["sweep", "--spec", "sweep.json"],
+            "simulate": ["simulate", "net.json", "--mc-config", "mc.json"],
+        }[command]
+        assert main([*argv, "--out", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridfluct: --out {target}: cannot open for writing: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("config, message", [
+        (None, "No such file"),
+        ({"trajectories": 1}, "trajectories: expected at least 2, got 1"),
+    ])
+    def test_mc_config_is_checked_whatever_the_route(self, tmp_path, capsys, config, message):
+        net_path = write_doc(tmp_path, network_doc(3, complete_lines(3), noise={2: 0.1}))
+        mc_path = tmp_path / "mc.json"
+        if config is not None:
+            mc_path.write_text(json.dumps(config))
+        assert main(["variance", str(net_path), "--method", "numeric",
+                     "--mc-config", str(mc_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gridfluct: {mc_path}: ") and message in err
+
+    def test_valid_mc_config_leaves_other_routes_unchanged(self, tmp_path, capsys):
+        net_path = write_doc(tmp_path, network_doc(3, complete_lines(3), noise={2: 0.1}))
+        mc_path = write_doc(tmp_path, {"trajectories": 4, "master_seed": 9}, "mc.json")
+        argv = ["variance", str(net_path), "--method", "numeric"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--mc-config", str(mc_path)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_single_node_network_has_no_closed_form(self, tmp_path, capsys):
         # The closed route names its assumption; compare skips it.

@@ -15,7 +15,6 @@ from gridfluct import (
     canonical_complete,
     canonical_star,
     closed_form_report,
-    complete_first_order,
     first_order_variance,
     star_first_order,
     trend_report,
@@ -90,7 +89,7 @@ class TestCompleteReport:
 
 class TestCompleteSingleSource:
     def test_matches_report_specialization(self):
-        summary = trend_report("complete", TABLE1, 2).variances
+        summary = trend_report("complete", TABLE1).variances
         report = closed_form_report(to_system("complete", TABLE1))
         assert summary["source_frequency"] == pytest.approx(report.q_omega[1, 1], rel=1e-12)
         assert summary["other_frequency"] == pytest.approx(report.q_omega[0, 0], rel=1e-12)
@@ -101,33 +100,37 @@ class TestCompleteSingleSource:
 
     def test_sum_rule(self):
         p = params(9, 4.0, 0.8, 0.6, single_source(9, 3, 1.1))
-        summary = trend_report("complete", p, 3).variances
+        summary = trend_report("complete", p).variances
         total = summary["source_frequency"] + 8 * summary["other_frequency"]
         assert total == pytest.approx(1.1**2 / (2 * p.damping * p.eta), rel=1e-12)
 
     def test_large_size_approaches_single_machine(self):
         level, d, eta = 0.7, 0.4, 0.9
         p = params(10**6, 5.0, eta, d, single_source(10**6, 1, level))
-        summary = trend_report("complete", p, 1).variances
+        summary = trend_report("complete", p).variances
         assert summary["source_frequency"] == pytest.approx(
             level**2 / (2 * d * eta), rel=1e-4
         )
 
     def test_multiple_sources_rejected(self):
         with pytest.raises(AssumptionViolatedError):
-            trend_report("complete", params(4, 1.0, 1.0, 1.0, [1.0, 1.0, 0.0, 0.0]), 1)
+            trend_report("complete", params(4, 1.0, 1.0, 1.0, [1.0, 1.0, 0.0, 0.0]))
 
 
 class TestCompleteFirstOrder:
+    # The complete graph's angle block does not depend on inertia, so the
+    # closed report's block is also the zero-inertia one.
     def test_equals_inertial_angle_block(self):
-        q_bar = complete_first_order(TABLE1)
-        closed = closed_form_report(to_system("complete", TABLE1))
-        np.testing.assert_allclose(q_bar, closed.q_delta, atol=1e-12)
+        lin = to_system("complete", TABLE1)
+        q_bar = first_order_variance(lin).q_delta
+        np.testing.assert_allclose(q_bar, closed_form_report(lin).q_delta, atol=1e-12)
 
     def test_single_source_line_values(self):
         level = 0.8
         p = params(6, 2.0, 1.0, 0.5, single_source(6, 3, level))
-        q_bar = complete_first_order(p)
+        lin = to_system("complete", p)
+        q_bar = closed_form_report(lin).q_delta
+        np.testing.assert_allclose(q_bar, first_order_variance(lin).q_delta, atol=1e-12)
         expected = level**2 / (2 * p.damping * p.gamma * p.n)
         k = 0
         for i in range(1, 7):
@@ -140,8 +143,9 @@ class TestCompleteFirstOrder:
         rng = np.random.default_rng(9)
         noise = rng.uniform(0, 1.5, 10)
         p = params(10, 1.7, 1.0, 0.6, noise)
-        engine = first_order_variance(to_system("complete", p))
-        np.testing.assert_allclose(complete_first_order(p), engine.q_delta, atol=1e-11)
+        lin = to_system("complete", p)
+        engine = first_order_variance(lin)
+        np.testing.assert_allclose(closed_form_report(lin).q_delta, engine.q_delta, atol=1e-11)
 
 
 class TestStarReport:
@@ -162,7 +166,7 @@ class TestStarReport:
     def test_root_source_reproduces_corollary(self):
         p = params(12, 6.0, 0.3, 0.8, single_source(12, 1, 0.6))
         report = closed_form_report(to_system("star", p))
-        summary = trend_report("star", p, 1).variances
+        summary = trend_report("star", p).variances
         assert report.q_omega[0, 0] == pytest.approx(summary["source_frequency"], rel=1e-12)
         assert report.q_omega[3, 3] == pytest.approx(summary["other_frequency"], rel=1e-12)
         np.testing.assert_allclose(
@@ -174,7 +178,7 @@ class TestStarSingleSource:
     def test_root_case_equals_complete_formulas(self):
         # A star disturbed at its root has the complete graph's scalar set.
         p = params(15, 3.0, 0.6, 0.4, single_source(15, 1, 0.9))
-        root = trend_report("star", p, 1).variances
+        root = trend_report("star", p).variances
         numeric = asymptotic_variance_numeric(to_system("star", p))
         assert root["source_frequency"] == pytest.approx(numeric.q_omega[0, 0], rel=1e-8)
         assert root["other_frequency"] == pytest.approx(numeric.q_omega[4, 4], rel=1e-8)
@@ -182,7 +186,7 @@ class TestStarSingleSource:
 
     def test_leaf_sum_rule(self):
         p = params(11, 5.0, 0.7, 0.3, single_source(11, 2, 0.8))
-        leaf = trend_report("star", p, 2).variances
+        leaf = trend_report("star", p).variances
         total = (
             leaf["root_frequency"]
             + leaf["leaf_frequency"]
@@ -192,7 +196,7 @@ class TestStarSingleSource:
 
     def test_leaf_against_numeric(self):
         p = params(10, 10.0, 0.5, 0.2, single_source(10, 2, 0.5))
-        leaf = trend_report("star", p, 2).variances
+        leaf = trend_report("star", p).variances
         numeric = asymptotic_variance_numeric(to_system("star", p))
         assert leaf["root_frequency"] == pytest.approx(numeric.q_omega[0, 0], rel=1e-8)
         assert leaf["leaf_frequency"] == pytest.approx(numeric.q_omega[1, 1], rel=1e-8)
@@ -200,11 +204,10 @@ class TestStarSingleSource:
         assert leaf["source_line"] == pytest.approx(numeric.q_delta[0, 0], rel=1e-8)
         assert leaf["other_line"] == pytest.approx(numeric.q_delta[4, 4], rel=1e-8)
 
-    def test_wrong_source_rejected(self):
-        with pytest.raises(AssumptionViolatedError):
-            trend_report("star", params(5, 1.0, 1.0, 1.0, single_source(5, 3, 1.0)), 2)
-        with pytest.raises(AssumptionViolatedError):
-            trend_report("complete", params(5, 1.0, 1.0, 1.0, single_source(5, 2, 1.0)), 1)
+    def test_no_source_rejected(self):
+        for kind in ("star", "complete"):
+            with pytest.raises(AssumptionViolatedError):
+                trend_report(kind, params(5, 1.0, 1.0, 1.0, np.zeros(5)))
 
 
 class TestStarFirstOrder:
@@ -356,7 +359,7 @@ def signed_permutation_reference(kind, lin, node_map):
     """The closed report of the canonical system gathered into the network's
     order, each line's entries signed by whether its orientation matches the
     canonical one.  Both systems hold the same uniform parameter arrays, so
-    the closed route reads the same means from each."""
+    the closed route reads the same values from each."""
     n = lin.node_count
     canonical = (canonical_complete if kind == "complete" else canonical_star)(n)
     position = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(canonical.tails, canonical.heads))}
@@ -395,3 +398,42 @@ def test_closed_route_is_signed_permutation_of_canonical(kind, n, root_fraction,
         else:
             # A star's noise trace and projector products sum in another node order.
             assert np.abs(block - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def test_closed_report_entries_are_the_trend_variances():
+    # One answer per quantity: relabelled nodes, shuffled and flipped lines,
+    # three-digit parameters and one source at any node; every frequency and
+    # angle diagonal entry of the closed report is the trend analysis's
+    # value, bit for bit.
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        kind = ("complete", "star")[int(rng.integers(2))]
+        n = int(rng.integers(2 if kind == "complete" else 3, 21))
+        gamma, eta, damping, level = rng.integers(1, 1000, 4) / 100
+        source = int(rng.integers(n))
+        noise = np.zeros(n)
+        noise[source] = level
+        values = trend_report(kind, HomogeneousParams(n, gamma, eta, damping, noise)).variances
+
+        where = rng.permutation(n)  # canonical node c is the network's node where[c]
+        canonical = (canonical_complete if kind == "complete" else canonical_star)(n)
+        ends = np.column_stack((canonical.tails, canonical.heads))
+        flip = rng.random(len(ends)) < 0.5
+        ends[flip] = ends[flip, ::-1]
+        ends = where[ends[rng.permutation(len(ends))]]
+        graph = WeightedGraph(n, [(int(i) + 1, int(j) + 1, gamma) for i, j in ends])
+        ones = np.ones(n)
+        net_noise = np.zeros(n)
+        net_noise[where] = noise
+        report = closed_form_report(LinearizedSystem(graph, eta * ones, damping * ones, net_noise))
+
+        leaf = kind == "star" and source != 0
+        frequency = np.full(n, values["other_frequency"])
+        frequency[source] = values["leaf_frequency" if leaf else "source_frequency"]
+        if leaf:
+            frequency[0] = values["root_frequency"]
+        assert np.all(report.q_omega.diagonal()[where] == frequency)
+        touches = (ends == where[source]).any(axis=1)
+        line = np.where(touches, values["source_line" if leaf else "incident_line"],
+                        values["other_line"])
+        assert np.all(report.q_delta.diagonal() == line)

@@ -39,7 +39,7 @@ LEVEL = 0.7
 class TestLimits:
     def test_complete_weight_limits(self):
         p = single_source_params(20, 2, LEVEL, 10.0, 0.5, 0.3)
-        report = trend_report("complete", p, 2)
+        report = trend_report("complete", p)
         huge = 1e10
         assert report.limits["source_frequency_weight_to_inf"] == pytest.approx(
             complete_source_frequency(20, huge, 0.5, 0.3, LEVEL), rel=1e-6
@@ -56,7 +56,7 @@ class TestLimits:
 
     def test_star_leaf_limits(self):
         p = single_source_params(20, 2, LEVEL, 10.0, 0.5, 0.2)
-        report = trend_report("star", p, 2)
+        report = trend_report("star", p)
         assert report.limits["leaf_frequency_weight_to_inf"] == pytest.approx(
             star_leaf_frequency(20, 1e10, 0.5, 0.2, LEVEL), rel=1e-6
         )
@@ -78,7 +78,7 @@ class TestLimits:
             n = int(rng.integers(3, 61))
             gamma, eta, damping, level = 10.0 ** rng.uniform(-1.0, 1.0, 4)
             p = single_source_params(n, 2, level, gamma, eta, damping)
-            limits = trend_report("star", p, 2).limits
+            limits = trend_report("star", p).limits
             q_bar = star_first_order(p)
             assert limits["source_line_inertia_to_zero"] == q_bar[0, 0]
             assert limits["other_line_inertia_to_zero"] == q_bar[1, 1]
@@ -135,24 +135,28 @@ class TestLowerBound:
 class TestTrendReportShape:
     def test_star_root_equals_complete(self):
         p = single_source_params(9, 1, LEVEL, 3.0, 0.4, 0.7)
-        star = trend_report("star", p, 1)
-        complete = trend_report("complete", p, 1)
+        star = trend_report("star", p)
+        complete = trend_report("complete", p)
         assert star.variances == complete.variances
         assert star.derivatives == complete.derivatives
         assert star.limits == complete.limits
         assert star.critical_size == complete.critical_size
 
-    def test_star_interior_source_rejected(self):
-        p = single_source_params(9, 3, LEVEL, 3.0, 0.4, 0.7)
-        with pytest.raises(AssumptionViolatedError):
-            trend_report("star", p, 3)
+    def test_star_leaf_sources_are_equivalent(self):
+        # Every leaf of a homogeneous star is equivalent; the source is read from the noise.
+        at_2 = trend_report("star", single_source_params(9, 2, LEVEL, 3.0, 0.4, 0.7))
+        at_3 = trend_report("star", single_source_params(9, 3, LEVEL, 3.0, 0.4, 0.7))
+        assert (at_2.source, at_3.source) == (2, 3)
+        assert at_3.variances == at_2.variances
+        assert at_3.derivatives == at_2.derivatives
+        assert at_3.limits == at_2.limits
 
     def test_unknown_kind_rejected(self):
         p = single_source_params(5, 2, LEVEL, 1.0, 1.0, 1.0)
         with pytest.raises(AssumptionViolatedError):
-            trend_report("ring", p, 2)
+            trend_report("ring", p)
 
     def test_multi_source_rejected(self):
         p = HomogeneousParams(5, 1.0, 1.0, 1.0, np.ones(5))
         with pytest.raises(AssumptionViolatedError):
-            trend_report("complete", p, 2)
+            trend_report("complete", p)

@@ -107,6 +107,13 @@ class TestMakeReport:
         with np.errstate(over="ignore"), pytest.raises(InternalInvariantError, match="non-finite"):
             make_report((np.full((3, 1), 1e200), np.ones((1, 1))), None, None, "test")
 
+    def test_finite_block_past_the_overflow_bound_is_accepted(self):
+        # 4 k max|L X| max|L| is infinite, so the diagonal scale is read from
+        # the built block, whose every entry is finite.
+        lines, core = np.array([[1.0, 0.0], [0.0, 1e300]]), np.diag([1e300, 1e-300])
+        report = make_report((lines, core), None, None, "test")
+        assert np.array_equal(report.q_delta, np.diag([1e300, 1e300]))
+
     def test_factored_psd_verdict_matches_dense(self):
         """The core check raises exactly when the dense block's smallest
         eigenvalue is below the floor, with the block's nonzero eigenvalues
