@@ -13,9 +13,11 @@ and ``sweep --seed 3`` of an ``mc`` and ``first-order`` sweep on a complete
 n=2 graph, whose CSV has empty cells and ``_stderr`` columns.
 Each output's digest covers the exit code, the output file and the CLI's
 error message, so a route that exits 2 is covered too.
-Last come numeric ``variance`` csv and ``compare`` csv on a complete n=33
+Then come numeric ``variance`` csv and ``compare`` csv on a complete n=33
 graph shuffled the same way, whose 528 lines take more than one tile of
-``variance.TILE_COLS`` columns in a panel row.
+``variance.TILE_COLS`` columns in a panel row.  Last come closed
+``variance`` csv and ``compare`` csv on that graph with noise at one node,
+whose closed angle block has a one-column factor.
 
 Prints one ``<sha256>  <name>`` line per output and a last
 ``<sha256>  combined`` line over all of them.  Two checkouts whose combined
@@ -57,8 +59,9 @@ def node(label: str, inertia: float, damping: float, power: float, noise: float)
     return {"id": label, "inertia": inertia, "damping": damping, "power": power, "noise": noise}
 
 
-def shuffled_complete_doc(n: int = 20) -> dict:
-    """Homogeneous complete graph, lines listed in random order and direction."""
+def shuffled_complete_doc(n: int = 20, noise: dict[int, float] | None = None) -> dict:
+    """Homogeneous complete graph, lines listed in random order and direction,
+    with ``noise`` at its 0-based nodes (by default 0.04 at 2, 0.02 at 7)."""
     rng = np.random.default_rng(20)
     labels = [f"bus-{k}" for k in rng.permutation(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -68,7 +71,7 @@ def shuffled_complete_doc(n: int = 20) -> dict:
         if rng.random() < 0.5:
             i, j = j, i
         lines.append({"from": labels[i], "to": labels[j], "capacity": 10.0})
-    noise = {2: 0.04, 7: 0.02}
+    noise = {2: 0.04, 7: 0.02} if noise is None else noise
     nodes = [node(labels[i], 0.5, 0.3, 0.0, noise.get(i, 0.0)) for i in range(n)]
     return {"schema_version": 1, "nodes": nodes, "lines": lines}
 
@@ -161,6 +164,11 @@ def outputs(work: Path) -> list[tuple[str, str]]:
     argv = ["variance", str(complete33), "--method", "numeric"]
     results.append(("complete33 variance numeric csv", run(argv, out)))
     results.append(("complete33 compare csv", run(["compare", str(complete33)], out)))
+    single33 = work / "single33.json"
+    single33.write_text(json.dumps(shuffled_complete_doc(33, {5: 0.04})))
+    argv = ["variance", str(single33), "--method", "closed"]
+    results.append(("single33 variance closed csv", run(argv, out)))
+    results.append(("single33 compare csv", run(["compare", str(single33)], out)))
     return results
 
 

@@ -100,38 +100,51 @@ class Comparison:
     max_relative_discrepancy: float
 
 
-def _discrepancy(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
-    """max |a - b| / scale over entries, in one temporary."""
-    diff = np.subtract(a, b)
-    np.abs(diff, out=diff)
-    np.divide(diff, scale, out=diff)
-    return float(diff.max(initial=0.0))
+def _worst_discrepancy(worst: float, b: np.ndarray, diffs: Iterable[np.ndarray]) -> float:
+    """The larger of ``worst`` and max |d| / (1 + |b|) over the entries of
+    each difference d = a - b in ``diffs``, which it overwrites.
+
+    As 1 + |b| >= 1, no ratio of a d exceeds its max |d|; so the ratios, and
+    1 + |b|, are formed only for a d whose max |d| is above the running
+    worst, and the result has the bits of the full maximum.
+    """
+    scale = None
+    for diff in diffs:
+        if not max(diff.max(initial=0.0), -diff.min(initial=0.0)) > worst:
+            continue
+        if scale is None:
+            scale = np.abs(b)
+            scale += 1.0
+        np.abs(diff, out=diff)
+        np.divide(diff, scale, out=diff)
+        worst = max(worst, float(diff.max(initial=0.0)))
+    return worst
 
 
 def relative_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| / (1 + |b|) over entries."""
-    return _discrepancy(a, b, 1.0 + np.abs(b))
+    return _worst_discrepancy(0.0, b, [np.subtract(a, b)])
 
 
 def _symmetric_discrepancy(
-    others: list[np.ndarray | Congruence], reference: np.ndarray | Congruence
+    others: list[np.ndarray | Congruence], reference: np.ndarray | Congruence, worst: float = 0.0
 ) -> float:
-    """Largest :func:`relative_discrepancy` of each symmetric block in
-    ``others`` against ``reference``, read from the blocks as the reports
-    hold them, tile by tile (``variance.upper_tiles``).
+    """The larger of ``worst`` and the largest :func:`relative_discrepancy`
+    of each symmetric block in ``others`` against ``reference``, read from
+    the blocks as the reports hold them, tile by tile
+    (``variance.upper_tiles``).
 
-    Each tile entry has the bits of the built block's entry, and built
-    blocks are exactly symmetric, so the upper triangle gives the same
-    maximum as the whole block, in memory that does not grow with the block.
+    Each tile entry has the bits of the built block's entry, except that it
+    may be -0 where the built entry is +0, which changes no |a - b| and no
+    1 + |b|; built blocks are exactly symmetric, so the upper triangle gives
+    the same maximum as the whole block, in memory that does not grow with
+    the block.
     """
-    worst = 0.0
     if not others:
         return worst
     for (_, _, tile), *tiles in zip(upper_tiles(reference), *map(upper_tiles, others)):
-        scale = np.abs(tile)
-        scale += 1.0
-        for _, _, other in tiles:
-            worst = max(worst, _discrepancy(other, tile, scale))
+        diffs = (np.subtract(other, tile, out=other) for _, _, other in tiles)
+        worst = _worst_discrepancy(worst, tile, diffs)
     return worst
 
 
@@ -163,11 +176,12 @@ def compare_variance(net: PowerNetwork, methods: Iterable[str] | None = None) ->
 
     reference = reports["numeric"]
     others = [report for method, report in reports.items() if method != "numeric"]
-    worst = max(
-        _symmetric_discrepancy([r.delta for r in others], reference.delta),
-        _symmetric_discrepancy([r.omega for r in others], reference.omega),
-        *(relative_discrepancy(r.q_delta_omega, reference.q_delta_omega) for r in others),
-    )
+    # The small blocks first: the worst they set lets most angle tiles skip
+    # their ratios.
+    cross = reference.q_delta_omega
+    worst = _worst_discrepancy(0.0, cross, (r.q_delta_omega - cross for r in others))
+    worst = _symmetric_discrepancy([r.omega for r in others], reference.omega, worst)
+    worst = _symmetric_discrepancy([r.delta for r in others], reference.delta, worst)
     return Comparison(reports, worst)
 
 

@@ -24,10 +24,13 @@ uniform-ratio and first-order routes map their modal state covariance
 [[G, S], [S^T, R]] by one :func:`_modal_report`: the angle block is
 L G L^T with an m x (n-1) line map L and the frequency block N R N^T with
 an n x n node map N.  Each reaches :func:`make_report` as the pair (L, G)
-or (N, R), whose symmetry and positive semi-definiteness are decided on
-the small core, and is kept as a :class:`Congruence`: single entries are
-read from the factors, and the whole block is built, exactly symmetric,
-from the tiles of :func:`upper_tiles` when it is first read;
+or (N, R), whose symmetry is decided on the core and positive
+semi-definiteness on F X F^T, at most k x k, with F the map's PSD factor
+(:func:`_psd_factor`: from the ``eigh`` of its Gram matrix L^T L for a
+tall map, the map itself otherwise).  It is kept as a
+:class:`Congruence`: single entries are read from the factors, and the
+whole block is built, exactly symmetric, from the tiles of
+:func:`upper_tiles` when it is first read;
 ``pipeline.compare_variance`` reads the same tiles without building it, so
 its memory does not grow with the block.  Monte Carlo blocks and the
 closed star angle and frequency blocks arrive dense and are checked as
@@ -104,6 +107,8 @@ class Congruence:
         m = self.lines.shape[0]
         out = np.empty((m, m))
         for i, j, tile in upper_tiles(self):
+            if self.lines.shape[1] == 1:
+                tile += 0.0  # -0 + 0 is +0, the matrix product's zero
             rows, columns = slice(i, i + tile.shape[0]), slice(j, j + tile.shape[1])
             out[rows, columns] = tile
             out[columns, rows] = tile.T
@@ -171,9 +176,14 @@ def upper_tiles(block: np.ndarray | Congruence) -> Iterator[tuple[int, int, np.n
     [j, j + its width).  A :class:`Congruence`'s tile is
     (L X)[rows] L[columns]^T, and in the panel's first tile the leading
     square, which holds the diagonal, is averaged with its transpose; a
-    dense block's tile is a view of the block, which :func:`make_report`
-    keeps exactly symmetric.  Any one tile holds at most
+    dense block's tile is a copy of the block's entries, which
+    :func:`make_report` keeps exactly symmetric.  Each tile is a new array,
+    which the caller may overwrite, and holds at most
     PANEL_ROWS x 2 TILE_COLS entries, whatever the block's size.
+
+    When L has one column, each entry is one product, formed by
+    broadcasting: it has the matrix product's bits, except that it can be
+    -0 where the matrix product, a sum from +0, is +0.
     """
     m = block.shape[0]
     for i in range(0, m, PANEL_ROWS):
@@ -182,12 +192,13 @@ def upper_tiles(block: np.ndarray | Congruence) -> Iterator[tuple[int, int, np.n
         for j in range(i, m, width):
             stop = min(j + width, m)
             if isinstance(block, Congruence):
-                tile = block.left[i:end] @ block.lines[j:stop].T
+                left, lines = block.left[i:end], block.lines[j:stop]
+                tile = left * lines[:, 0] if lines.shape[1] == 1 else left @ lines.T
                 if j == i:
                     square = tile[:, : end - i]
                     square[...] = 0.5 * (square + square.T)
             else:
-                tile = block[i:end, j:stop]
+                tile = block[i:end, j:stop].copy()
             yield i, j, tile
 
 
@@ -212,9 +223,19 @@ def _diagonal_scale(block: Congruence, name: str) -> float:
 
 def _psd_factor(lines: np.ndarray) -> np.ndarray:
     """PSD factor F of an m x k map L: F X F^T is at most k x k and has the
-    nonzero eigenvalues of L X L^T.  F is R from qr(L) when L is tall
-    (m > k), as L X L^T = Q (R X R^T) Q^T, and L itself otherwise."""
-    return np.linalg.qr(lines, mode="r") if lines.shape[0] > lines.shape[1] else lines
+    nonzero eigenvalues of L X L^T.
+
+    A tall L (m > k) is factored through its k x k Gram matrix
+    L^T L = V diag(s) V^T (``eigh``): F = diag(sqrt(max(s, 0))) V^T, so that
+    F^T F = L^T L and, by L's SVD, L = Q F for some Q with orthonormal
+    columns, whence L X L^T = Q (F X F^T) Q^T.  ``eigh`` rather than
+    Cholesky, as L may be rank-deficient (the closed form's incidence
+    factor over all nodes is).  Any other L is its own factor.
+    """
+    if lines.shape[0] <= lines.shape[1]:
+        return lines
+    s, v = np.linalg.eigh(lines.T @ lines)
+    return np.sqrt(np.maximum(s, 0.0))[:, None] * v.T
 
 
 def _checked_symmetric(
@@ -246,8 +267,8 @@ def _checked_symmetric(
     else:
         checked = Congruence(lines, core)
         scale = _diagonal_scale(checked, name)
-        r = _psd_factor(lines) if factor is None else factor
-        core = r @ core @ r.T
+        f = _psd_factor(lines) if factor is None else factor
+        core = f @ core @ f.T
     if core.size and np.linalg.eigvalsh(core).min() < PSD_FLOOR * scale:
         raise InternalInvariantError(f"{name} block is not positive semi-definite")
     return checked
@@ -266,14 +287,15 @@ def make_report(
     ``q_delta`` and ``q_omega`` are each a dense block or a pair (L, X)
     meaning L X L^T, with L of any shape.  A pair's symmetry is decided on
     X and its positive semi-definiteness on F X F^T, at most k x k, with F
-    from :func:`_psd_factor` (R of qr(L) for a tall L, else L itself), at
-    O(m k^2) instead of O(m^3) cost for an m x k map L; ``delta_factor`` is
-    the angle pair's F when the caller has it, else None.  The PSD floor is
-    scaled by the block's largest diagonal entry, read from L X in O(mk).
-    The pair is kept unbuilt: the report builds it, exactly symmetric, when
-    ``q_delta`` or ``q_omega`` is first read, so a caller that reads single
-    entries never holds the m x m array.  A dense block is checked as given and kept as (B + B^T) / 2,
-    with a PSD floor scaled by its largest |entry|.
+    from :func:`_psd_factor` (from the Gram matrix L^T L for a tall L, else
+    L itself), at O(m k^2) instead of O(m^3) cost for an m x k map L;
+    ``delta_factor`` is the angle pair's F when the caller has it, else
+    None.  The PSD floor is scaled by the block's largest diagonal entry,
+    read from L X in O(mk).  The pair is kept unbuilt: the report builds
+    it, exactly symmetric, when ``q_delta`` or ``q_omega`` is first read,
+    so a caller that reads single entries never holds the m x m array.  A
+    dense block is checked as given and kept as (B + B^T) / 2, with a PSD
+    floor scaled by its largest |entry|.
 
     Raises InternalInvariantError when a block has a non-finite entry or a
     symmetric block breaks either invariant.

@@ -234,6 +234,37 @@ class TestCompareByPanels:
             )
             assert comparison.max_relative_discrepancy.hex() == built.hex(), methods
 
+    def test_tiles_that_cannot_raise_the_maximum_are_skipped_exactly(self):
+        # Dense m = 600 blocks make five tiles: (0, 0), (0, 256), (0, 512),
+        # (256, 256), (512, 512).  The largest |a - b| sits in the second
+        # (against |b| = 1e6), the largest ratio in the last, where a < b
+        # and max |a - b| is at most twice the ratio found in the first.
+        rng = np.random.default_rng(600)
+        m = 600
+        b = rng.standard_normal((m, m))
+        b = 0.5 * (b + b.T)
+        planted = {(10, 300): (1e6, 1.0), (3, 5): (0.0, 0.4), (550, 560): (0.0, -0.5)}
+        a = b.copy()
+        for (i, j), (value, gap) in planted.items():
+            b[i, j] = b[j, i] = value
+            a[i, j] = a[j, i] = value + gap
+        near = b + 1e-3 * np.abs(rng.standard_normal((m, m)))
+        near = 0.5 * (near + near.T)
+        tiles = [(i, j, tile.shape) for i, j, tile in variance.upper_tiles(b)]
+        assert [(i, j) for i, j, _ in tiles] == [(0, 0), (0, 256), (0, 512), (256, 256), (512, 512)]
+        gap = np.abs(a - b)
+        ratio = gap / (1.0 + np.abs(b))
+        assert np.unravel_index(gap.argmax(), gap.shape) == (10, 300)
+        assert np.unravel_index(ratio.argmax(), ratio.shape) == (550, 560)
+        assert ratio.max() <= 2 * ratio[:256, :256].max()
+        kept = [block.copy() for block in (a, near, b)]
+        whole = max(relative_discrepancy(a, b), relative_discrepancy(near, b))
+        assert whole.hex() == float(ratio.max()).hex()
+        for others in ([a, near], [near, a]):
+            assert pipeline._symmetric_discrepancy(others, b).hex() == whole.hex()
+        # The differences are formed in the tiles, never in the blocks.
+        assert all(np.array_equal(x, y) for x, y in zip(kept, (a, near, b)))
+
     def test_numeric_matches_closed_across_the_leaf(self):
         # complete n=60 has 119 reduced states, so its solve recurses.  The
         # cross block is 5e4 times smaller than the frequency block and is
@@ -263,8 +294,11 @@ class TestCompareByPanels:
         assert len(factored) == 5
         assert builds == [] and not any("array" in vars(block) for block in factored)
 
-    @pytest.mark.parametrize("noise", [{17: 0.04}, {2: 0.04, 5: 0.1, 8: 0.02}, {}],
-                             ids=["one-source", "three-sources", "no-noise"])
+    @pytest.mark.parametrize(
+        "noise",
+        [{17: 0.04}, {2: 0.04, 5: 0.1, 8: 0.02}, {}, dict.fromkeys(range(1, 25), 0.04)],
+        ids=["one-source", "three-sources", "no-noise", "every-node"],
+    )
     def test_closed_complete_factor_has_one_column_per_noisy_node(self, noise):
         net = network_from_dict(network_doc(24, complete_lines(24), noise=noise))
         comparison = compare_variance(net)

@@ -163,6 +163,59 @@ class TestMakeReport:
         with pytest.raises(InternalInvariantError, match="angle-difference block is not positive"):
             make_report((square, core), None, None, "test")
 
+    def test_gram_factor_of_a_tall_modal_map(self, monkeypatch):
+        # complete n=24's 276 x 23 line map.  Line weights and inertia are
+        # spread, so that L^T L is not diagonal: with equal inertia it is a
+        # multiple of I, and with equal weights it is diagonal.  A valid
+        # core whose block has one zero eigenvalue passes; moving that
+        # eigenvalue by -1e-9 scale raises, and by -5e-11 scale (above the
+        # -1e-10 scale floor) passes.
+        rng = np.random.default_rng(24)
+        base = shuffled_complete_system(rng, 24)
+        edges = tuple((i, j, w * rng.uniform(0.5, 1.5)) for i, j, w in base.graph.edges)
+        inertia = rng.uniform(0.2, 3.0, 24)
+        lin = LinearizedSystem(WeightedGraph(24, edges), inertia, 0.6 * inertia, base.noise)
+        lines = variance.modal_basis(lin, "inertia").lines
+        m, k = lines.shape
+        assert m > k
+        factor = variance._psd_factor(lines)
+        gram = lines.T @ lines
+        assert np.abs(gram - np.diag(gram.diagonal())).max() > 0.01 * np.abs(gram).max()
+        assert factor.shape == (k, k)
+        assert np.abs(factor.T @ factor - gram).max() <= 1e-13 * np.abs(gram).max()
+
+        # The numeric route's G, scaled so that its block's largest diagonal
+        # entry is about 100; then R G R^T with its smallest eigenvalue set
+        # to 0, R from a QR of the map, so that L X L^T = Q (R X R^T) Q^T has
+        # known eigenvalues.
+        def diagonal(core):
+            return np.einsum("ij,ij->i", lines @ core, lines).max()
+
+        g = variance.asymptotic_variance_numeric(lin).delta.core
+        g = g * (100.0 / diagonal(g))
+        r = np.linalg.qr(lines, mode="r")
+        eigs, vecs = np.linalg.eigh(r @ g @ r.T)
+        eigs[0] = 0.0
+        core = np.linalg.solve(r, np.linalg.solve(r, (vecs * eigs) @ vecs.T).T)
+        direction = np.linalg.solve(r, vecs[:, 0])
+        scale = diagonal(core)
+        assert 50.0 < scale < 200.0
+        make_report((lines, core), None, None, "test")
+        make_report((lines, core - 5e-11 * scale * np.outer(direction, direction)), None, None, "test")
+        with pytest.raises(InternalInvariantError, match="angle-difference block is not positive"):
+            make_report((lines, core - 1e-9 * scale * np.outer(direction, direction)), None, None, "test")
+
+        # The numeric route's own check on this map, with a negated solution.
+        real_solve = variance.lyapunov_solve_with_abscissa
+
+        def negated(a, w):
+            q, abscissa = real_solve(a, w)
+            return -q, abscissa
+
+        monkeypatch.setattr(variance, "lyapunov_solve_with_abscissa", negated)
+        with pytest.raises(InternalInvariantError, match="angle-difference block is not positive"):
+            variance.asymptotic_variance_numeric(lin)
+
     @pytest.mark.parametrize(
         "network, routes",
         [
@@ -327,17 +380,23 @@ def panel_build(lines, core):
 
 
 class TestTiles:
-    @pytest.mark.parametrize("m, k", [(7, 3), (300, 40), (512, 40), (513, 40), (1100, 40), (1770, 59)])
+    @pytest.mark.parametrize(
+        "m, k",
+        [(7, 3), (300, 40), (512, 40), (513, 40), (1100, 40), (1770, 59), (300, 1), (1100, 1)],
+    )
     def test_tile_build_matches_panel_build(self, m, k):
-        # Bit for bit while a panel is at most two tiles wide (m <= 512),
-        # within rounding of the block's largest entry beyond.
+        # Bit for bit while a panel is at most two tiles wide (m <= 512), or
+        # when each entry is one product (k = 1); within rounding of the
+        # block's largest entry otherwise.  Zero rows, as an incidence
+        # factor has, give products of both signs of zero.
         rng = np.random.default_rng(m)
         lines = rng.standard_normal((m, k))
         core = rng.standard_normal((k, k)) @ rng.standard_normal((k, k))
         core = 0.5 * (core + core.T)
+        lines[rng.random(m) < 0.3] = 0.0
         built, old = variance.Congruence(lines, core).array, panel_build(lines, core)
         assert np.array_equal(built, built.T)
-        if m <= 2 * variance.TILE_COLS:
+        if m <= 2 * variance.TILE_COLS or k == 1:
             assert built.tobytes() == old.tobytes()
         else:
             assert np.abs(built - old).max() <= 1e-15 * np.abs(old).max()
@@ -580,20 +639,21 @@ class TestBasisInvariance:
 class TestOneSpectrum:
     def test_each_linearization_computes_one_basis_per_whitening(self, monkeypatch):
         # Every route, twice over, on one linearization: one inertia- and one
-        # damping-whitened spectrum, and one qr of each tall map.
+        # damping-whitened spectrum, and one factorization of each tall map.
         spectra, factored = [], []
-        real_spectrum, real_qr = variance.whitened_spectrum, np.linalg.qr
+        real_spectrum, real_factor = variance.whitened_spectrum, variance._psd_factor
 
         def spectrum(lap, scaling):
             spectra.append(scaling)
             return real_spectrum(lap, scaling)
 
-        def qr(a, *args, **kwargs):
-            factored.append(a)
-            return real_qr(a, *args, **kwargs)
+        def psd_factor(a):
+            if a.shape[0] > a.shape[1]:
+                factored.append(a)
+            return real_factor(a)
 
         monkeypatch.setattr(variance, "whitened_spectrum", spectrum)
-        monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(variance, "_psd_factor", psd_factor)
         for kind in ("complete", "star"):
             spectra.clear()
             factored.clear()
