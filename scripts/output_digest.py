@@ -16,8 +16,8 @@ error message, so a route that exits 2 is covered too.
 Then come numeric ``variance`` csv and ``compare`` csv on a complete n=33
 graph shuffled the same way, whose 528 lines take more than one tile of
 ``variance.TILE_COLS`` columns in a panel row.  Last come closed
-``variance`` csv and ``compare`` csv on that graph with noise at one node,
-whose closed angle block has a one-column factor.
+``variance`` csv and ``compare`` csv and json on that graph with noise at
+one node, whose closed angle block has a one-column factor.
 
 Prints one ``<sha256>  <name>`` line per output and a last
 ``<sha256>  combined`` line over all of them.  Two checkouts whose combined
@@ -169,6 +169,8 @@ def outputs(work: Path) -> list[tuple[str, str]]:
     argv = ["variance", str(single33), "--method", "closed"]
     results.append(("single33 variance closed csv", run(argv, out)))
     results.append(("single33 compare csv", run(["compare", str(single33)], out)))
+    argv = ["compare", str(single33), "--format", "json"]
+    results.append(("single33 compare json", run(argv, out)))
     return results
 
 

@@ -75,7 +75,7 @@ def complete_source_frequency(n: float, gamma: float, eta: float, damping: float
 
 def complete_other_frequency(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Frequency variance at any undisturbed node of a complete graph."""
-    return _complete_frequency_diag(n, gamma, eta, damping, 0.0, noise**2)
+    return _complete_frequency_diag(n, gamma, eta, damping, 0, noise**2)
 
 
 def _complete_frequency_diag(n: float, gamma: float, eta: float, damping: float,
@@ -107,22 +107,22 @@ def _star_leaf_frequency_diag(n: float, gamma: float, eta: float, damping: float
 
 def star_leaf_frequency(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Frequency variance at the disturbed leaf (node 2) of a star graph."""
-    return _star_leaf_frequency_diag(n, gamma, eta, damping, noise**2, 0.0, noise**2)
+    return _star_leaf_frequency_diag(n, gamma, eta, damping, noise**2, 0, noise**2)
 
 
 def star_other_frequency(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Frequency variance at an undisturbed leaf when leaf 2 is the source."""
-    return _star_leaf_frequency_diag(n, gamma, eta, damping, 0.0, 0.0, noise**2)
+    return _star_leaf_frequency_diag(n, gamma, eta, damping, 0, 0, noise**2)
 
 
 def star_source_line(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Angle-difference variance on the root-source line when leaf 2 is the source."""
-    return _star_line_diag(n, gamma, eta, damping, noise**2, 0.0, noise**2)
+    return _star_line_diag(n, gamma, eta, damping, noise**2, 0, noise**2)
 
 
 def star_other_line(n: float, gamma: float, eta: float, damping: float, noise: float) -> float:
     """Angle-difference variance on any other line when leaf 2 is the source."""
-    return _star_line_diag(n, gamma, eta, damping, 0.0, 0.0, noise**2)
+    return _star_line_diag(n, gamma, eta, damping, 0, 0, noise**2)
 
 
 def _star_line_diag(n: float, gamma: float, eta: float, damping: float,

@@ -13,6 +13,7 @@ order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Collection, Iterable, Iterator, TextIO
 
@@ -126,6 +127,75 @@ def relative_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
     return _worst_discrepancy(0.0, b, [np.subtract(a, b)])
 
 
+# Unit roundoff.  _TINY is added to each row norm in _pair_bound, where it
+# covers whatever underflows; its square is the bound's absolute term.
+_UNIT = 2.0**-53
+_TINY = 2.0**-500
+
+
+def _largest_row_norm(x: np.ndarray) -> float:
+    """The largest row 2-norm of ``x`` plus _TINY; inf or NaN once a square
+    overflows or an entry is NaN."""
+    return math.sqrt(float(np.einsum("ij,ij->i", x, x).max(initial=0.0))) + _TINY
+
+
+def _pair_bound(reference: Congruence, other: Congruence, p: np.ndarray) -> float:
+    """A bound on |a - b| over the entries of every pair of tiles that
+    ``variance.upper_tiles`` forms of ``reference`` (a) and ``other`` (b),
+    valid for any k x s matrix ``p``, in O(m k s) and no m x m work.
+
+    With the reference's m x k map L and left product A = L X, the other's
+    m x s map L' and B = L' Y, D = A - B p^T and E = L' - L p, an entry
+    a_ij - b_ij is D_i . L_j - B_i . E_j exactly, plus the rounding of the
+    two tile products and of the diagonal square's average, so
+
+        |a_ij - b_ij| <= |D_i| |L_j| + |B_i| |E_j|
+                         + g (|A_i| |L_j| + |B_i| |L'_j| + 2 r |B_i| |L_j|)
+
+    with |.| a row's 2-norm, g = (max(k, s) + 4) u and r >= the 2-norm of
+    |p|; the r term covers the rounding of the products in the computed D
+    and E.  Each row norm is replaced by its largest value, which bounds
+    every (i, j) and so the averaged entries as well.  The factor 1 + 4 g
+    covers the rounding of the subtractions in D and E and of the bound's
+    own arithmetic, which is relative and below (max(k, s) + 11) u.  _TINY
+    in each norm, and its square added at the end, cover underflow, so the
+    bound is never 0.  A NaN or inf factor gives a NaN or inf bound.
+    """
+    lines, left = reference.lines, reference.left
+    gap = _largest_row_norm(left - other.left @ p.T)
+    miss = _largest_row_norm(other.lines - lines @ p)
+    magnitude = np.abs(p)
+    columns, rows = magnitude.sum(axis=0), magnitude.sum(axis=1)
+    r = math.sqrt(float(columns.max(initial=0.0) * rows.max(initial=0.0)))
+    a, b = _largest_row_norm(left), _largest_row_norm(other.left)
+    l_ref, l_other = _largest_row_norm(lines), _largest_row_norm(other.lines)
+    g = (max(p.shape) + 4) * _UNIT
+    bound = gap * l_ref + b * miss + g * (a * l_ref + b * l_other + 2.0 * r * b * l_ref)
+    return (1.0 + 4.0 * g) * bound + _TINY**2
+
+
+def _cleared(reference: np.ndarray | Congruence, other: np.ndarray | Congruence,
+             worst: float) -> bool:
+    """Whether both blocks are a :class:`Congruence` and twice
+    :func:`_pair_bound` is at most ``worst``, with p the least-squares
+    solution of L p = L' from the normal equations (L^T L) p = L^T L'; when
+    they are singular, the pair is not cleared.
+
+    A ratio of a tile entry is fl(|fl(a - b)| / (1 + |b|)) <= (1 + u)^2 |a - b|,
+    which the factor 2 covers with room to spare.  Then no ratio of
+    ``other``'s tiles exceeds ``worst``, and skipping them keeps every bit
+    of the maximum.
+    """
+    if not (isinstance(reference, Congruence) and isinstance(other, Congruence)):
+        return False
+    lines = reference.lines
+    try:
+        p = np.linalg.solve(lines.T @ lines, lines.T @ other.lines)
+    except np.linalg.LinAlgError:
+        return False
+    return 2.0 * _pair_bound(reference, other, p) <= worst
+
+
 def _symmetric_discrepancy(
     others: list[np.ndarray | Congruence], reference: np.ndarray | Congruence, worst: float = 0.0
 ) -> float:
@@ -134,12 +204,16 @@ def _symmetric_discrepancy(
     the blocks as the reports hold them, tile by tile
     (``variance.upper_tiles``).
 
+    First, a block that :func:`_cleared` clears against the running
+    ``worst`` from its factors alone is dropped, and none of its tiles, nor
+    the reference's, is formed for it; a ``worst`` of 0 clears nothing.
     Each tile entry has the bits of the built block's entry, except that it
     may be -0 where the built entry is +0, which changes no |a - b| and no
     1 + |b|; built blocks are exactly symmetric, so the upper triangle gives
     the same maximum as the whole block, in memory that does not grow with
     the block.
     """
+    others = [other for other in others if not _cleared(reference, other, worst)]
     if not others:
         return worst
     for (_, _, tile), *tiles in zip(upper_tiles(reference), *map(upper_tiles, others)):
@@ -155,7 +229,10 @@ def compare_variance(net: PowerNetwork, methods: Iterable[str] | None = None) ->
     (AssumptionViolatedError) is skipped; routes named in ``methods`` must
     all succeed.  ``numeric`` always runs as the reference.  The symmetric
     blocks are compared by :func:`_symmetric_discrepancy`, so no m x m block
-    is built here; a writer builds it when it reads ``q_delta``.
+    is built here; a writer builds it when it reads ``q_delta``.  The cross
+    and frequency blocks go first, and the worst they set usually clears an
+    angle pair from its factors (:func:`_cleared`), so that none of its
+    tiles is formed; the result has the bits of the full comparison.
     """
     if methods is None:
         selected = list(EXACT_ROUTES)
@@ -316,8 +393,10 @@ def _apply_point(spec: SweepSpec, point: dict[str, float]) -> PowerNetwork:
 
 def _quantity_value(report: CovarianceReport, block: str, i: int, j: int) -> tuple[float | None, float | None]:
     """Entry (i, j), 1-based, of a block and its Monte Carlo stderr, read
-    from the block as the report holds it: a factored block is not built."""
-    values = {"delta": report.delta, "omega": report.omega, "cross": report.q_delta_omega}[block]
+    from the block as the report holds it: a factored angle or frequency
+    block is not built.  A cross entry is read from the built block, whose
+    bits it keeps."""
+    values = report.q_delta_omega if block == "cross" else getattr(report, block)
     stderr = report.diagnostics.get(f"stderr_{block}")
     if values is None:
         return None, None

@@ -206,6 +206,66 @@ def sparse_doc(n=40):
     return doc
 
 
+def symmetric(rng, k):
+    x = rng.standard_normal((k, k))
+    return 0.5 * (x + x.T)
+
+
+def spread_map(rng, m, k):
+    """An m x k map whose row norms spread over six decades."""
+    return rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+
+
+PAIR_BOUND_CASES = ("same map", "in range", "permuted", "unrelated", "incidence")
+
+
+def pair_bound_draw(rng, case):
+    """((L, X), (L', Y), p) for one draw of ``case``; p None means the
+    least-squares solution of L p = L'.  One draw in 12 has m > 512 lines,
+    so that the tiles cut panels; k and s are 1 in a quarter of draws."""
+    m = int(rng.integers(513, 700)) if rng.random() < 1 / 12 else int(rng.integers(1, 60))
+    k, s = (1 if rng.random() < 0.25 else int(rng.integers(2, 9)) for _ in range(2))
+    lines = spread_map(rng, m, k)
+    if case == "same map":
+        core = symmetric(rng, k)
+        other = core + 10.0 ** rng.uniform(-16.0, -4.0) * symmetric(rng, k)
+        return (lines, core), (lines, other), None
+    if case == "in range":
+        p, core = rng.standard_normal((k, s)), symmetric(rng, s)
+        near = symmetric(rng, k) * 10.0 ** rng.uniform(-16.0, -4.0)
+        return (lines, p @ core @ p.T + near), (lines @ p, core), (p, None)[int(rng.integers(2))]
+    if case == "permuted":
+        # L' = L P with P a signed permutation scaled by powers of 2, and
+        # diagonal cores, so that A = B P^T and L' = L P hold bit for bit:
+        # D and E are 0, and only the tile products' rounding is left.  Up
+        # to 64 columns of one sign let that rounding grow with k.
+        k = int(rng.integers(1, 65))
+        lines = np.abs(spread_map(rng, m, k))
+        order, scale = rng.permutation(k), rng.choice([-4.0, -1.0, 0.5, 2.0], k)
+        p = np.zeros((k, k))
+        p[order, np.arange(k)] = scale
+        core = 10.0 ** rng.uniform(-3.0, 3.0, k)
+        return (lines, np.diag(core)), (lines @ p, np.diag(core[order] / scale**2)), p
+    if case == "unrelated":
+        core = symmetric(rng, k) * 10.0 ** rng.uniform(-6.0, 0.0)
+        p = (None, rng.standard_normal((k, s)))[int(rng.integers(2))]
+        return (lines, core), (spread_map(rng, m, s), symmetric(rng, s)), p
+    # The closed form's incidence factor over every node, C^T (rank n - 1),
+    # against the modal-like map C^T V, V orthonormal and orthogonal to the
+    # ones; either is the reference.
+    n = 33 if rng.random() < 1 / 12 else int(rng.integers(2, 13))
+    graph = complete_lines(n) if n == 33 else [
+        (i + 1, j + 1) for i, j in zip(*np.triu_indices(n, 1)) if j == i + 1 or rng.random() < 0.4]
+    incidence = np.zeros((len(graph), n))
+    for line, (i, j) in enumerate(graph):
+        incidence[line, i - 1], incidence[line, j - 1] = 1.0, -1.0
+    v = np.linalg.qr(np.column_stack((np.ones(n), rng.standard_normal((n, n - 1)))))[0][:, 1:]
+    noise = np.diag(10.0 ** rng.uniform(-3.0, 3.0, n) * (rng.random(n) < 0.8))
+    modal = v.T @ noise @ v + 10.0 ** rng.uniform(-16.0, -4.0) * symmetric(rng, n - 1)
+    pairs = [(incidence, noise), (incidence @ v, modal)]
+    return (*pairs[:: (1, -1)[int(rng.integers(2))]], None)
+
+
 class TestCompareByPanels:
     """``compare_variance`` reads the symmetric blocks by row panels."""
 
@@ -264,6 +324,53 @@ class TestCompareByPanels:
             assert pipeline._symmetric_discrepancy(others, b).hex() == whole.hex()
         # The differences are formed in the tiles, never in the blocks.
         assert all(np.array_equal(x, y) for x, y in zip(kept, (a, near, b)))
+
+    @pytest.mark.parametrize("case", PAIR_BOUND_CASES)
+    def test_pair_bound_holds(self, case):
+        # The bound of pipeline._pair_bound is at least max |a - b| over the
+        # paired tiles of upper_tiles, whatever the projection p.
+        rng = np.random.default_rng([37, PAIR_BOUND_CASES.index(case)])
+        for _ in range(60):
+            (lines, core), (other_lines, other_core), p = pair_bound_draw(rng, case)
+            reference = variance.Congruence(lines, core)
+            other = variance.Congruence(other_lines, other_core)
+            if p is None:
+                p = np.linalg.lstsq(lines, other_lines, rcond=None)[0]
+            gap = max(float(np.abs(a - b).max()) for (_, _, a), (_, _, b)
+                      in zip(variance.upper_tiles(reference), variance.upper_tiles(other)))
+            bound = pipeline._pair_bound(reference, other, p)
+            assert gap <= bound, (lines.shape, other_lines.shape, gap, bound)
+
+    def test_cleared_pairs_form_no_angle_tile(self, monkeypatch):
+        # On the dense-compare network the frequency block sets a worst that
+        # clears both angle pairs from their factors; with numeric's angle
+        # core scaled by 1.001 neither clears, and the tiles are formed.
+        net = network_from_dict(complete60_doc())
+        tiled = []
+
+        def spy(block):
+            tiled.append(block.shape)
+            return variance.upper_tiles(block)
+
+        monkeypatch.setattr(pipeline, "upper_tiles", spy)
+        for scale, angle_blocks in ((1.0, 0), (1.001, 3)):
+            def numeric(lin, mc, scale=scale):
+                report = variance.asymptotic_variance_numeric(lin)
+                delta = variance.Congruence(report.delta.lines, scale * report.delta.core)
+                return replace(report, delta=delta)
+
+            monkeypatch.setitem(pipeline.ROUTES, "numeric", pipeline.Route(numeric, True))
+            tiled.clear()
+            comparison = compare_variance(net)
+            assert tiled.count((1770, 1770)) == angle_blocks
+            reference = comparison.reports.pop("numeric")
+            built = max(
+                relative_discrepancy(getattr(report, block), getattr(reference, block))
+                for report in comparison.reports.values()
+                for block in ("q_delta", "q_omega", "q_delta_omega")
+            )
+            assert comparison.max_relative_discrepancy.hex() == built.hex()
+        assert comparison.max_relative_discrepancy > 1e-9
 
     def test_numeric_matches_closed_across_the_leaf(self):
         # complete n=60 has 119 reduced states, so its solve recurses.  The

@@ -1,5 +1,7 @@
 """Analytic complete/star formulas against the numeric Lyapunov route."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from gridfluct import (
     star_first_order,
     trend_report,
 )
+
+from gridfluct import closedforms
 
 from conftest import full_output_matrix, homogeneous_system
 
@@ -437,3 +441,17 @@ def test_closed_report_entries_are_the_trend_variances():
         line = np.where(touches, values["source_line" if leaf else "incident_line"],
                         values["other_line"])
         assert np.all(report.q_delta.diagonal() == line)
+
+
+@pytest.mark.parametrize("display", [
+    closedforms.complete_source_frequency, closedforms.complete_other_frequency,
+    closedforms.star_leaf_frequency, closedforms.star_other_frequency,
+    closedforms.star_source_line, closedforms.star_other_line,
+], ids=lambda display: display.__name__)
+def test_display_is_exact_on_fractions(display):
+    # Rational arguments give the display's exact rational value, which
+    # rounds to within a few ulps of the float evaluation.
+    args = (Fraction(20), Fraction(10), Fraction(1, 2), Fraction(3, 10), Fraction(1, 25))
+    value = display(*args)
+    assert isinstance(value, Fraction)
+    assert float(value) == pytest.approx(display(*map(float, args)), rel=1e-14)
