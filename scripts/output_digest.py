@@ -17,7 +17,9 @@ Then come numeric ``variance`` csv and ``compare`` csv on a complete n=33
 graph shuffled the same way, whose 528 lines take more than one tile of
 ``variance.TILE_COLS`` columns in a panel row.  Last come closed
 ``variance`` csv and ``compare`` csv and json on that graph with noise at
-one node, whose closed angle block has a one-column factor.
+one node, whose closed angle block has a one-column factor.  Then numeric
+``variance`` csv on the random sparse graph at n=60, whose 119 reduced
+states take the Lyapunov solve's recursive multi-leaf path.
 
 Prints one ``<sha256>  <name>`` line per output and a last
 ``<sha256>  combined`` line over all of them.  Two checkouts whose combined
@@ -171,6 +173,10 @@ def outputs(work: Path) -> list[tuple[str, str]]:
     results.append(("single33 compare csv", run(["compare", str(single33)], out)))
     argv = ["compare", str(single33), "--format", "json"]
     results.append(("single33 compare json", run(argv, out)))
+    sparse60 = work / "sparse60.json"
+    sparse60.write_text(json.dumps(sparse_doc(60)))
+    argv = ["variance", str(sparse60), "--method", "numeric"]
+    results.append(("sparse60 variance numeric csv", run(argv, out)))
     return results
 
 

@@ -15,7 +15,7 @@ class GridfluctError(Exception):
 
 
 class ShapeError(GridfluctError):
-    """Matrix arguments have incompatible or invalid shapes."""
+    """Matrix arguments have incompatible or invalid shapes, or non-finite entries."""
 
 
 class InvalidGraphError(GridfluctError):

@@ -1,17 +1,28 @@
 """Continuous-time Lyapunov equation solver and the Hurwitz check.
 
 :func:`lyapunov_solve_with_abscissa` solves A Q + Q A^T + W = 0 by
-Bartels-Stewart: real Schur form, then the triangular solve.  Up to
-``LEAF`` = 96 states that is one LAPACK ``trsyl`` call, bit for bit as
-scipy's solver does it; above, a recursive blocked solve in the manner of
-RECSY (Jonsson and Kågström, ACM TOMS 28(4), 2002) halves the factor until
-``trsyl`` runs on leaves of at most ``LEAF`` states, with matrix-product
-updates in between.  The Schur form also gives the Hurwitz verdict and the
-spectral abscissa.  :func:`assert_hurwitz` checks stability by ``eigvals``
-for callers that solve no Lyapunov equation (Monte Carlo).
+Bartels-Stewart (Bartels and Stewart, CACM 15(9), 1972): real Schur form
+by LAPACK ``gees``, then the triangular solve.  Up to ``LEAF`` = 96 states
+that is one LAPACK ``trsyl`` call, bit for bit as scipy's solver does it;
+above, a recursive blocked solve in the manner of RECSY (Jonsson and
+Kågström, ACM TOMS 28(4), 2002) halves the factor until ``trsyl`` runs on
+leaves of at most ``LEAF`` states, with matrix-product updates in between.
+The Schur form also gives the Hurwitz verdict and the spectral abscissa.
+:func:`assert_hurwitz` checks stability by ``eigvals`` for callers that
+solve no Lyapunov equation (Monte Carlo).
+
+Both LAPACK routines come from scipy's f2py wrapper module ``_flapack``,
+the one behind ``scipy.linalg.lapack``, loaded on the first solve without
+running ``scipy/linalg/__init__.py``: that package's import loads numpy's
+f2py, testing, masked-array and random packages and takes more than ten
+times as long.  Routes that solve no Lyapunov equation load no scipy.
 """
 
 from __future__ import annotations
+
+import functools
+import importlib.machinery
+import importlib.util
 
 import numpy as np
 
@@ -28,9 +39,42 @@ def _validate(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"A must be square, got shape {a.shape}")
     if w.shape != a.shape:
         raise ShapeError(f"W shape {w.shape} does not match A shape {a.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(w).all()):
+        raise ShapeError("A and W must have finite entries")
     if np.abs(w - w.T).max() > 1e-9 * max(1.0, np.abs(w).max()):
         raise ShapeError("W must be symmetric")
     return a, w
+
+
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK module, loaded from scipy.linalg's directory;
+    finding that directory imports the top-level ``scipy`` only."""
+    linalg = importlib.util.find_spec("scipy.linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", linalg.submodule_search_locations)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _no_sort(real, imag):
+    """``gees``'s eigenvalue-selection callback, unused with ``sort_t=0``."""
+
+
+def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur factor T and orthogonal Z of A = Z T Z^T, by the ``dgees``
+    calls of ``scipy.linalg.schur(a, output="real")``: a workspace query,
+    then the factorization, unsorted."""
+    gees = _flapack().dgees
+    lwork = gees(_no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
+    result = gees(_no_sort, a, lwork=lwork, sort_t=0)
+    info = result[-1]
+    if info:
+        raise InternalInvariantError(
+            f"real Schur form of A not found (gees info {info}): "
+            "the QR algorithm did not converge"
+        )
+    return result[0], result[-3]
 
 
 def _hurwitz(spectral_abscissa: float) -> float:
@@ -59,18 +103,17 @@ def lyapunov_solve_with_abscissa(a, w) -> tuple[np.ndarray, float]:
 
     Raises:
         InstabilityError: if A has an eigenvalue with real part >= -1e-12.
-        InternalInvariantError: if a ``trsyl`` call had to perturb the
-            equation (an eigenvalue pair of A sums to nearly zero), or had to
-            scale its solution down because Q would overflow, or if Q has a
-            non-finite entry.
-        ShapeError: on dimension mismatch or non-symmetric W.
+        InternalInvariantError: if ``gees`` found no real Schur form, if a
+            ``trsyl`` call had to perturb the equation (an eigenvalue pair
+            of A sums to nearly zero), or had to scale its solution down
+            because Q would overflow, or if Q has a non-finite entry.
+        ShapeError: on dimension mismatch, non-symmetric W, or a
+            non-finite entry of A or W.
     """
-    import scipy.linalg  # on first use: routes that solve no Lyapunov equation start faster
-
     a, w = _validate(a, w)
-    t, z = scipy.linalg.schur(a, output="real")
+    t, z = _schur(a)
     spectral_abscissa = _hurwitz(float(np.diag(t).max()))
-    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t, w))
+    trsyl = _flapack().dtrsyl
     y = _sylvester(t, t, z.T.dot((-w).dot(z)), trsyl)
     if not np.isfinite(y).all():
         raise InternalInvariantError("Lyapunov solution overflows: Q has non-finite entries")

@@ -176,10 +176,12 @@ def _pair_bound(reference: Congruence, other: Congruence, p: np.ndarray) -> floa
 
 def _cleared(reference: np.ndarray | Congruence, other: np.ndarray | Congruence,
              worst: float) -> bool:
-    """Whether both blocks are a :class:`Congruence` and twice
-    :func:`_pair_bound` is at most ``worst``, with p the least-squares
-    solution of L p = L' from the normal equations (L^T L) p = L^T L'; when
-    they are singular, the pair is not cleared.
+    """Whether both blocks are a :class:`Congruence`, the reference's map L
+    is taller than wide, and twice :func:`_pair_bound` is at most ``worst``,
+    with p the least-squares solution of L p = L' from the normal equations
+    (L^T L) p = L^T L'; when they are singular, the pair is not cleared.  A
+    square L (a node map) makes the bound cost about what the tiles cost,
+    and on the networks checked its bound never fell to the worst.
 
     A ratio of a tile entry is fl(|fl(a - b)| / (1 + |b|)) <= (1 + u)^2 |a - b|,
     which the factor 2 covers with room to spare.  Then no ratio of
@@ -189,6 +191,8 @@ def _cleared(reference: np.ndarray | Congruence, other: np.ndarray | Congruence,
     if not (isinstance(reference, Congruence) and isinstance(other, Congruence)):
         return False
     lines = reference.lines
+    if lines.shape[0] <= lines.shape[1]:
+        return False
     try:
         p = np.linalg.solve(lines.T @ lines, lines.T @ other.lines)
     except np.linalg.LinAlgError:

@@ -15,7 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridfluct import InternalInvariantError, ValidationError, graphs, load_network, pipeline, variance
+from gridfluct import (
+    InternalInvariantError,
+    ValidationError,
+    graphs,
+    load_network,
+    lyapunov,
+    pipeline,
+    variance,
+)
 from gridfluct.lyapunov import LEAF
 from gridfluct.cli import main
 from gridfluct.montecarlo import agreement
@@ -371,6 +379,29 @@ class TestCompareByPanels:
             )
             assert comparison.max_relative_discrepancy.hex() == built.hex()
         assert comparison.max_relative_discrepancy > 1e-9
+
+    def test_only_tall_pairs_are_bounded(self, monkeypatch):
+        # The frequency blocks' maps are square (60 x 60); only the angle
+        # pairs (1770 rows) reach the bound, and the maximum keeps its bits.
+        net = network_from_dict(complete60_doc())
+        real_bound = pipeline._pair_bound
+        bounded = []
+
+        def spy(reference, other, p):
+            bounded.append((reference.lines.shape, other.lines.shape))
+            return real_bound(reference, other, p)
+
+        monkeypatch.setattr(pipeline, "_pair_bound", spy)
+        comparison = compare_variance(net)
+        assert len(bounded) == 2
+        assert all(ours[0] == theirs[0] == 1770 for ours, theirs in bounded), bounded
+        reference = comparison.reports.pop("numeric")
+        built = max(
+            relative_discrepancy(getattr(report, block), getattr(reference, block))
+            for report in comparison.reports.values()
+            for block in ("q_delta", "q_omega", "q_delta_omega")
+        )
+        assert comparison.max_relative_discrepancy.hex() == built.hex()
 
     def test_numeric_matches_closed_across_the_leaf(self):
         # complete n=60 has 119 reduced states, so its solve recurses.  The
@@ -892,6 +923,23 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("gridfluct: internal error: Lyapunov solution overflows (trsyl scale")
 
+    def test_schur_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # gees reports that its QR algorithm did not converge (info = n).
+        flapack = lyapunov._flapack()
+        gees = flapack.dgees
+
+        def failing(*args, **kwargs):
+            *result, _ = gees(*args, **kwargs)
+            return (*result, args[1].shape[0])
+
+        monkeypatch.setattr(flapack, "dgees", failing)
+        path = write_doc(tmp_path, network_doc(4, [(1, 2), (1, 3), (1, 4)], noise={2: 0.1}))
+        assert main(["variance", str(path), "--method", "numeric"]) == 1
+        assert capsys.readouterr().err == (
+            "gridfluct: internal error: real Schur form of A not found (gees info 7): "
+            "the QR algorithm did not converge\n"
+        )
+
     def test_angle_block_invariant_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         # A solver returning a negated (negative definite) state covariance
         # fails the angle block's PSD check on its factored core.
@@ -975,6 +1023,33 @@ assert "scipy" not in sys.modules, sorted(k for k in sys.modules if k.startswith
             "quantities": [{"block": "omega", "i": 2, "j": 2}], "mc": {"trajectories": 4},
         }))
         result = subprocess.run([sys.executable, "-c", script, star, str(mc), str(sweep)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+    def test_numeric_routes_do_not_import_scipy_linalg(self, tmp_path):
+        # The Lyapunov solve loads scipy's LAPACK wrapper module alone.
+        script = """
+import contextlib, io, sys
+from gridfluct.cli import main
+star, sweep = sys.argv[1:]
+commands = [["variance", star, "--method", "numeric"], ["compare", star],
+            ["sweep", "--spec", sweep]]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in commands:
+        assert main(argv) == 0, argv
+assert "scipy" in sys.modules
+assert "scipy.linalg" not in sys.modules, sorted(k for k in sys.modules if k.startswith("scipy"))
+"""
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        star = str(root / "scripts" / "specs" / "star6.json")
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "schema_version": 1, "base": {"kind": "network", "path": star},
+            "axes": [{"parameter": "noise_scale", "grid": [1.0, 2.0]}], "methods": ["numeric"],
+            "quantities": [{"block": "omega", "i": 2, "j": 2}],
+        }))
+        result = subprocess.run([sys.executable, "-c", script, star, str(sweep)],
                                 env=env, capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
 

@@ -10,6 +10,7 @@ from gridfluct import (
     InstabilityError,
     InternalInvariantError,
     ShapeError,
+    lyapunov,
     lyapunov_residual,
 )
 from gridfluct.lyapunov import LEAF, assert_hurwitz, lyapunov_solve_with_abscissa
@@ -124,6 +125,21 @@ class TestSchurAbscissa:
             q, _ = lyapunov_solve_with_abscissa(a, w)
             np.testing.assert_array_equal(q, 0.5 * (reference + reference.T))
 
+    @pytest.mark.parametrize("size", [1, 2, 7, 97, 300])
+    def test_schur_pair_is_scipys_bit_for_bit(self, size):
+        a = np.random.default_rng(size).standard_normal((size, size))
+        t, z = lyapunov._schur(a)
+        t_ref, z_ref = scipy.linalg.schur(a, output="real")
+        np.testing.assert_array_equal(t, t_ref)
+        np.testing.assert_array_equal(z, z_ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ShapeError, match="finite"):
+            lyapunov_solve_with_abscissa([[bad]], [[1.0]])
+        with pytest.raises(ShapeError, match="finite"):
+            lyapunov_solve_with_abscissa([[-1.0]], [[bad]])
+
 
 def quasi_triangular(rng: np.random.Generator, size: int, pairs: list[int]) -> np.ndarray:
     """Hurwitz T in standardized real Schur form, a 2 x 2 block at each row in pairs."""
@@ -171,21 +187,17 @@ class TestLeafGuards:
     @pytest.fixture
     def misbehave(self, monkeypatch):
         """Install a trsyl whose call number ``leaf`` returns ``fault(y, scale, info)``."""
-        real_get = scipy.linalg.get_lapack_funcs
+        flapack = lyapunov._flapack()
+        trsyl = flapack.dtrsyl
 
         def install(fault, leaf):
             leaves = itertools.count()
 
-            def get(names, arrays):
-                trsyl = real_get(names, arrays)
+            def wrapper(*args, **kwargs):
+                result = trsyl(*args, **kwargs)
+                return fault(*result) if next(leaves) == leaf else result
 
-                def wrapper(*args, **kwargs):
-                    result = trsyl(*args, **kwargs)
-                    return fault(*result) if next(leaves) == leaf else result
-
-                return wrapper
-
-            monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get)
+            monkeypatch.setattr(flapack, "dtrsyl", wrapper)
 
         return install
 
