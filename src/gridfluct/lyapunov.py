@@ -39,6 +39,8 @@ def _validate(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"A must be square, got shape {a.shape}")
     if w.shape != a.shape:
         raise ShapeError(f"W shape {w.shape} does not match A shape {a.shape}")
+    if not a.size:
+        raise ShapeError("A and W are empty 0 x 0 matrices: the equation needs at least one state")
     if not (np.isfinite(a).all() and np.isfinite(w).all()):
         raise ShapeError("A and W must have finite entries")
     if np.abs(w - w.T).max() > 1e-9 * max(1.0, np.abs(w).max()):
@@ -86,7 +88,10 @@ def _hurwitz(spectral_abscissa: float) -> float:
 
 
 def assert_hurwitz(a: np.ndarray) -> float:
-    """Return max Re(eig(A)), raising InstabilityError unless it is < -1e-12."""
+    """Return max Re(eig(A)), raising InstabilityError unless it is < -1e-12
+    and ShapeError when A is empty."""
+    if not np.size(a):
+        raise ShapeError("A is an empty matrix: the Hurwitz check needs at least one state")
     return _hurwitz(float(np.linalg.eigvals(a).real.max()))
 
 
@@ -107,8 +112,8 @@ def lyapunov_solve_with_abscissa(a, w) -> tuple[np.ndarray, float]:
             ``trsyl`` call had to perturb the equation (an eigenvalue pair
             of A sums to nearly zero), or had to scale its solution down
             because Q would overflow, or if Q has a non-finite entry.
-        ShapeError: on dimension mismatch, non-symmetric W, or a
-            non-finite entry of A or W.
+        ShapeError: on dimension mismatch, empty A and W, non-symmetric
+            W, or a non-finite entry of A or W.
     """
     a, w = _validate(a, w)
     t, z = _schur(a)

@@ -211,11 +211,10 @@ def _symmetric_discrepancy(
     First, a block that :func:`_cleared` clears against the running
     ``worst`` from its factors alone is dropped, and none of its tiles, nor
     the reference's, is formed for it; a ``worst`` of 0 clears nothing.
-    Each tile entry has the bits of the built block's entry, except that it
-    may be -0 where the built entry is +0, which changes no |a - b| and no
-    1 + |b|; built blocks are exactly symmetric, so the upper triangle gives
-    the same maximum as the whole block, in memory that does not grow with
-    the block.
+    Each tile entry has the bits of the built block's entry, and built
+    blocks are exactly symmetric, so the upper triangle gives the same
+    maximum as the whole block, in memory that does not grow with the
+    block.
     """
     others = [other for other in others if not _cleared(reference, other, worst)]
     if not others:
@@ -398,9 +397,8 @@ def _apply_point(spec: SweepSpec, point: dict[str, float]) -> PowerNetwork:
 def _quantity_value(report: CovarianceReport, block: str, i: int, j: int) -> tuple[float | None, float | None]:
     """Entry (i, j), 1-based, of a block and its Monte Carlo stderr, read
     from the block as the report holds it: a factored angle or frequency
-    block is not built.  A cross entry is read from the built block, whose
-    bits it keeps."""
-    values = report.q_delta_omega if block == "cross" else getattr(report, block)
+    block is not built."""
+    values = getattr(report, block)
     stderr = report.diagnostics.get(f"stderr_{block}")
     if values is None:
         return None, None

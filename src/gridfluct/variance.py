@@ -23,21 +23,20 @@ Every report passes :func:`make_report`'s symmetry/PSD checks once;
 uniform-ratio and first-order routes map their modal state covariance
 [[G, S], [S^T, R]] by one :func:`_modal_report`: the angle block is
 L G L^T with an m x (n-1) line map L, the frequency block N R N^T with
-an n x n node map N and the cross block (N S^T) L^T, which is kept as a
-:class:`Product` and built when it is first read.  The symmetric blocks
-reach :func:`make_report` as the pair (L, G) or (N, R), whose symmetry is
-decided on the core and positive semi-definiteness on F X F^T, at most
-k x k, with F the map's PSD factor (:func:`_psd_factor`: from the ``eigh``
-of its Gram matrix L^T L for a tall map, the map itself otherwise).  It is
-kept as a :class:`Congruence`: single entries are read from the factors,
-and the whole block is built, exactly symmetric, from the tiles of
-:func:`upper_tiles` when it is first read;
+an n x n node map N and the dense cross block (N S^T) L^T.  The
+symmetric blocks reach :func:`make_report` as the pair (L, G) or (N, R),
+whose symmetry is decided on the core and positive semi-definiteness on
+F X F^T, at most k x k, with F the map's PSD factor (:func:`_psd_factor`:
+from the ``eigh`` of its Gram matrix L^T L for a tall map, the map itself
+otherwise).  It is kept as a :class:`Congruence`: single entries are
+read from the factors, and the whole block is built, exactly symmetric,
+from the tiles of :func:`upper_tiles` when it is first read;
 ``pipeline.compare_variance`` reads the same tiles without building it, so
 its memory does not grow with the block, and it clears a pair of
 factored blocks from their factors alone when a rounding bound shows
-that their tiles cannot raise its maximum.  Monte Carlo blocks, the
-closed form's cross and frequency blocks and its star angle block arrive
-dense and are checked as given.
+that their tiles cannot raise its maximum.  Every cross block, the
+Monte Carlo blocks, the closed form's frequency block and its star angle
+block arrive dense and are checked as given.
 
 Each route takes only the :class:`LinearizedSystem`.  Its spectrum, maps
 and the line map's PSD factor form a :class:`ModalBasis`, computed once per
@@ -110,29 +109,14 @@ class Congruence:
         m = self.lines.shape[0]
         out = np.empty((m, m))
         for i, j, tile in upper_tiles(self):
-            if self.lines.shape[1] == 1:
-                tile += 0.0  # -0 + 0 is +0, the matrix product's zero
             rows, columns = slice(i, i + tile.shape[0]), slice(j, j + tile.shape[1])
             out[rows, columns] = tile
             out[columns, rows] = tile.T
         return out
 
 
-@dataclass(frozen=True)
-class Product:
-    """A checked block F G^T, kept as its factors; ``array`` builds it on
-    first read, as ``left @ right.T``, and keeps it."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return self.left @ self.right.T
-
-
-def _array(block: np.ndarray | Congruence | Product | None) -> np.ndarray | None:
-    return block.array if isinstance(block, (Congruence, Product)) else block
+def _array(block: np.ndarray | Congruence | None) -> np.ndarray | None:
+    return block.array if isinstance(block, Congruence) else block
 
 
 @dataclass(frozen=True)
@@ -147,15 +131,14 @@ class CovarianceReport:
 
     ``delta`` and ``omega`` hold the symmetric blocks as :func:`make_report`
     checked them: dense, or a :class:`Congruence` whose entries can be read
-    without building it; ``cross`` holds the cross block, dense or as a
-    :class:`Product`.  ``q_delta``, ``q_omega`` and ``q_delta_omega`` build
-    a factored block on first access and keep it, so every reader sees the
-    same array.
+    without building it; ``cross`` holds the dense cross block.  ``q_delta``
+    and ``q_omega`` build a factored block on first access and keep it, so
+    every reader sees the same array.
     """
 
     delta: np.ndarray | Congruence
     omega: np.ndarray | Congruence | None
-    cross: np.ndarray | Product | None
+    cross: np.ndarray | None
     method: str
     diagnostics: Mapping[str, Any] = field(default_factory=dict)
 
@@ -169,7 +152,7 @@ class CovarianceReport:
 
     @property
     def q_delta_omega(self) -> np.ndarray | None:
-        return _array(self.cross)
+        return self.cross
 
     @property
     def line_count(self) -> int:
@@ -202,10 +185,6 @@ def upper_tiles(block: np.ndarray | Congruence) -> Iterator[tuple[int, int, np.n
     :func:`make_report` keeps exactly symmetric.  Each tile is a new array,
     which the caller may overwrite, and holds at most
     PANEL_ROWS x 2 TILE_COLS entries, whatever the block's size.
-
-    When L has one column, each entry is one product, formed by
-    broadcasting: it has the matrix product's bits, except that it can be
-    -0 where the matrix product, a sum from +0, is +0.
     """
     m = block.shape[0]
     for i in range(0, m, PANEL_ROWS):
@@ -214,8 +193,7 @@ def upper_tiles(block: np.ndarray | Congruence) -> Iterator[tuple[int, int, np.n
         for j in range(i, m, width):
             stop = min(j + width, m)
             if isinstance(block, Congruence):
-                left, lines = block.left[i:end], block.lines[j:stop]
-                tile = left * lines[:, 0] if lines.shape[1] == 1 else left @ lines.T
+                tile = block.left[i:end] @ block.lines[j:stop].T
                 if j == i:
                     square = tile[:, : end - i]
                     square[...] = 0.5 * (square + square.T)
@@ -224,25 +202,18 @@ def upper_tiles(block: np.ndarray | Congruence) -> Iterator[tuple[int, int, np.n
             yield i, j, tile
 
 
-def _sums_are_finite(left: np.ndarray, right: np.ndarray, name: str) -> bool:
-    """Whether every sum of k products left[i, t] right[j, t], and of two
-    such sums, is finite: it is while 4 k max(1, |left|) max(1, |right|) is
-    finite (one factor 2 is room for rounding).  Raises
-    InternalInvariantError when a factor has a non-finite entry."""
-    return math.isfinite(4.0 * left.shape[1] * _scale(left, name) * _scale(right, name))
-
-
 def _diagonal_scale(block: Congruence, name: str) -> float:
     """max(1, largest diagonal entry) of L X L^T, in O(mk) once L X is formed.
 
     Raises InternalInvariantError when the block has a non-finite entry.
     An entry, built or read, is a sum of k products (L X)[i, t] L[j, t], and
     a diagonal tile of the build adds two such sums, so with finite factors
-    every entry is finite when :func:`_sums_are_finite`.  Otherwise the
-    block is built and scanned, as a dense block is.
+    every entry is finite while 4 k max(1, |L X|) max(1, |L|) is finite
+    (one factor 2 is room for rounding).  Otherwise the block is built and
+    scanned, as a dense block is.
     """
     lines, left = block.lines, block.left
-    if _sums_are_finite(left, lines, name):
+    if math.isfinite(4.0 * lines.shape[1] * _scale(left, name) * _scale(lines, name)):
         diagonal = np.einsum("ij,ij->i", left, lines)
     else:
         _scale(block.array, name)
@@ -303,24 +274,10 @@ def _checked_symmetric(
     return checked
 
 
-def _checked_cross(block: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray | Product:
-    """The cross block after its finiteness check: dense as given, a pair
-    (F, G) as an unbuilt :class:`Product` F G^T, decided on F and G when
-    :func:`_sums_are_finite` and on the built block otherwise."""
-    if not isinstance(block, tuple):
-        block = np.asarray(block, dtype=float)
-        _scale(block, "cross")
-        return block
-    product = Product(*block)
-    if not _sums_are_finite(product.left, product.right, "cross"):
-        _scale(product.array, "cross")
-    return product
-
-
 def make_report(
     q_delta: Block,
     q_omega: Block | None,
-    q_delta_omega: np.ndarray | tuple[np.ndarray, np.ndarray] | None,
+    q_delta_omega: np.ndarray | None,
     method: str,
     diagnostics: Mapping[str, Any] | None = None,
     delta_factor: np.ndarray | None = None,
@@ -328,9 +285,8 @@ def make_report(
     """Assemble a report, enforcing finiteness and symmetry/PSD invariants.
 
     ``q_delta`` and ``q_omega`` are each a dense block or a pair (L, X)
-    meaning L X L^T, with L of any shape; ``q_delta_omega`` is a dense
-    block or a pair (F, G) meaning F G^T, kept unbuilt as a
-    :class:`Product`.  A pair's symmetry is decided on
+    meaning L X L^T, with L of any shape; ``q_delta_omega`` is dense and
+    only checked for finiteness.  A pair's symmetry is decided on
     X and its positive semi-definiteness on F X F^T, at most k x k, with F
     from :func:`_psd_factor` (from the Gram matrix L^T L for a tall L, else
     L itself), at O(m k^2) instead of O(m^3) cost for an m x k map L;
@@ -349,7 +305,8 @@ def make_report(
     if q_omega is not None:
         q_omega = _checked_symmetric(q_omega, "frequency")
     if q_delta_omega is not None:
-        q_delta_omega = _checked_cross(q_delta_omega)
+        q_delta_omega = np.asarray(q_delta_omega, dtype=float)
+        _scale(q_delta_omega, "cross")
     return CovarianceReport(q_delta, q_omega, q_delta_omega, method, dict(diagnostics or {}))
 
 
@@ -436,13 +393,13 @@ def _modal_report(
 ) -> CovarianceReport:
     """Report of the modal state covariance [[G, S], [S^T, R]] in ``basis``.
 
-    With node map N and line map L, the blocks are L G L^T, N R N^T and
-    (N S^T) L^T, all three kept as factors; with R and S None, only the
+    With node map N and line map L, the blocks are L G L^T and N R N^T,
+    kept as factors, and the dense (N S^T) L^T; with R and S None, only the
     angle block.  The angle block's PSD check reads the basis's own factor
     of L.
     """
     q_omega = None if r is None else (basis.nodes, r)
-    q_cross = None if r is None else (basis.nodes @ s.T, basis.lines)
+    q_cross = None if r is None else (basis.nodes @ s.T) @ basis.lines.T
     return make_report((basis.lines, g), q_omega, q_cross, method, diagnostics, basis.line_factor)
 
 

@@ -825,6 +825,37 @@ class TestSweeps:
         # Sweeps read entries from the factors; no m x m block is built.
         assert builds == []
 
+    def test_cross_cells_are_the_reports_entries(self, monkeypatch):
+        reports = []
+
+        def recorded(run):
+            return lambda lin, mc: reports.append(run(lin, mc)) or reports[-1]
+
+        monkeypatch.setattr(pipeline, "ROUTES", {
+            name: replace(route, run=recorded(route.run)) for name, route in pipeline.ROUTES.items()
+        })
+        builds = count_congruence_fills(monkeypatch, "array")
+        entries = [(1, 1), (2, 3), (4, 6)]
+        doc = sweep_doc(
+            n=4,
+            axes=[{"parameter": "damping", "grid": [0.3, 0.8]}],
+            methods=list(pipeline.ROUTES),
+            quantities=[{"block": "cross", "i": i, "j": j} for i, j in entries],
+        )
+        doc["mc"] = {"trajectories": 4}
+        rows = run_sweep(sweep_from_dict(doc))
+        assert [row["method"] for row in rows] == 2 * list(pipeline.ROUTES)
+        for row, report in zip(rows, reports, strict=True):
+            cross = report.cross
+            if row["method"] == "first-order":
+                assert cross is None
+                assert all(row[f"cross_{i}_{j}"] is None for i, j in entries)
+                continue
+            assert isinstance(cross, np.ndarray) and cross is report.q_delta_omega
+            for i, j in entries:
+                assert row[f"cross_{i}_{j}"].hex() == float(cross[i - 1, j - 1]).hex(), row["method"]
+        assert builds == []
+
     @pytest.mark.parametrize("method", ["closed", "numeric", "uniform", "first-order"])
     def test_complete_n100_cell_peaks_below_25_mb(self, method):
         def spec(n):

@@ -50,6 +50,14 @@ class TestLyapunovSolve:
         with pytest.raises(ShapeError):
             lyapunov_solve_with_abscissa(-np.eye(3), np.eye(2))
 
+    def test_empty_system_rejected(self):
+        with pytest.raises(ShapeError, match="empty 0 x 0"):
+            lyapunov_solve_with_abscissa(np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_empty_hurwitz_check_rejected(self):
+        with pytest.raises(ShapeError, match="empty matrix"):
+            assert_hurwitz(np.zeros((0, 0)))
+
     def test_nonsymmetric_w_rejected(self):
         with pytest.raises(ShapeError):
             lyapunov_solve_with_abscissa(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
