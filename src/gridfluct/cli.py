@@ -87,16 +87,37 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout at devnull, so that the flush at exit stays silent."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
+@contextlib.contextmanager
+def _writing(name: str):
+    """Report an output that refuses a write, or the flush of one, as a
+    ``ValidationError`` naming ``name``; a closed pipe passes through."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        if name == "stdout":
+            _silence_stdout()
+        raise ValidationError(f"{name}: cannot write: {exc.strerror}") from None
+
+
 @contextlib.contextmanager
 def _output(path: str | None):
     if path is None:
-        yield sys.stdout
+        with _writing("stdout"):
+            yield sys.stdout
         return
     try:
         fh = open(path, "w")
     except OSError as exc:
         raise ValidationError(f"--out {path}: cannot open for writing: {exc.strerror}") from None
-    with fh:
+    with _writing(f"--out {path}"), fh:
         yield fh
 
 
@@ -109,28 +130,29 @@ def _cmd_solve(args) -> int:
     net = load_network(args.network)
     state = solve_synchronous_state(net)
     report = security_check(state, net)
-    if args.format == "human":
-        print(f"synchronous frequency: {format_number(state.sync_frequency)} rad/s")
-        print(f"flow residual (sup-norm): {format_number(state.residual_norm)}")
-        print(f"secure: {'yes' if report.secure else 'no'}")
-        for k, ((i, j, _), margin) in enumerate(zip(net.topology.edges, report.margins), start=1):
-            print(
-                f"line {k} ({net.labels[i - 1]} -> {net.labels[j - 1]}): "
-                f"margin {format_number(margin)} rad"
-            )
-    elif args.format == "json":
-        payload = {
-            "sync_frequency": state.sync_frequency,
-            "angles": state.angles.tolist(),
-            "residual_norm": state.residual_norm,
-            "secure": report.secure,
-            "margins": report.margins.tolist(),
-        }
-        _dump_json(payload, sys.stdout)
-    else:
-        print("line,from,to,margin")
-        for k, ((i, j, _), margin) in enumerate(zip(net.topology.edges, report.margins), start=1):
-            print(f"{k},{net.labels[i - 1]},{net.labels[j - 1]},{format_number(margin)}")
+    with _writing("stdout"):
+        if args.format == "human":
+            print(f"synchronous frequency: {format_number(state.sync_frequency)} rad/s")
+            print(f"flow residual (sup-norm): {format_number(state.residual_norm)}")
+            print(f"secure: {'yes' if report.secure else 'no'}")
+            for k, ((i, j, _), margin) in enumerate(zip(net.topology.edges, report.margins), 1):
+                print(
+                    f"line {k} ({net.labels[i - 1]} -> {net.labels[j - 1]}): "
+                    f"margin {format_number(margin)} rad"
+                )
+        elif args.format == "json":
+            payload = {
+                "sync_frequency": state.sync_frequency,
+                "angles": state.angles.tolist(),
+                "residual_norm": state.residual_norm,
+                "secure": report.secure,
+                "margins": report.margins.tolist(),
+            }
+            _dump_json(payload, sys.stdout)
+        else:
+            print("line,from,to,margin")
+            for k, ((i, j, _), margin) in enumerate(zip(net.topology.edges, report.margins), 1):
+                print(f"{k},{net.labels[i - 1]},{net.labels[j - 1]},{format_number(margin)}")
     return 0
 
 
@@ -178,13 +200,12 @@ def main(argv: list[str] | None = None) -> int:
         # Overflow, invalid operations and division by zero raise, never leave inf or nan.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             code = handlers[args.command](args)
-        sys.stdout.flush()
+        with _writing("stdout"):
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout, during a write or the flush above; pointing
-        # stdout at devnull keeps the flush at exit silent.
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        # The reader closed stdout, during a write or the flush above.
+        _silence_stdout()
         print("gridfluct: output closed before it was complete", file=sys.stderr)
         return 1
     except USER_ERRORS as exc:

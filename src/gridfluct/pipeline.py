@@ -12,10 +12,11 @@ order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Collection, Iterable, Iterator, TextIO
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -292,20 +293,182 @@ def _field(value: Any) -> str:
     return str(value)
 
 
-def _report_lines(report: CovarianceReport, suffix: str = "") -> Iterator[str]:
-    """CSV lines ``quantity,i,j,value,method,stderr`` plus ``suffix``, block
-    by block; each string holds one block row, one line per entry."""
+# A report's CSV is made _CHUNK entries at a time, in a uint8 matrix with one
+# line per row whose NUL bytes are then dropped.  A number takes a field of
+# _WIDTH bytes: sign, "0.000" prefix, an 18-column window holding the 17
+# digits and the dot slot, and the exponent.
+_CHUNK = 4096
+_WIDTH = 29
+# The fast path takes magnitudes in [1e-_RANGE, 1e_RANGE]; floor(log10|x|)
+# may round down to -_RANGE - 1 there.
+_RANGE = 280
+# Row of the layout tables for zero, after one row per decimal exponent.
+_ZERO_ROW = 2 * _RANGE + 2
+
+
+class _Tables(NamedTuple):
+    """Tables of ``_format``.  Rows of the layout tables (``ends`` to
+    ``probe``) are decimal exponents e, at e + _RANGE + 1, then zero."""
+
+    high: np.ndarray     # H = fl(10^(16-e)), at e + _RANGE + 1
+    low: np.ndarray      # fl(10^(16-e) - H)
+    quads: np.ndarray    # [g + 10000 z]: g's four digits, trailing zeros NUL if z
+    ends: np.ndarray     # "0.000" prefix (5 bytes) and "e+XXX" suffix (5)
+    before: np.ndarray   # 0xFF in the window columns before the dot slot
+    after: np.ndarray    # 0xFF in those after it
+    integer: np.ndarray  # "0" in the integer digits' columns
+    probe: np.ndarray    # the digit that must follow a dot (17: none)
+
+
+def _layout(exponent: int | None) -> tuple[bytes, int, int]:
+    """``_Tables`` ends, dot slot and number of integer digits for a value
+    with this decimal exponent (None: zero), by ``%.17g``'s rule: fixed
+    notation for exponents -4 to 16, else ``d.ddde±XX``."""
+    if exponent is None:
+        return b"0".ljust(10, b"\0"), 18, 0
+    if -4 <= exponent < 0:
+        return ("0." + "0" * (-exponent - 1)).encode().ljust(10, b"\0"), 18, 0
+    if 0 <= exponent <= 16:
+        return bytes(10), exponent + 1, exponent + 1
+    return bytes(5) + f"e{exponent:+03d}".encode().ljust(5, b"\0"), 1, 0
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The tables of ``_format``, made on first use from exact integers."""
+    high, low = [], []
+    for e in range(-_RANGE - 1, _RANGE + 1):
+        # 10^(16-e) = p / q; integer true division rounds correctly.
+        p, q = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        n, d = (p / q).as_integer_ratio()
+        high.append(n / d)
+        low.append((p * d - n * q) / (q * d))
+    quads = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    significant = np.cumsum(quads[:, ::-1] != ord("0"), 1)[:, ::-1] > 0
+    quads = np.concatenate([quads, quads * significant]).astype(np.uint8)
+    ends, dots, integers = zip(*map(_layout, [*range(-_RANGE - 1, _RANGE + 1), None]))
+    dot, integer, column = np.array(dots)[:, None], np.array(integers)[:, None], np.arange(18)
+    before = (column < dot) * np.uint8(255)
+    before[_ZERO_ROW] = 0  # zero shows no digit
+    tables = _Tables(
+        np.array(high), np.array(low), quads.view(np.uint32)[:, 0],
+        np.frombuffer(b"".join(ends), np.uint8).reshape(-1, 10),
+        before, (column > dot) * np.uint8(255),
+        (column < integer) * np.uint8(ord("0")), np.minimum(dot[:, 0], 17),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into two halves of 26 bits each."""
+    scaled = a * 134217729.0  # 2^27 + 1
+    high = scaled - (scaled - a)
+    return high, a - high
+
+
+def _format(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``format_number`` of each value into the rows of ``out``, a
+    (len(values), _WIDTH) uint8 array, padded with NUL.
+
+    A nonzero finite |x| in [1e-280, 1e280] with e = floor(log10|x|) has the
+    significand D = round(|x| 10^(16-e)).  Dekker's two-product of |x| and
+    H = fl(10^(16-e)) is exact, and adding |x| L for L = fl(10^(16-e) - H)
+    leaves an error below 1e-14 on a product below 1e17.  A value whose
+    product lies within 2^-30 of a rounding tie or has not 17 digits before
+    rounding (e off by one near a power of ten) or after (a carry), and
+    every non-finite value or magnitude out of range, is formatted by
+    ``format_number``; zeros are ``0`` and ``-0``.
+    """
+    t = _tables()
+    n = len(values)
+    magnitude = np.abs(values)
+    finite = np.isfinite(magnitude)
+    magnitude[~finite] = 1.0
+    zero = magnitude == 0.0
+    fast = finite & (magnitude >= 10.0**-_RANGE) & (magnitude <= 10.0**_RANGE)
+    magnitude[~fast] = 1.0
+    row = np.floor(np.log10(magnitude)).astype(np.intp) + (_RANGE + 1)
+    h, l = np.take(t.high, row), np.take(t.low, row)
+    product = magnitude * h
+    ah, al = _split(magnitude)
+    hh, hl = _split(h)
+    rest = ((ah * hh - product) + ah * hl + al * hh) + al * hl + magnitude * l
+    floor = np.floor(rest)
+    remainder = rest - floor
+    truncated = product.astype(np.int64) + floor.astype(np.int64)
+    significand = truncated + (remainder > 0.5)
+    fast &= ((np.abs(remainder - 0.5) > 2.0**-30)
+             & (truncated >= 10**16) & (significand < 10**17))
+
+    # D's first digit, then four groups of four digits whose zeros after
+    # the last nonzero digit are NUL.
+    upper = significand // 10**8
+    first = upper // 10**8
+    groups = []
+    for eight in (upper - first * 10**8, significand - upper * 10**8):
+        four = eight // 10**4
+        groups += [four, eight - four * 10**4]
+    quads = np.empty((n, 4), np.uint32)
+    trailing = np.full(n, 10000)
+    for k in range(3, -1, -1):
+        quads[:, k] = np.take(t.quads, groups[k] + trailing)
+        trailing *= groups[k] == 0
+    # One buffer seen twice: digit j in column j, and digit j - 1 there.
+    buffer = np.zeros(n * 18 + 1, np.uint8)
+    digits, shifted = buffer[1:].reshape(n, 18), buffer[:-1].reshape(n, 18)
+    digits[:, 0] = first + ord("0")
+    digits[:, 1:17] = quads.view(np.uint8)
+
+    row[zero] = _ZERO_ROW
+    before, after = np.take(t.before, row, 0), np.take(t.after, row, 0)
+    window = (digits & before) | (shifted & after) | np.take(t.integer, row, 0)
+    # The dot shows where a digit follows it.
+    follows = np.take(buffer[1:], np.take(t.probe, row) + 18 * np.arange(n)) != 0
+    window |= ~(before | after) & (follows * np.uint8(ord(".")))[:, None]
+    ends = np.take(t.ends, row, 0)
+    out[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    out[:, 1:6] = ends[:, :5]
+    out[:, 6:24] = window
+    out[:, 24:] = ends[:, 5:]
+    for i in np.flatnonzero(~fast & ~zero):
+        out[i] = np.frombuffer(format_number(values[i]).encode().ljust(_WIDTH, b"\0"), np.uint8)
+
+
+def _text(strings: Iterable[str]) -> np.ndarray:
+    """ASCII strings as the rows of a NUL-padded uint8 matrix."""
+    array = np.array([s.encode() for s in strings])
+    return array.view(np.uint8).reshape(len(array), array.itemsize)
+
+
+def _csv_chunks(report: CovarianceReport, suffix: str = "") -> Iterator[str]:
+    """CSV lines ``quantity,i,j,value,method,stderr`` plus ``suffix``, one
+    string per chunk of _CHUNK entries, block by block and row by row."""
     for quantity, (block, stderr) in _blocks(report).items():
         if block is None or block.size == 0:
             continue
-        # "%.17g" is ``format_number``; each stderr follows its value.
         height, width = block.shape
-        error = "" if stderr is None else "%.17g"
-        cells = [f"{j},%.17g,{report.method},{error}{suffix}\n" for j in range(1, width + 1)]
-        rows = block if stderr is None else np.stack((block, stderr), 2).reshape(height, 2 * width)
-        for i, values in enumerate(rows.tolist(), start=1):
-            head = f"{quantity},{i},"
-            yield (head + head.join(cells)) % tuple(values)
+        rows = _text(f"{quantity},{i}," for i in range(1, height + 1))
+        columns = _text(f"{j}," for j in range(1, width + 1))
+        middle = _text([f",{report.method},"])[0]
+        values = [block.reshape(-1)] + ([] if stderr is None else [stderr.reshape(-1)])
+        # Column bounds: row label, column label, value, middle, stderr, end.
+        bounds = np.cumsum([0, rows.shape[1], columns.shape[1], _WIDTH, len(middle),
+                            _WIDTH * len(values[1:]), len(suffix) + 1])
+        line = np.empty((min(_CHUNK, block.size), bounds[-1]), np.uint8)
+        line[:, bounds[3]:bounds[4]] = middle
+        line[:, bounds[5]:] = _text([suffix + "\n"])[0]
+        for start in range(0, block.size, _CHUNK):
+            stop = min(start + _CHUNK, block.size)
+            chunk = line[:stop - start]
+            index = np.arange(start, stop)
+            i = index // width
+            chunk[:, :bounds[1]] = np.take(rows, i, 0)
+            chunk[:, bounds[1]:bounds[2]] = np.take(columns, index - i * width, 0)
+            for field, value in enumerate(values):
+                _format(value[start:stop], chunk[:, bounds[2 + 2 * field]:bounds[3 + 2 * field]])
+            yield chunk.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _block_payload(report: CovarianceReport) -> dict[str, Any]:
@@ -335,7 +498,7 @@ def _write(fh: TextIO, fmt: str, header: str, lines: Iterable[str],
 
 def write_report(report: CovarianceReport, fh: TextIO, fmt: str = "csv") -> None:
     """Serialize one report as CSV (long format) or JSON."""
-    _write(fh, fmt, _REPORT_HEADER, _report_lines(report), lambda: {
+    _write(fh, fmt, _REPORT_HEADER, _csv_chunks(report), lambda: {
         "method": report.method,
         **_block_payload(report),
         "diagnostics": _jsonable(report.diagnostics),
@@ -348,7 +511,7 @@ def write_comparison(comparison: Comparison, fh: TextIO, fmt: str = "csv") -> No
     suffix = "," + format_number(comparison.max_relative_discrepancy)
     _write(
         fh, fmt, _REPORT_HEADER + ",max_relative_discrepancy",
-        (line for _, report in reports for line in _report_lines(report, suffix)),
+        (line for _, report in reports for line in _csv_chunks(report, suffix)),
         lambda: {
             "max_relative_discrepancy": comparison.max_relative_discrepancy,
             "methods": {method: _block_payload(report) for method, report in reports},

@@ -1,5 +1,6 @@
 """File formats, route dispatch, sweeps and the command-line surface."""
 
+import errno
 import io
 import json
 import math
@@ -591,6 +592,96 @@ class TestReportSerialization:
         rng = np.random.default_rng(3)
         for value in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
             assert float(format_number(float(value))) == float(value)
+
+    def test_csv_number_kernel_matches_format_number(self):
+        values = csv_kernel_values()
+        fields = np.zeros((len(values), pipeline._WIDTH + 1), np.uint8)
+        fields[:, -1] = ord("\n")
+        with np.errstate(all="raise"):
+            pipeline._format(values, fields[:, :-1])
+        got = fields.tobytes().translate(None, b"\0").decode().splitlines()
+        wrong = [(value, text) for value, text in zip(values.tolist(), got)
+                 if text != format_number(value)]
+        assert len(got) == len(values) and not wrong, wrong[:5]
+
+    def test_report_csv_lines_match_format_number(self):
+        # Blocks of 150 x 120 entries: indices past 99, and block rows that
+        # cross a chunk boundary; Monte Carlo stderr and compare columns.
+        values = csv_kernel_values()[:3 * 150 * 120].reshape(3, 150, 120)
+        plain = variance.CovarianceReport(*values, "numeric")
+        stderr = dict(zip(("stderr_delta", "stderr_omega", "stderr_cross"), values[::-1]))
+        mc = variance.CovarianceReport(*values, "monte-carlo", stderr)
+        comparison = pipeline.Comparison({"uniform": replace(plain, method="uniform-ratio"),
+                                          "numeric": plain}, 1.0 / 3.0)
+        header = "quantity,index_i,index_j,value,method,stderr"
+        suffix = ",0.33333333333333331"
+        for write, subject, expected in (
+            (write_report, plain, header + "\n" + expected_csv(plain)),
+            (write_report, mc, header + "\n" + expected_csv(mc)),
+            (write_comparison, comparison, header + ",max_relative_discrepancy\n"
+             + expected_csv(plain, suffix) + expected_csv(comparison.reports["uniform"], suffix)),
+        ):
+            buffer = io.StringIO()
+            with np.errstate(all="raise"):
+                write(subject, buffer)
+            assert buffer.getvalue() == expected
+
+    def test_report_csv_peaks_below_8_5_mb(self):
+        # A seeded sparse n=300 network; the blocks are built before the count.
+        rng = np.random.default_rng(300)
+        graph = random_connected_graph(rng, 300, extra_edge_prob=0.005)
+        noise = dict(enumerate(rng.uniform(0.02, 0.08, 300), start=1))
+        net = network_from_dict(network_doc(300, [(i, j) for i, j, _ in graph.edges], noise=noise))
+        report = run_variance(net, "numeric")
+        assert report.q_delta.shape[0] > 500 and report.q_omega is not None
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                write_report(report, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8.5e6, peak
+
+
+def csv_kernel_values():
+    """Doubles on every branch of ``pipeline._format``, then 200,000 seeded
+    random bit patterns."""
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    digits = 1.2345678901234567 * 10.0 ** np.arange(-6, 20)
+    cases = [
+        # Exact 17-digit ties: one rounds up to even, one down.
+        [1234567890123456.75, 1234567890123456.25, -1234567890123456.75],
+        # The switch between fixed and scientific notation.
+        [1e-05, 9.9999999999999995e-05, 1e-04, 0.00012, 9.9999999999999e-06],
+        # 10^16 and 10^17 and their neighbours, every power of ten and its
+        # neighbours (some round up to the power, a carry), and 10^±280.
+        np.nextafter([1e16, 1e17], 0), [1e16, 1e17, 1e280, 1e-280, -1e280],
+        np.nextafter([1e16, 1e17, 1e280, 1e-280], np.inf), np.nextafter([1e280, 1e-280], 0),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        # The decimal point in every position, trailing zeros, integers.
+        digits, -digits, [1.5, 12.25, 123.125, 1e15 + 0.5, 100.0, 1e15, 120.0, 1.0],
+        np.arange(-1000.0, 1001.0), 2.0 ** np.arange(70), 3.0 ** np.arange(40),
+        # Zeros, subnormals, three-digit exponents, non-finite values.
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-123, -2.5e200],
+        [np.nan, np.inf, -np.inf],
+    ]
+    rng = np.random.default_rng(2024)
+    patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    return np.concatenate([np.hstack(cases), patterns])
+
+
+def expected_csv(report, suffix=""):
+    """The CSV lines of ``report``, each number by ``format_number``."""
+    lines = []
+    for quantity, block in (("delta", report.q_delta), ("omega", report.q_omega),
+                            ("cross", report.q_delta_omega)):
+        stderr = report.diagnostics.get(f"stderr_{quantity}")
+        for (i, j), value in np.ndenumerate(block):
+            error = "" if stderr is None else format_number(stderr[i, j])
+            lines.append(f"{quantity},{i + 1},{j + 1},{format_number(value)},"
+                         f"{report.method},{error}{suffix}\n")
+    return "".join(lines)
 
 
 def sweep_doc(noise=None, axes=None, methods=None, quantities=None, kind="complete", n=20):
@@ -1484,6 +1575,24 @@ assert "scipy.linalg" not in sys.modules, sorted(k for k in sys.modules if k.sta
             err = proc.stderr.read().decode()
             assert proc.wait(timeout=120) == 1
         assert err == "gridfluct: output closed before it was complete\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(("args", "target"), [
+        (["variance", STAR6, "--method", "numeric", "--out", "/dev/full"], "--out /dev/full"),
+        (["variance", STAR6, "--method", "numeric"], "stdout"),
+        (["compare", STAR6, "--out", "/dev/full"], "--out /dev/full"),
+        (["solve", STAR6, "--format", "csv"], "stdout"),
+    ])
+    def test_full_output_exits_two_without_traceback(self, args, target):
+        # /dev/full refuses every write with ENOSPC, as a full disk does.
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "gridfluct.cli", *map(str, args)],
+                                  env=env, stdout=full, stderr=subprocess.PIPE, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"gridfluct: {target}: cannot write: {os.strerror(errno.ENOSPC)}\n")
 
     def test_null_monte_carlo_setting_means_default(self, tmp_path, capsys):
         doc = network_doc(2, [(1, 2)], inertia=1.0, damping=5.0, noise={1: 1.0}, capacity=1.0)
