@@ -343,9 +343,10 @@ def _tables() -> _Tables:
         n, d = (p / q).as_integer_ratio()
         high.append(n / d)
         low.append((p * d - n * q) / (q * d))
-    quads = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
-    significant = np.cumsum(quads[:, ::-1] != ord("0"), 1)[:, ::-1] > 0
-    quads = np.concatenate([quads, quads * significant]).astype(np.uint8)
+    quads = (np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+             + ord("0")).astype(np.uint8)
+    significant = np.cumsum(quads[:, ::-1] != ord("0"), 1, np.uint8)[:, ::-1] > 0
+    quads = np.concatenate([quads, quads * significant])
     ends, dots, integers = zip(*map(_layout, [*range(-_RANGE - 1, _RANGE + 1), None]))
     dot, integer, column = np.array(dots)[:, None], np.array(integers)[:, None], np.arange(18)
     before = (column < dot) * np.uint8(255)
