@@ -296,7 +296,8 @@ def _field(value: Any) -> str:
 # A report's CSV is made _CHUNK entries at a time, in a uint8 matrix with one
 # line per row whose NUL bytes are then dropped.  A number takes a field of
 # _WIDTH bytes: sign, "0.000" prefix, an 18-column window holding the 17
-# digits and the dot slot, and the exponent.
+# digits and the dot slot, and the exponent.  At 4096 entries a chunk's
+# temporaries stay below glibc's 128 KiB mmap threshold; 8192 ran slower.
 _CHUNK = 4096
 _WIDTH = 29
 # The fast path takes magnitudes in [1e-_RANGE, 1e_RANGE]; floor(log10|x|)
@@ -456,7 +457,7 @@ def _csv_chunks(report: CovarianceReport, suffix: str = "") -> Iterator[str]:
         values = [block.reshape(-1)] + ([] if stderr is None else [stderr.reshape(-1)])
         # Column bounds: row label, column label, value, middle, stderr, end.
         bounds = np.cumsum([0, rows.shape[1], columns.shape[1], _WIDTH, len(middle),
-                            _WIDTH * len(values[1:]), len(suffix) + 1])
+                            _WIDTH * (len(values) - 1), len(suffix) + 1])
         line = np.empty((min(_CHUNK, block.size), bounds[-1]), np.uint8)
         line[:, bounds[3]:bounds[4]] = middle
         line[:, bounds[5]:] = _text([suffix + "\n"])[0]
@@ -512,7 +513,7 @@ def write_comparison(comparison: Comparison, fh: TextIO, fmt: str = "csv") -> No
     suffix = "," + format_number(comparison.max_relative_discrepancy)
     _write(
         fh, fmt, _REPORT_HEADER + ",max_relative_discrepancy",
-        (line for _, report in reports for line in _csv_chunks(report, suffix)),
+        (chunk for _, report in reports for chunk in _csv_chunks(report, suffix)),
         lambda: {
             "max_relative_discrepancy": comparison.max_relative_discrepancy,
             "methods": {method: _block_payload(report) for method, report in reports},

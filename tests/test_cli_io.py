@@ -667,7 +667,7 @@ def csv_kernel_values():
         [np.nan, np.inf, -np.inf],
     ]
     rng = np.random.default_rng(2024)
-    patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
     return np.concatenate([np.hstack(cases), patterns])
 
 
